@@ -21,6 +21,7 @@ import numpy as np
 
 from . import __version__, blaschke, circle_dynamics, covering, harmonic, map_zoo, renderer
 from .errors import FatouLabError, OutOfRange, SingularityApproach
+from .histograms import ArcHistogram, accumulate, to_csv_text
 from .rng import uniform01
 
 EXIT_OK = 0
@@ -185,7 +186,6 @@ def _cmd_harmonic(args) -> int:
             "samples": args.walks, "seed": seed, "bins": args.bins,
             "component_masses": [h.mass() for h in hists],
         }
-        from .histograms import to_csv_text
         return _finish(args, "harmonic", seed, summary,
                        {"histogram.csv": to_csv_text(hists)})
 
@@ -212,7 +212,6 @@ def _cmd_harmonic(args) -> int:
     if args.min_bin_mass is not None:
         summary["support_test"] = harmonic.support_test(
             result, args.min_bin_mass).to_dict()
-    from .histograms import to_csv_text
     return _finish(args, "harmonic", seed, summary,
                    {"histogram.csv": to_csv_text(list(result.hits))})
 
@@ -292,7 +291,6 @@ def _cmd_circle_stats(args) -> int:
         summary["invariance_ks"] = ks
         summary["ks_critical_1pct"] = circle_dynamics.ks_critical(args.n)
         # one-step pushforward of the orbit as an arc histogram
-        from .histograms import ArcHistogram, accumulate, to_csv_text
         hist = ArcHistogram(0, np.zeros(64, dtype=np.int64), orbit.size)
         accumulate(hist, orbit)
         files["pushforward.csv"] = to_csv_text([hist])
@@ -333,9 +331,7 @@ def _cmd_render(args) -> int:
         "map": json.loads(args.map), "grid": grid_spec.to_dict(),
         "verdict_counts": counts,
     }
-    files = {}
-    rgb_header = f"P6\n{grid_spec.nx} {grid_spec.ny}\n255\n".encode("ascii")
-    files["image.ppm"] = rgb_header + renderer.render_rgb(grid).tobytes()
+    files = {"image.ppm": renderer.ppm_bytes(grid)}
     if args.loop:
         cx, cy, r = (float(x) for x in args.loop.split(","))
         cert = renderer.loop_probe(grid, complex(cx, cy), r)

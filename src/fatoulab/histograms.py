@@ -95,27 +95,3 @@ def to_csv_text(hists) -> str:
 def write_csv(hists, path):
     with open(path, "w", encoding="ascii") as fh:
         fh.write(to_csv_text(hists))
-
-
-def read_csv(path):
-    """Inverse of write_csv.  Total sample count is not stored in the CSV;
-    it is reconstructed as the sum of all counts."""
-    rows = []
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip()
-        if header != CSV_HEADER:
-            raise ValueError(f"unexpected CSV header in {path!r}: {header!r}")
-        for line in fh:
-            cid, j, _start, cnt = line.strip().split(",")
-            rows.append((int(cid), int(j), int(cnt)))
-    if not rows:
-        raise EmptyInput(f"no histogram rows in {path!r}")
-    total = sum(r[2] for r in rows)
-    hists = []
-    for cid in sorted({r[0] for r in rows}):
-        sub = [r for r in rows if r[0] == cid]
-        counts = np.zeros(max(r[1] for r in sub) + 1, dtype=np.int64)
-        for _, j, cnt in sub:
-            counts[j] = cnt
-        hists.append(ArcHistogram(cid, counts, total))
-    return hists

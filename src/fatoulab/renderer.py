@@ -132,116 +132,118 @@ _DEFAULT_TARGETS = {
 }
 
 
-def _classify_exp_baker(alpha, z0, u0, max_iter, tol, escape_radius, target):
-    """Pair iteration for exp(alpha*(z - 1/z)); u tracks 1/z."""
-    n = z0.size
+# Pixels per kernel call: a complex state array of 2**15 values is 512 KiB,
+# so a block's few state arrays fit a 2 MiB per-core L2 cache.  Smaller
+# blocks repeat the per-iteration Python overhead on long-lived tail pixels
+# (2**13 made the mcmullen render slower).
+BLOCK = 1 << 15
+
+
+def _retire(verdict, steps, hit, code, k, idx, *state):
+    """Record verdict ``code`` and step ``k`` for the pixels where ``hit``;
+    return the compacted ``(idx, *state)`` of the others (always copies)."""
+    done = idx[hit]
+    verdict[done] = code
+    steps[done] = k
+    keep = ~hit
+    return (idx[keep],) + tuple(a[keep] for a in state)
+
+
+def _classify_exp_baker(alpha, z, u, max_iter, tol, escape_radius, target):
+    """Pair iteration for exp(alpha*(z - 1/z)); u tracks 1/z.
+
+    State is compacted to the live pixels ``(idx, z, u)``, and compacted
+    again only on iterations where a verdict test fires.  Each step is
+    written into the state arrays in place: allocating fresh block-sized
+    arrays every iteration costs more in page faults than all the
+    arithmetic besides ``exp``.
+    """
+    n = z.size
     verdict = np.zeros(n, dtype=np.uint8)
     steps = np.zeros(n, dtype=np.int32)
     log_r = math.log(escape_radius)
-    z = z0.copy()
-    u = u0.copy()
-    act = np.arange(n)
-    bad = (z[act] == 0) | (u[act] == 0) | ~np.isfinite(z[act]) | ~np.isfinite(u[act])
-    verdict[act[bad]] = SINGULAR
-    act = act[~bad]
+    bad = (z == 0) | (u == 0) | ~np.isfinite(z) | ~np.isfinite(u)
+    # copies, so the in-place steps never write to the caller's points
+    idx, z, u = _retire(verdict, steps, bad, SINGULAR, 0, np.arange(n), z, u)
+    w = np.empty_like(z)
     for k in range(max_iter + 1):
-        if not act.size:
+        if not idx.size:
             break
         if target is not None:
-            conv = np.abs(z[act] - target) < tol
-            hit = act[conv]
-            verdict[hit] = ATTRACTED
-            steps[hit] = k
-            act = act[~conv]
-            if not act.size:
-                break
+            conv = np.abs(z - target) < tol
+            if conv.any():
+                idx, z, u = _retire(verdict, steps, conv, ATTRACTED, k, idx, z, u)
+                if not idx.size:
+                    break
         if k == max_iter:
             break
-        w = alpha * z[act] - alpha * u[act]
+        w = w[:idx.size]
+        np.multiply(alpha, z, out=w)
+        w -= alpha * u
         re = w.real
         esc_inf = re > log_r
-        esc_zero = re < -log_r
-        hit = act[esc_inf]
-        verdict[hit] = ESCAPED_INFINITY
-        steps[hit] = k + 1
-        hit = act[esc_zero]
-        verdict[hit] = ESCAPED_ZERO
-        steps[hit] = k + 1
-        keep = ~(esc_inf | esc_zero)
-        act = act[keep]
-        w = w[keep]
-        z[act] = np.exp(w)
-        u[act] = np.exp(-w)
+        esc = esc_inf | (re < -log_r)
+        if esc.any():
+            code = np.where(esc_inf, ESCAPED_INFINITY, ESCAPED_ZERO)[esc]
+            idx, w = _retire(verdict, steps, esc, code, k + 1, idx, w)
+            z, u = z[:idx.size], u[:idx.size]
+        np.exp(w, out=z)
+        np.exp(np.negative(w, out=w), out=u)
     return verdict, steps
 
 
-def _classify_sine(alpha, z0, max_iter, tol, escape_radius, target):
-    n = z0.size
+def _classify_sine(alpha, z, max_iter, tol, escape_radius, target):
+    n = z.size
     verdict = np.zeros(n, dtype=np.uint8)
     steps = np.zeros(n, dtype=np.int32)
-    z = z0.copy()
-    act = np.arange(n)
-    bad = ~np.isfinite(z[act])
-    verdict[act[bad]] = SINGULAR
-    act = act[~bad]
+    idx = np.arange(n)
+    bad = ~np.isfinite(z)
+    if bad.any():
+        idx, z = _retire(verdict, steps, bad, SINGULAR, 0, idx, z)
     for k in range(max_iter + 1):
-        if not act.size:
+        if not idx.size:
             break
         if target is not None:
-            conv = np.abs(z[act] - target) < tol
-            hit = act[conv]
-            verdict[hit] = ATTRACTED
-            steps[hit] = k
-            act = act[~conv]
-            if not act.size:
-                break
-        esc = (np.abs(z[act]) > escape_radius) | (np.abs(z[act].imag) > map_zoo.EXP_CAP)
-        hit = act[esc]
-        verdict[hit] = ESCAPED_INFINITY
-        steps[hit] = k
-        act = act[~esc]
-        if k == max_iter or not act.size:
+            conv = np.abs(z - target) < tol
+            if conv.any():
+                idx, z = _retire(verdict, steps, conv, ATTRACTED, k, idx, z)
+                if not idx.size:
+                    break
+        esc = (np.abs(z) > escape_radius) | (np.abs(z.imag) > map_zoo.EXP_CAP)
+        if esc.any():
+            idx, z = _retire(verdict, steps, esc, ESCAPED_INFINITY, k, idx, z)
+        if k == max_iter or not idx.size:
             break
-        z[act] = 2.0 * alpha * np.sin(z[act])
+        z = 2.0 * alpha * np.sin(z)
     return verdict, steps
 
 
-def _classify_mcmullen(m, l, c, z0, max_iter, tol, escape_radius, target):
-    n = z0.size
+def _classify_mcmullen(m, l, c, z, max_iter, tol, escape_radius, target):
+    n = z.size
     verdict = np.zeros(n, dtype=np.uint8)
     steps = np.zeros(n, dtype=np.int32)
-    z = z0.copy()
-    act = np.arange(n)
+    idx = np.arange(n)
     for k in range(max_iter + 1):
-        if not act.size:
+        if not idx.size:
             break
-        za = z[act]
-        esc = (np.abs(za) > escape_radius) | ~np.isfinite(za)
-        hit = act[esc]
-        verdict[hit] = ESCAPED_INFINITY
-        steps[hit] = k
-        act = act[~esc]
-        if not act.size:
-            break
-        if target is not None:
-            conv = np.abs(z[act] - target) < tol
-            hit = act[conv]
-            verdict[hit] = ATTRACTED
-            steps[hit] = k
-            act = act[~conv]
-            if not act.size:
+        esc = (np.abs(z) > escape_radius) | ~np.isfinite(z)
+        if esc.any():
+            idx, z = _retire(verdict, steps, esc, ESCAPED_INFINITY, k, idx, z)
+            if not idx.size:
                 break
+        if target is not None:
+            conv = np.abs(z - target) < tol
+            if conv.any():
+                idx, z = _retire(verdict, steps, conv, ATTRACTED, k, idx, z)
+                if not idx.size:
+                    break
         if k == max_iter:
             break
-        za = z[act]
-        pole = za == 0
-        hit = act[pole]
-        verdict[hit] = ESCAPED_INFINITY  # the pole maps straight to infinity
-        steps[hit] = k + 1
-        act = act[~pole]
-        za = za[~pole]
+        pole = z == 0
+        if pole.any():  # the pole maps straight to infinity
+            idx, z = _retire(verdict, steps, pole, ESCAPED_INFINITY, k + 1, idx, z)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            z[act] = za ** m + c / za ** l
+            z = z ** m + c / z ** l
     return verdict, steps
 
 
@@ -249,65 +251,78 @@ def classify_points(spec: map_zoo.MapSpec, points, max_iter: int,
                     tol: float = DEFAULT_TOL,
                     escape_radius: float = DEFAULT_ESCAPE_RADIUS,
                     target: Optional[complex] = "default",
-                    reciprocals=None):
+                    reciprocals=None, threads: int = 1):
     """Classify arbitrary start points under the grid orbit contract.
 
     For exp_baker, ``reciprocals`` optionally supplies the second member of
     each iteration pair; by default it is 1/points.  Passing a swapped pair
     (u0, z0) realizes the exact z <-> 1/z verdict symmetry.
+
+    Points are classified in contiguous blocks of ``BLOCK`` pixels, mapped
+    over a pool of ``threads`` workers when threads > 1.  Every operation is
+    elementwise per pixel, so neither the blocks nor the thread count change
+    a verdict or a step.
     """
     pts = np.asarray(points, dtype=np.complex128).ravel()
     if target == "default":
         target = _DEFAULT_TARGETS.get(spec.kind)
     if spec.kind == map_zoo.EXP_BAKER:
         (alpha,) = spec.params
-        if reciprocals is None:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                recips = np.where(pts != 0, 1.0 / pts, np.inf)
-        else:
-            recips = np.asarray(reciprocals, dtype=np.complex128).ravel()
-        return _classify_exp_baker(alpha, pts, recips, max_iter, tol,
-                                   escape_radius, target)
-    if spec.kind == map_zoo.SINE_MODEL:
+        recips = (None if reciprocals is None
+                  else np.asarray(reciprocals, dtype=np.complex128).ravel())
+
+        def kernel(block):
+            z0 = pts[block]
+            if recips is None:
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    u0 = np.where(z0 != 0, 1.0 / z0, np.inf)
+            else:
+                u0 = recips[block]
+            return _classify_exp_baker(alpha, z0, u0, max_iter, tol,
+                                       escape_radius, target)
+    elif spec.kind == map_zoo.SINE_MODEL:
         (alpha,) = spec.params
-        return _classify_sine(alpha, pts, max_iter, tol, escape_radius, target)
-    if spec.kind == map_zoo.MCMULLEN:
+
+        def kernel(block):
+            return _classify_sine(alpha, pts[block], max_iter, tol,
+                                  escape_radius, target)
+    elif spec.kind == map_zoo.MCMULLEN:
         m, l, c = spec.params
-        return _classify_mcmullen(m, l, c, pts, max_iter, tol, escape_radius,
-                                  target)
-    raise UnsupportedMap(f"classify supports exp_baker, sine_model, mcmullen; "
-                         f"got {spec.kind!r}")
+
+        def kernel(block):
+            return _classify_mcmullen(m, l, c, pts[block], max_iter, tol,
+                                      escape_radius, target)
+    else:
+        raise UnsupportedMap(f"classify supports exp_baker, sine_model, "
+                             f"mcmullen; got {spec.kind!r}")
+
+    verdict = np.empty(pts.size, dtype=np.uint8)
+    steps = np.empty(pts.size, dtype=np.int32)
+
+    def run(start):
+        block = slice(start, start + BLOCK)
+        verdict[block], steps[block] = kernel(block)
+
+    starts = range(0, pts.size, BLOCK)
+    if threads <= 1:
+        for start in starts:
+            run(start)
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(run, starts))
+    return verdict, steps
 
 
 def classify_grid(spec: map_zoo.MapSpec, grid: GridSpec,
                   threads: int = 1) -> ClassifiedGrid:
-    """Classify every pixel of the grid.
-
-    Pixels are independent; with threads > 1 the rows are processed in
-    blocks and assembled by index, so the result does not depend on the
-    thread count.
-    """
-    pts = grid.points()
+    """Classify every pixel of the grid; ``threads`` caps the workers and
+    does not change the result (see classify_points)."""
     target = grid.target if grid.target is not None else "default"
-
-    def run(block):
-        return classify_points(spec, block, grid.max_iter, grid.tol,
-                               grid.escape_radius, target)
-
-    if threads <= 1 or grid.ny < 2 * threads:
-        verdict, steps = run(pts.ravel())
-        return ClassifiedGrid(grid, verdict.reshape(grid.ny, grid.nx),
-                              steps.reshape(grid.ny, grid.nx))
-    blocks = np.array_split(np.arange(grid.ny), threads)
-    verdict = np.zeros((grid.ny, grid.nx), dtype=np.uint8)
-    steps = np.zeros((grid.ny, grid.nx), dtype=np.int32)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [(rows, pool.submit(run, pts[rows].ravel())) for rows in blocks]
-        for rows, fut in futures:
-            v, s = fut.result()
-            verdict[rows] = v.reshape(len(rows), grid.nx)
-            steps[rows] = s.reshape(len(rows), grid.nx)
-    return ClassifiedGrid(grid, verdict, steps)
+    verdict, steps = classify_points(spec, grid.points(), grid.max_iter,
+                                     grid.tol, grid.escape_radius, target,
+                                     threads=threads)
+    shape = (grid.ny, grid.nx)
+    return ClassifiedGrid(grid, verdict.reshape(shape), steps.reshape(shape))
 
 
 # ---------------------------------------------------------------------------
@@ -331,13 +346,15 @@ def render_rgb(grid: ClassifiedGrid) -> np.ndarray:
     return rgb
 
 
-def write_image(grid: ClassifiedGrid, path) -> None:
+def ppm_bytes(grid: ClassifiedGrid) -> bytes:
     """Binary PPM (P6); byte-deterministic for a given classified grid."""
-    rgb = render_rgb(grid)
     header = f"P6\n{grid.spec.nx} {grid.spec.ny}\n255\n".encode("ascii")
+    return header + render_rgb(grid).tobytes()
+
+
+def write_image(grid: ClassifiedGrid, path) -> None:
     with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(rgb.tobytes())
+        fh.write(ppm_bytes(grid))
 
 
 # ---------------------------------------------------------------------------

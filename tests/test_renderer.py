@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -79,8 +80,8 @@ def test_conjugation_symmetry_exact(baker_grid):
     assert np.array_equal(s, s[::-1, :])
 
 
-def test_reciprocal_swap_symmetry(baker_grid):
-    pts = baker_grid.spec.points().ravel()[::173]
+def _assert_reciprocal_swap(grid):
+    pts = grid.spec.points().ravel()[::173]
     pts = pts[pts != 0]
     with np.errstate(divide="ignore"):
         recips = 1.0 / pts
@@ -90,6 +91,15 @@ def test_reciprocal_swap_symmetry(baker_grid):
     swap = np.array([rd.UNDECIDED, rd.ATTRACTED, rd.ESCAPED_INFINITY,
                      rd.ESCAPED_ZERO, rd.SINGULAR], dtype=np.uint8)
     assert np.array_equal(v1, swap[v2])
+
+
+def test_reciprocal_swap_symmetry(baker_grid):
+    _assert_reciprocal_swap(baker_grid)
+
+
+def test_reciprocal_swap_symmetry_across_blocks(baker_grid, monkeypatch):
+    monkeypatch.setattr(rd, "BLOCK", 37)
+    _assert_reciprocal_swap(baker_grid)
 
 
 def test_zero_infinity_escape_counts_match(baker_grid):
@@ -128,12 +138,52 @@ def test_loop_probe_validation(baker_grid):
         rd.loop_probe(baker_grid, 0.0j, -1.0)
 
 
-def test_threads_do_not_change_results():
-    spec = _grid(0.2 + 0.1j, 6.0, 96, max_iter=120)
-    a = rd.classify_grid(mz.exp_baker(0.4), spec, threads=1)
-    b = rd.classify_grid(mz.exp_baker(0.4), spec, threads=3)
-    assert np.array_equal(a.verdict, b.verdict)
-    assert np.array_equal(a.steps, b.steps)
+# one grid per kernel, each with more than one verdict
+_KERNEL_GRIDS = [
+    (mz.exp_baker(0.4), _grid(0.2 + 0.1j, 6.0, 96, max_iter=120)),
+    (mz.sine_model(0.4), _grid(0.1 + 0.2j, 8.0, 96, max_iter=120)),
+    (mz.mcmullen(2, 2, 1e-4), _grid(0.05j, 4.0, 96, max_iter=120)),
+]
+
+
+def test_threads_do_not_change_results(monkeypatch):
+    for spec, grid in _KERNEL_GRIDS:
+        assert grid.nx * grid.ny <= rd.BLOCK  # the reference is one block
+        ref = rd.classify_grid(spec, grid)
+        assert len(np.unique(ref.verdict)) > 1
+        with monkeypatch.context() as m:
+            m.setattr(rd, "BLOCK", 37)  # many blocks; 37 does not divide 96 * 96
+            for threads in (1, 2, 3):
+                got = rd.classify_grid(spec, grid, threads=threads)
+                assert np.array_equal(got.verdict, ref.verdict), (spec.kind, threads)
+                assert np.array_equal(got.steps, ref.steps), (spec.kind, threads)
+
+
+# sha256 of the PPM bytes and of steps.tobytes(); any change to a kernel,
+# the palette or the PPM writer that moves a byte fails here.  Computed with
+# numpy 2.4 on x86-64 Linux (glibc): a libm that rounds complex exp or sin
+# differently in the last bit moves them too.
+_GOLDEN_RENDERS = [
+    (mz.exp_baker(0.4), 8.0,
+     "1d993f0b53090ff0563b40eaebc458e4112a20bf59fd62357f3a39329501db59",
+     "f46b7de527278eb9f854a44b0f184f9104ca994d229cce4b2b55924b854945cb"),
+    (mz.sine_model(0.4), 8.0,
+     "f19cdc0d28b85569e8b84718e1e595d8e0ef2dc48b69fd1bd5321924d6646519",
+     "f134cbc045102ecd63f99301a5d4596b081b8d86d0fba11771917b8d67196986"),
+    (mz.mcmullen(2, 2, 1e-4), 4.0,
+     "fdb8015623d00c098cd76eaf17484aaafca8d8ba0d0ab5a1a2033f67e66afbc5",
+     "4ba8f47dcfdac4dc3144d47f80cdd3df6cad626ba9346dc3b7317b5c0bf8a806"),
+]
+
+
+@pytest.mark.parametrize("spec, extent, ppm_sha, steps_sha", _GOLDEN_RENDERS,
+                         ids=[g[0].kind for g in _GOLDEN_RENDERS])
+def test_golden_render_bytes(spec, extent, ppm_sha, steps_sha):
+    # 119 is odd, so the center pixel sits on the origin (singular for
+    # exp_baker, the pole for mcmullen); max_iter 64 leaves undecided pixels
+    grid = rd.classify_grid(spec, _grid(0.0j, extent, 119, max_iter=64))
+    assert hashlib.sha256(rd.ppm_bytes(grid)).hexdigest() == ppm_sha
+    assert hashlib.sha256(grid.steps.tobytes()).hexdigest() == steps_sha
 
 
 def test_mcmullen_classification():
