@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -26,17 +27,12 @@ from .errors import (
     OriginNotFixed,
     OutOfRange,
     SingularityApproach,
-    UnsupportedMap,
 )
 from .rng import uniform01
 
 TWO_PI = 2.0 * math.pi
 
-ROTATION = "rotation"
-POWER = "power"
-MOBIUS_BOUNDARY = "mobius_boundary"
-BLASCHKE_BOUNDARY = "blaschke_boundary"
-FINITE_BLASCHKE_BOUNDARY = "finite_blaschke_boundary"
+BLASCHKE = "blaschke"  # JSON kind of the infinite Blaschke product's boundary map
 
 DEFAULT_GRID = 2 ** 14 + 1
 DEFAULT_CELLS = 2 ** 14  # reference-grid resolution for cover measurement
@@ -44,29 +40,33 @@ DEFAULT_CELLS = 2 ** 14  # reference-grid resolution for cover measurement
 
 @dataclass(frozen=True)
 class CircleMap:
-    """One boundary map of the unit circle.
+    """The boundary restriction of a holomorphic self-map of the disk.
 
-    ``payload`` is kind-specific: the rotation angle, the power degree, the
-    Mobius coefficient tuple, a BlaschkeProduct (plus evaluation settings),
-    or a finite Blaschke MapSpec.
+    ``map`` is a map_zoo MapSpec (rotation, power, mobius, finite_blaschke)
+    or the infinite BlaschkeProduct; the latter is evaluated to
+    ``target_err`` and refused within ``exclusion`` of its singularities +-1.
     """
 
-    kind: str
-    payload: tuple
+    map: Union[map_zoo.MapSpec, _bl.BlaschkeProduct]
+    target_err: float = _bl.DEFAULT_TARGET_ERR
+    exclusion: float = _bl.DEFAULT_EXCLUSION
 
-    def __repr__(self):  # payloads can be bulky (zero arrays)
+    @cached_property  # apply_map reads it once per orbit step
+    def kind(self) -> str:
+        if isinstance(self.map, _bl.BlaschkeProduct):
+            return BLASCHKE
+        return self.map.kind
+
+    def __repr__(self):  # a BlaschkeProduct carries a bulky zero array
         return f"CircleMap({self.kind})"
 
 
 def rotation_map(theta: float) -> CircleMap:
-    return CircleMap(ROTATION, (float(theta) % TWO_PI,))
+    return CircleMap(map_zoo.rotation(float(theta) % TWO_PI))
 
 
 def power_circle_map(d: int) -> CircleMap:
-    d = int(d)
-    if d < 1:
-        raise OutOfRange(f"power map needs d >= 1, got {d}")
-    return CircleMap(POWER, (d,))
+    return CircleMap(map_zoo.power_map(d))
 
 
 def mobius_boundary_map(a, b, c, d) -> CircleMap:
@@ -76,56 +76,59 @@ def mobius_boundary_map(a, b, c, d) -> CircleMap:
         val = map_zoo.evaluate(spec, probe).to_complex()
         if abs(abs(val) - 1.0) > 1e-9:
             raise OutOfRange("Mobius coefficients do not preserve the unit circle")
-    return CircleMap(MOBIUS_BOUNDARY, spec.params)
+    return CircleMap(spec)
 
 
 def blaschke_boundary_map(product: _bl.BlaschkeProduct,
                           target_err: float = _bl.DEFAULT_TARGET_ERR,
                           exclusion: float = _bl.DEFAULT_EXCLUSION) -> CircleMap:
-    return CircleMap(BLASCHKE_BOUNDARY, (product, float(target_err), float(exclusion)))
+    return CircleMap(product, float(target_err), float(exclusion))
 
 
 def finite_blaschke_boundary_map(zeros, rotation_factor=1.0) -> CircleMap:
-    spec = map_zoo.finite_blaschke(zeros, rotation_factor)
-    return CircleMap(FINITE_BLASCHKE_BOUNDARY, spec.params)
+    return CircleMap(map_zoo.finite_blaschke(zeros, rotation_factor))
+
+
+# constructors of the map_zoo kinds that restrict to maps of the circle,
+# taking the MapSpec's parameter tuple
+_FROM_SPEC = {
+    map_zoo.ROTATION: rotation_map,
+    map_zoo.POWER: power_circle_map,
+    map_zoo.MOBIUS: mobius_boundary_map,
+    map_zoo.FINITE_BLASCHKE: finite_blaschke_boundary_map,
+}
+
+
+def circle_map_from_dict(obj: dict) -> CircleMap:
+    """CircleMap from JSON: a map of a circle kind in either spelling that
+    ``map_zoo.spec_from_dict`` reads, or ``{"kind": "blaschke", "alpha": a}``."""
+    with map_zoo.malformed_map_json():
+        kind = obj["kind"]
+        if kind == BLASCHKE:
+            alpha = float(obj.get("params", obj)["alpha"])
+            return blaschke_boundary_map(_bl.BlaschkeProduct.from_alpha(alpha))
+        if kind not in _FROM_SPEC:
+            raise OutOfRange(f"unknown circle map kind {kind!r}")
+        return _FROM_SPEC[kind](*map_zoo.spec_from_dict(obj).params)
 
 
 def fixes_origin(cmap: CircleMap) -> bool:
     """Whether the disk extension of the boundary map fixes 0."""
-    k = cmap.kind
-    if k in (ROTATION, POWER, BLASCHKE_BOUNDARY):
+    if cmap.kind == BLASCHKE:
         return True
-    if k == MOBIUS_BOUNDARY:
-        return cmap.payload[1] == 0
-    if k == FINITE_BLASCHKE_BOUNDARY:
-        zeros, _rot = cmap.payload
-        return any(z == 0 for z in zeros)
-    raise UnsupportedMap(f"unknown circle map kind {k!r}")
+    origin = np.zeros(1, dtype=np.complex128)
+    # a Mobius map with its pole at 0 gives inf or nan here, not 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return bool(map_zoo.evaluate_many(cmap.map, origin)[0] == 0)
 
 
 def derivative_at_zero_modulus(cmap: CircleMap) -> float:
     """|g'(0)| of the disk extension, for maps fixing the origin."""
     if not fixes_origin(cmap):
         raise OriginNotFixed(f"{cmap.kind} map does not fix the disk origin")
-    k = cmap.kind
-    if k == ROTATION:
-        return 1.0
-    if k == POWER:
-        return 1.0 if cmap.payload[0] == 1 else 0.0
-    if k == MOBIUS_BOUNDARY:
-        a, _b, _c, d = cmap.payload
-        return abs(a / d)
-    if k == BLASCHKE_BOUNDARY:
-        return _bl.derivative_at_zero(cmap.payload[0])
-    if k == FINITE_BLASCHKE_BOUNDARY:
-        zeros, _rot = cmap.payload
-        rest = list(zeros)
-        rest.remove(0)  # one zero at the origin is the fixed point itself
-        out = 1.0
-        for z in rest:
-            out *= abs(z)
-        return out
-    raise UnsupportedMap(f"unknown circle map kind {k!r}")
+    if cmap.kind == BLASCHKE:
+        return _bl.derivative_at_zero(cmap.map)
+    return abs(map_zoo.derivative(cmap.map, 0j).to_complex())
 
 
 def _blaschke_gap(thetas, exclusion):
@@ -144,33 +147,21 @@ def apply_map(cmap: CircleMap, thetas):
     scalar = th.ndim == 0
     th = np.atleast_1d(th) % TWO_PI
     k = cmap.kind
-    if k == ROTATION:
-        out = np.fmod(th + cmap.payload[0], TWO_PI)
-    elif k == POWER:
+    if k == map_zoo.ROTATION:
+        out = np.fmod(th + cmap.map.params[0], TWO_PI)
+    elif k == map_zoo.POWER:
         # d*theta is exact for d = 2 and fmod is exact, so doubling orbits
         # agree bit-for-bit with fmod(2^n theta, 2 pi)
-        out = np.fmod(cmap.payload[0] * th, TWO_PI)
-    elif k == MOBIUS_BOUNDARY:
-        a, b, c, d = cmap.payload
-        z = np.exp(1j * th)
-        out = np.angle((a * z + b) / (c * z + d)) % TWO_PI
-    elif k == BLASCHKE_BOUNDARY:
-        product, target_err, exclusion = cmap.payload
-        if np.any(_blaschke_gap(th, exclusion)):
+        out = np.fmod(cmap.map.params[0] * th, TWO_PI)
+    elif k == BLASCHKE:
+        if np.any(_blaschke_gap(th, cmap.exclusion)):
             raise SingularityApproach(
-                f"orbit entered the exclusion zone (radius {exclusion:.3g}) "
+                f"orbit entered the exclusion zone (radius {cmap.exclusion:.3g}) "
                 "around the boundary singularities at +-1"
             )
-        out = _bl.circle_eval_many(product, th, target_err, exclusion)
-    elif k == FINITE_BLASCHKE_BOUNDARY:
-        zeros, rot = cmap.payload
-        z = np.exp(1j * th)
-        val = np.full(z.shape, rot, dtype=np.complex128)
-        for a in zeros:
-            val *= (z - a) / (1.0 - np.conj(a) * z)
-        out = np.angle(val) % TWO_PI
+        out = _bl.circle_eval_many(cmap.map, th, cmap.target_err, cmap.exclusion)
     else:
-        raise UnsupportedMap(f"unknown circle map kind {k!r}")
+        out = np.angle(map_zoo.evaluate_many(cmap.map, np.exp(1j * th))) % TWO_PI
     return float(out[0]) if scalar else out
 
 
@@ -252,8 +243,8 @@ def invariance_test(cmap: CircleMap, n_samples: int, seed: int) -> float:
         raise OutOfRange(f"n_samples must be >= 1, got {n_samples}")
     streams = np.arange(n_samples, dtype=np.uint64)
     th = TWO_PI * uniform01(seed, streams, 0)
-    if cmap.kind == BLASCHKE_BOUNDARY:
-        exclusion = cmap.payload[2]
+    if cmap.kind == BLASCHKE:
+        exclusion = cmap.exclusion
         for attempt in range(1, 64):
             bad = _blaschke_gap(th, exclusion * (1.0 + 1e-9))
             if not bad.any():

@@ -52,19 +52,15 @@ class CoveringModel:
     """One model domain with its covering formula data.
 
     For the annulus, ``R`` fixes A(1/R, R) and ``scale`` is c = 4 log(R)/pi.
-    ``deck_generator`` holds the Mobius coefficients (a, b, c, d) of the deck
-    group's generator; ``limit_set`` the deck limit points on the unit circle.
+    ``deck_generator`` is the Mobius map generating the deck group;
+    ``limit_set`` the deck limit points on the unit circle.
     """
 
     domain: str
     R: float
     scale: float
     limit_set: tuple
-    deck_coefficients: tuple
-
-    @property
-    def deck_generator(self) -> map_zoo.MapSpec:
-        return map_zoo.mobius(*self.deck_coefficients)
+    deck_generator: map_zoo.MapSpec
 
     def to_json(self) -> str:
         if self.domain == ANNULUS:
@@ -84,7 +80,7 @@ def annulus_model(R: float) -> CoveringModel:
     return CoveringModel(
         domain=ANNULUS, R=R, scale=c,
         limit_set=(1.0 + 0.0j, -1.0 + 0.0j),
-        deck_coefficients=(1.0, t0, t0, 1.0),
+        deck_generator=map_zoo.mobius(1.0, t0, t0, 1.0),
     )
 
 
@@ -104,13 +100,13 @@ def punctured_disk_model() -> CoveringModel:
     return CoveringModel(
         domain=PUNCTURED_DISK, R=math.nan, scale=math.nan,
         limit_set=(1.0 + 0.0j,),
-        deck_coefficients=(a, b, c, d),
+        deck_generator=map_zoo.mobius(a, b, c, d),
     )
 
 
 def disk_model() -> CoveringModel:
     return CoveringModel(domain=DISK, R=math.nan, scale=math.nan,
-                         limit_set=(), deck_coefficients=(1.0, 0.0, 0.0, 1.0))
+                         limit_set=(), deck_generator=map_zoo.identity_mobius())
 
 
 def model_from_dict(obj: dict) -> CoveringModel:
@@ -148,8 +144,7 @@ def deck_apply(model: CoveringModel, z):
     """Apply the deck generator; cover_eval(deck_apply(z)) == cover_eval(z)."""
     z_arr = np.asarray(z, dtype=np.complex128)
     _check_in_disk(z_arr)
-    a, b, c, d = model.deck_coefficients
-    out = (a * z_arr + b) / (c * z_arr + d)
+    out = map_zoo.evaluate_many(model.deck_generator, z_arr)
     return complex(out) if np.ndim(z) == 0 else out
 
 

@@ -90,8 +90,3 @@ def to_csv_text(hists) -> str:
         for j in range(h.n_bins):
             lines.append(f"{h.component_id},{j},{starts[j]:.17g},{int(h.counts[j])}")
     return "\n".join(lines) + "\n"
-
-
-def write_csv(hists, path):
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(to_csv_text(hists))

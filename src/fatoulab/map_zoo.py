@@ -19,6 +19,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -88,13 +89,11 @@ _PROJECTIVE_KINDS = frozenset({POWER, MCMULLEN})
 
 @dataclass(frozen=True)
 class MapSpec:
-    """Tagged description of one map: kind, parameters, singularities,
-    and any known fixed points with their multipliers."""
+    """Tagged description of one map: kind, parameters and singularities."""
 
     kind: str
     params: tuple  # kind-specific parameter tuple, see factory functions
     singularities: tuple = ()
-    fixed_points_known: tuple = ()  # ((ComplexPoint, multiplier), ...)
 
     def to_json(self) -> str:
         return json.dumps(spec_to_dict(self), sort_keys=True)
@@ -109,7 +108,6 @@ def exp_baker(alpha: float) -> MapSpec:
         EXP_BAKER,
         (alpha,),
         singularities=(ComplexPoint(0.0, 0.0), INFINITY),
-        fixed_points_known=((ComplexPoint(1.0, 0.0), complex(2.0 * alpha)),),
     )
 
 
@@ -122,7 +120,6 @@ def sine_model(alpha: float) -> MapSpec:
         SINE_MODEL,
         (alpha,),
         singularities=(INFINITY,),
-        fixed_points_known=((ComplexPoint(0.0, 0.0), complex(2.0 * alpha)),),
     )
 
 
@@ -213,26 +210,41 @@ def spec_to_dict(spec: MapSpec) -> dict:
     return {"kind": k, "params": params}
 
 
+@contextmanager
+def malformed_map_json():
+    """Report a missing or ill-typed key of a map's JSON form as OutOfRange."""
+    try:
+        yield
+    except (KeyError, IndexError, TypeError, AttributeError) as exc:
+        raise OutOfRange(f"malformed map JSON: {type(exc).__name__} {exc}") from None
+
+
 def spec_from_dict(obj: dict) -> MapSpec:
-    kind = obj["kind"]
-    p = obj.get("params", {})
-    if kind == EXP_BAKER:
-        return exp_baker(p["alpha"])
-    if kind == SINE_MODEL:
-        return sine_model(p["alpha"])
-    if kind == POWER:
-        return power_map(p["d"])
-    if kind == ROTATION:
-        return rotation(p["theta"])
-    if kind == MOBIUS:
-        return mobius(_cval(p["a"]), _cval(p["b"]), _cval(p["c"]), _cval(p["d"]))
-    if kind == FINITE_BLASCHKE:
-        return finite_blaschke([_cval(z) for z in p["zeros"]],
-                               _cval(p.get("rotation", [1.0, 0.0])))
-    if kind == KEEN:
-        return keen(p["alpha"], p["lambda"])
-    if kind == MCMULLEN:
-        return mcmullen(p["m"], p["l"], _cval(p["c"]))
+    """MapSpec from its JSON form.
+
+    The parameters sit under ``"params"`` (the form ``spec_to_dict`` writes)
+    or, in the flat spelling, beside ``"kind"``.
+    """
+    with malformed_map_json():
+        kind = obj["kind"]
+        p = obj.get("params", obj)
+        if kind == EXP_BAKER:
+            return exp_baker(p["alpha"])
+        if kind == SINE_MODEL:
+            return sine_model(p["alpha"])
+        if kind == POWER:
+            return power_map(p["d"])
+        if kind == ROTATION:
+            return rotation(p["theta"])
+        if kind == MOBIUS:
+            return mobius(_cval(p["a"]), _cval(p["b"]), _cval(p["c"]), _cval(p["d"]))
+        if kind == FINITE_BLASCHKE:
+            return finite_blaschke([_cval(z) for z in p["zeros"]],
+                                   _cval(p.get("rotation", [1.0, 0.0])))
+        if kind == KEEN:
+            return keen(p["alpha"], p["lambda"])
+        if kind == MCMULLEN:
+            return mcmullen(p["m"], p["l"], _cval(p["c"]))
     raise UnsupportedMap(f"unknown map kind {kind!r}")
 
 
@@ -273,12 +285,63 @@ def _check_singularities(spec: MapSpec, p: ComplexPoint):
                 )
 
 
-def _guard_exponent(w: complex, what: str) -> complex:
+def _exponent(spec: MapSpec, z):
+    """The exponent of the exponential-type kinds (exp_baker, keen)."""
+    if spec.kind == EXP_BAKER:
+        (alpha,) = spec.params
+        return alpha * z - alpha / z
+    alpha, lam = spec.params
+    return alpha * (z + 1.0 / z) + lam
+
+
+def _check_exponent(w: complex, what: str) -> complex:
     if w.real > EXP_CAP:
         raise ExponentOverflow(f"{what}: exponent real part {w.real:.3g} above cap", +1)
     if w.real < -EXP_CAP:
         raise ExponentOverflow(f"{what}: exponent real part {w.real:.3g} below cap", -1)
-    return cmath.exp(w)
+    return w
+
+
+def evaluate_many(spec: MapSpec, z):
+    """The map's formula at z, elementwise; z is a complex array or a Python complex.
+
+    No singularity, infinity or exponent-cap checks: arrays follow numpy's
+    inf/nan rules, and ``evaluate`` adds the checks for one point.  Only
+    operators and ufuncs are used, so a Python complex keeps CPython's
+    complex arithmetic, which rounds some quotients and products differently
+    from numpy's array kernels.
+    """
+    k = spec.kind
+    if k == EXP_BAKER:
+        return np.exp(_exponent(spec, z))
+    if k == SINE_MODEL:
+        (alpha,) = spec.params
+        return 2.0 * alpha * np.sin(z)
+    if k == POWER:
+        (d,) = spec.params
+        return z ** d
+    if k == ROTATION:
+        (theta,) = spec.params
+        return np.exp(1j * theta) * z
+    if k == MOBIUS:
+        a, b, c, d = spec.params
+        return (a * z + b) / (c * z + d)
+    if k == FINITE_BLASCHKE:
+        zs, rot = spec.params
+        # in-place products: numpy's out-of-place complex product rounds
+        # differently on short arrays, which would move circle-map orbits
+        # (a Python complex accumulates in a 0-d array, which matched
+        # CPython's product bit for bit on 2e5 sampled points)
+        out = np.full(np.shape(z), rot)
+        for a in zs:
+            out *= (z - a) / (1.0 - a.conjugate() * z)
+        return out
+    if k == KEEN:
+        return z * np.exp(_exponent(spec, z))
+    if k == MCMULLEN:
+        m, l, c = spec.params
+        return z ** m + c / z ** l
+    raise UnsupportedMap(f"unknown map kind {k!r}")
 
 
 def evaluate(spec: MapSpec, z) -> ComplexPoint:
@@ -299,47 +362,16 @@ def evaluate(spec: MapSpec, z) -> ComplexPoint:
         raise UnsupportedMap(f"{k}: evaluation at infinity is not defined")
 
     v = p.to_complex()
-    if k == EXP_BAKER:
-        (alpha,) = spec.params
-        w = alpha * v - alpha / v
-        return ComplexPoint.from_complex(_guard_exponent(w, k))
-    if k == SINE_MODEL:
-        (alpha,) = spec.params
-        if abs(v.imag) > EXP_CAP:
-            raise ExponentOverflow(f"{k}: |Im z| = {abs(v.imag):.3g} above cap", +1)
-        return ComplexPoint.from_complex(2.0 * alpha * cmath.sin(v))
-    if k == POWER:
-        (d,) = spec.params
-        try:
-            return ComplexPoint.from_complex(v ** d)
-        except OverflowError:
-            return INFINITY
-    if k == ROTATION:
-        (theta,) = spec.params
-        return ComplexPoint.from_complex(cmath.exp(1j * theta) * v)
-    if k == MOBIUS:
-        a, b, c, d = spec.params
-        return ComplexPoint.from_complex((a * v + b) / (c * v + d))
-    if k == FINITE_BLASCHKE:
-        zs, rot = spec.params
-        out = rot
-        for a in zs:
-            out *= (v - a) / (1.0 - a.conjugate() * v)
-        return ComplexPoint.from_complex(out)
-    if k == KEEN:
-        alpha, lam = spec.params
-        w = alpha * (v + 1.0 / v) + lam
-        val = _guard_exponent(w, k)
-        return ComplexPoint.from_complex(v * val)
-    if k == MCMULLEN:
-        m, l, c = spec.params
-        if v == 0:
-            return INFINITY  # pole of order l
-        try:
-            return ComplexPoint.from_complex(v ** m + c / v ** l)
-        except OverflowError:
-            return INFINITY
-    raise UnsupportedMap(f"unknown map kind {k!r}")
+    if k in _CSTAR_KINDS:
+        _check_exponent(_exponent(spec, v), k)
+    elif k == SINE_MODEL and abs(v.imag) > EXP_CAP:
+        raise ExponentOverflow(f"{k}: |Im z| = {abs(v.imag):.3g} above cap", +1)
+    elif k == MCMULLEN and v == 0:
+        return INFINITY  # pole of order l
+    try:
+        return ComplexPoint.from_complex(evaluate_many(spec, v))
+    except OverflowError:  # CPython's complex power overflowed
+        return INFINITY
 
 
 def derivative(spec: MapSpec, z) -> ComplexPoint:
@@ -386,9 +418,8 @@ def derivative(spec: MapSpec, z) -> ComplexPoint:
             total += term
         return ComplexPoint.from_complex(rot * total)
     if k == KEEN:
-        alpha, lam = spec.params
-        w = alpha * (v + 1.0 / v) + lam
-        e = _guard_exponent(w, k)
+        alpha, _lam = spec.params
+        e = cmath.exp(_check_exponent(_exponent(spec, v), k))
         return ComplexPoint.from_complex(e * (1.0 + alpha * v - alpha / v))
     if k == MCMULLEN:
         m, l, c = spec.params

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -44,6 +45,49 @@ def test_iterate_mobius_monotone_convergence():
     orbit = cd.iterate(m, math.pi / 2.0, 30)
     assert all(b < a for a, b in zip(orbit, orbit[1:]))
     assert orbit[-1] < 1e-6
+
+
+# sha256 of the bytes of a 500-step orbit from 0.9, of one application to a
+# 4097-point arc sample, and of arc_spread's covered fractions; computed
+# with numpy 2.4 on x86-64 Linux.  numpy's complex products and quotients
+# round differently from CPython's, and its in-place and out-of-place array
+# products differently from each other, so a change in how a formula is
+# spelled can move these bytes without failing any tolerance test.
+_GOLDEN_CIRCLE_MAPS = [
+    ("mobius_hyperbolic", lambda: cd.mobius_boundary_map(1.0, 0.3, 0.3, 1.0),
+     "c9428acf35c2dda55e17871113b3bb7db468dc0a6e9304022e5ee28b30bd8453",
+     "ff67f5e861fb992ea966a1e43c61674aab0cf6f69bb47924b941b229b3c776da",
+     "25ea4cbc839c75d8b7cfe7f67835114921e030dccc8cd8dc3e8a3ce873402b8b"),
+    ("mobius_automorphism", lambda: cd.mobius_boundary_map(
+        np.exp(0.5j), -np.exp(0.5j) * (0.3 + 0.2j), -(0.3 - 0.2j), 1.0),
+     "a77fac7d39d3b096d6c1f4ba6a8a821f2481ad05610f2f346542468bae7bc5fb",
+     "cab2da3f564b42ac47a78d3adee341a2c6a862cc9e655eae0ff93651ad252ee3",
+     "054e64aa53bfa28dc8318883d73442fa94beef907931fea4e0fb84a2b56ffec8"),
+    ("finite_blaschke_zero_at_origin",
+     lambda: cd.finite_blaschke_boundary_map([0.0, 0.5 + 0.2j]),
+     "bf6ded658a4146708304e47711c4c9e78933b033c16acd66d6a03d15e88e53b7",
+     "ed5d0351e6132d27fd3d17b84a98db00c9322375156926a76d46f19cf4f55b26",
+     "491b4fe55ee4fd8adc3ecdf6acf401c5ad267aa2b197a49a70bbe065f0dda861"),
+    ("finite_blaschke_rotated", lambda: cd.finite_blaschke_boundary_map(
+        [0.3 - 0.4j, -0.2 + 0.1j, 0.0], 0.6 + 0.8j),
+     "dad74f80c460a095a324890e779e4eed0bffcbad5e367a96062cf1af494e6b5d",
+     "1439f9cd03e04172ac5f83818c50f6b31b8bd2982a2166f636b6a5cabae98488",
+     "62cd6cb7a26c11e5e9734256571ed8f6c1bff5bbcf6f82dd6137cf0ba2e0164e"),
+]
+
+
+@pytest.mark.parametrize("make, orbit_sha, image_sha, spread_sha",
+                         [g[1:] for g in _GOLDEN_CIRCLE_MAPS],
+                         ids=[g[0] for g in _GOLDEN_CIRCLE_MAPS])
+def test_golden_circle_map_bytes(make, orbit_sha, image_sha, spread_sha):
+    cmap = make()
+    orbit = cd.iterate(cmap, 0.9, 500)
+    assert hashlib.sha256(orbit.tobytes()).hexdigest() == orbit_sha
+    th = 1.0 + np.arange(4097) * (0.3 / 4096)
+    assert hashlib.sha256(cd.apply_map(cmap, th).tobytes()).hexdigest() == image_sha
+    report = cd.arc_spread(cmap, (1.0, 0.3), 8, grid=2048)
+    fractions = np.asarray(report.covered_fraction)
+    assert hashlib.sha256(fractions.tobytes()).hexdigest() == spread_sha
 
 
 def test_mobius_circle_preservation_enforced():

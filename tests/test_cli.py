@@ -258,3 +258,60 @@ def test_render_bad_config_path(tmp_path, capsys):
          "--out-dir", str(tmp_path)], capsys)
     assert code == 2
     assert "missing.json" in err
+
+
+def test_map_json_both_spellings(tmp_path, capsys):
+    # every --map takes its parameters under "params" or flat beside "kind",
+    # and both spellings give the same output bytes
+    config = tmp_path / "grid.json"
+    config.write_text(json.dumps({
+        "center": [0.0, 0.0], "width": 8.0, "height": 8.0,
+        "nx": 31, "ny": 31, "max_iter": 40,
+    }))
+    cases = [
+        (["render", "--config", str(config)], "image.ppm",
+         {"kind": "exp_baker", "alpha": 0.4}),
+        (["circle-stats", "--n", "300", "--seed", "3"], "orbit.csv",
+         {"kind": "power", "d": 2}),
+        (["circle-stats", "--n", "300", "--seed", "3"], "orbit.csv",
+         {"kind": "finite_blaschke", "zeros": [[0.0, 0.0], [0.5, 0.2]],
+          "rotation": [0.6, 0.8]}),
+        (["circle-stats", "--n", "300", "--seed", "3"], "orbit.csv",
+         {"kind": "blaschke", "alpha": 0.4}),
+    ]
+    for argv, output, flat in cases:
+        kind = flat["kind"]
+        nested = {"kind": kind, "params": {k: v for k, v in flat.items() if k != "kind"}}
+        outputs = []
+        for spelling, obj in (("flat", flat), ("params", nested)):
+            prefix = f"{kind}-{spelling}"
+            code, _out, err = run(argv + ["--map", json.dumps(obj), "--prefix", prefix,
+                                          "--out-dir", str(tmp_path)], capsys)
+            assert code == 0, err
+            outputs.append((tmp_path / f"{prefix}-{output}").read_bytes())
+        assert outputs[0] == outputs[1], kind
+
+
+@pytest.mark.parametrize("argv", [
+    ["render", "--map", '{"kind": "exp_baker"}', "--config", "grid.json"],
+    ["render", "--map", '{"kind": "mobius", "params": {"a": [1, 0], "b": 0}}',
+     "--config", "grid.json"],
+    ["render", "--map", '{"params": {"alpha": 0.4}}', "--config", "grid.json"],
+    ["render", "--map", '[0.4]', "--config", "grid.json"],
+    ["circle-stats", "--map", '{"kind": "power"}'],
+    ["circle-stats", "--map", '{"kind": "power", "params": 2}'],
+    ["circle-stats", "--map", '{"kind": "finite_blaschke", "zeros": 0.5}'],
+    ["circle-stats", "--map", '{"kind": "mobius", "a": [1], "b": 0, "c": 0, "d": 1}'],
+    ["circle-stats", "--map", '{"kind": "blaschke"}'],
+    ["circle-stats", "--map", '{"kind": "blaschke", "alpha": [0.4]}'],
+    ["circle-stats", "--map", '{"kind": "exp_baker", "alpha": 0.4}'],
+    ["circle-stats", "--map", '{"kind": "frobnicate"}'],
+    ["spread", "--map", '{"kind": "rotation"}', "--arc", "1.0,0.1"],
+], ids=lambda argv: argv[0] + " " + argv[2])
+def test_malformed_map_json_is_a_usage_error(tmp_path, capsys, argv):
+    # a missing or ill-typed key, or a kind the subcommand cannot use,
+    # exits 1 with one error line, before any grid file is opened
+    code, _out, err = run(argv + ["--out-dir", str(tmp_path)], capsys)
+    assert code == 1
+    assert err.startswith("error: ")
+    assert "Traceback" not in err

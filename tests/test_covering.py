@@ -83,10 +83,13 @@ def test_deck_zero_lands_one_period_away():
 
 
 def test_deck_generator_fixes_limit_set():
-    m = cov.annulus_model(2.5)
-    spec = m.deck_generator
-    for xi in (1.0, -1.0):
-        assert mz.evaluate(spec, xi).to_complex() == xi
+    # exact in CPython's complex arithmetic, (1 + t0)/(t0 + 1); the same
+    # formula on one-element numpy arrays misses by an ulp at R = 1.5, 2, 3
+    for R in (1.5, 2.0, 2.5, math.e, 3.0, 10.0):
+        spec = cov.annulus_model(R).deck_generator
+        for xi in (1.0, -1.0):
+            assert mz.evaluate(spec, xi).to_complex() == xi, R
+    spec = cov.annulus_model(2.5).deck_generator
     fps = cov.mobius_boundary_fixed_points(spec)
     assert len(fps) == 2
     assert {round(p.real) for p, _ in fps} == {1, -1}

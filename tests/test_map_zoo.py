@@ -301,7 +301,7 @@ def test_validation_errors():
         mz.mcmullen(2, 2, 0.0)
 
 
-@pytest.mark.parametrize("spec", [
+ONE_OF_EACH_KIND = [
     mz.exp_baker(0.4),
     mz.sine_model(0.1),
     mz.power_map(5),
@@ -310,10 +310,27 @@ def test_validation_errors():
     mz.finite_blaschke([0.3, -0.2 + 0.4j], cmath.exp(0.3j)),
     mz.keen(0.2, -1.0),
     mz.mcmullen(3, 2, 0.5 + 0.1j),
-])
+]
+
+
+@pytest.mark.parametrize("spec", ONE_OF_EACH_KIND)
 def test_json_round_trip(spec):
     back = mz.spec_from_json(spec.to_json())
     assert back == spec
+    # the flat spelling puts the parameters beside "kind"
+    obj = mz.spec_to_dict(spec)
+    assert mz.spec_from_dict(dict(obj["params"], kind=obj["kind"])) == spec
+
+
+@pytest.mark.parametrize("spec", ONE_OF_EACH_KIND)
+def test_evaluate_many_matches_evaluate(spec):
+    # the array path rounds some quotients and products differently from
+    # the scalar path's CPython arithmetic, by at most a few ulp; atol
+    # covers values that cancel to below 1 (mcmullen has zeros here)
+    rng = np.random.default_rng(23)
+    z = rng.uniform(0.3, 2.0, 500) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, 500))
+    want = np.array([mz.evaluate(spec, complex(v)).to_complex() for v in z])
+    np.testing.assert_allclose(mz.evaluate_many(spec, z), want, rtol=1e-15, atol=1e-15)
 
 
 def test_keen_derivative_finite_difference():
