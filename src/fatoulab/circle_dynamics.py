@@ -73,7 +73,10 @@ def mobius_boundary_map(a, b, c, d) -> CircleMap:
     """Boundary restriction of a Mobius disk automorphism."""
     spec = map_zoo.mobius(a, b, c, d)
     for probe in (1.0, 1j, -1.0, np.exp(0.7j)):
-        val = map_zoo.evaluate(spec, probe).to_complex()
+        try:
+            val = map_zoo.evaluate(spec, probe).to_complex()
+        except ZeroDivisionError:
+            raise OutOfRange(f"Mobius map has its pole at the probe {probe}") from None
         if abs(abs(val) - 1.0) > 1e-9:
             raise OutOfRange("Mobius coefficients do not preserve the unit circle")
     return CircleMap(spec)

@@ -29,7 +29,7 @@ import numpy as np
 from . import map_zoo
 from .errors import OutOfRange, OutsideDisk, UnsupportedMap
 from .histograms import accumulate, new_histograms
-from .rng import uniform01
+from .rng import CHUNK, uniform01
 
 TWO_PI = 2.0 * math.pi
 
@@ -344,30 +344,34 @@ def pushforward_measure(model: CoveringModel, n_samples: int, n_bins: int,
     closed-form radial limit, and bins on each boundary component.  Returns
     one ArcHistogram per component, all sharing n_samples as denominator.
     Sample i draws from counter stream (sample_offset + i), so a run split
-    into offset ranges merges exactly into the unsplit result.
+    into offset ranges merges exactly into the unsplit result; samples are
+    drawn in contiguous chunks of ``CHUNK`` streams, so memory does not grow
+    with ``n_samples``.
     """
     if n_samples < 1:
         raise OutOfRange(f"n_samples must be >= 1, got {n_samples}")
     if n_bins < 1:
         raise OutOfRange(f"n_bins must be >= 1, got {n_bins}")
-    streams = np.arange(sample_offset, sample_offset + n_samples, dtype=np.uint64)
-    phi = TWO_PI * uniform01(seed, streams, 0)
+    if model.domain not in (ANNULUS, DISK, PUNCTURED_DISK):
+        raise UnsupportedMap(f"unknown covering domain {model.domain!r}")
+    hists = new_histograms(1 if model.domain == DISK else 2, n_bins, n_samples)
+    end = sample_offset + n_samples
+    for first in range(sample_offset, end, CHUNK):
+        _pushforward_chunk(model, hists, seed, first, min(first + CHUNK, end))
+    return hists
+
+
+def _pushforward_chunk(model: CoveringModel, hists, seed: int, first: int, end: int):
+    """Add the pushforward of samples ``first .. end - 1`` to ``hists``."""
+    phi = TWO_PI * uniform01(seed, np.arange(first, end, dtype=np.uint64), 0)
     if model.domain == ANNULUS:
-        hists = new_histograms(2, n_bins, n_samples)
         comp, psi = radial_limit_annulus(model, phi)
         for cid in (0, 1):
             accumulate(hists[cid], psi[comp == cid])
-        return hists
-    if model.domain == DISK:
-        hists = new_histograms(1, n_bins, n_samples)
+    elif model.domain == DISK:
         accumulate(hists[0], phi)
-        return hists
-    if model.domain == PUNCTURED_DISK:
+    else:
         # all mass lands on the unit circle; the puncture has zero capacity
-        hists = new_histograms(2, n_bins, n_samples)
         tiny = 1e-12
         phi_c = np.clip(phi, tiny, TWO_PI - tiny)
-        psi = (-1.0 / np.tan(phi_c / 2.0)) % TWO_PI
-        accumulate(hists[0], psi)
-        return hists
-    raise UnsupportedMap(f"unknown covering domain {model.domain!r}")
+        accumulate(hists[0], (-1.0 / np.tan(phi_c / 2.0)) % TWO_PI)

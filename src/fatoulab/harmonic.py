@@ -36,7 +36,7 @@ from .errors import (
     UnsupportedMap,
 )
 from .histograms import ArcHistogram, bin_angles, new_histograms, tv_distance
-from .rng import derive_seed, uniform01
+from .rng import CHUNK, derive_seed, stream_keys, uniform01
 
 TWO_PI = 2.0 * math.pi
 
@@ -92,14 +92,17 @@ class DomainOracle:
             d_in = r - self.r_in
             comp = np.where(d_out < d_in, 0, 1)
             return np.minimum(d_out, d_in), comp
-        d = 1.0 - np.abs(z)[:, None]
-        if self.bubbles:
-            centers = np.asarray([b[0] for b in self.bubbles], dtype=np.complex128)
-            radii = np.asarray([b[1] for b in self.bubbles], dtype=np.float64)
-            d_bub = np.abs(z[:, None] - centers[None, :]) - radii[None, :]
-            d = np.concatenate([d, d_bub], axis=1)
-        comp = np.argmin(d, axis=1)
-        return d[np.arange(z.size), comp], comp
+        # running minimum over the bubbles; strict < keeps the first
+        # nearest component on ties, as argmin would
+        d = 1.0 - np.abs(z)
+        comp = np.zeros(z.shape, dtype=np.intp)
+        for cid, (c, r) in enumerate(self.bubbles, start=1):
+            d_bub = np.abs(z - c)
+            d_bub -= r
+            closer = d_bub < d
+            np.copyto(d, d_bub, where=closer)
+            np.copyto(comp, cid, where=closer)
+        return d, comp
 
     def distance_point(self, z: complex):
         d, comp = self.distance(np.asarray([z]))
@@ -181,6 +184,34 @@ class WalkResult:
         }
 
 
+def _walk_chunk(domain, base, seed, first, end, epsilon_shell, step_cap,
+                centers, counts):
+    """Run walks ``first .. end - 1`` and add their exits to ``counts``.
+
+    The state ``(z, d, key)`` of the live walks is compacted only on steps
+    where some walk exits.  Returns the number of stalled walks.
+    """
+    n_bins = counts.shape[1]
+    z = np.full(end - first, base, dtype=np.complex128)
+    key = stream_keys(seed, np.arange(first, end, dtype=np.uint64))
+    step = 0
+    while z.size and step < step_cap:
+        d, comp = domain.distance(z)
+        done = d < epsilon_shell
+        if done.any():
+            cids = comp[done]
+            ang = np.angle(z[done] - centers[cids]) % TWO_PI
+            np.add.at(counts, (cids, bin_angles(ang, n_bins)), 1)
+            live = ~done
+            z, d, key = z[live], d[live], key[live]
+        if z.size:
+            jump = np.exp(1j * TWO_PI * uniform01(None, key, step + 1))
+            np.multiply(d, jump, out=jump)
+            z += jump
+        step += 1
+    return int(z.size)
+
+
 def walk_on_spheres(domain: DomainOracle, base: complex, walks: int,
                     epsilon_shell: float | None = None,
                     step_cap: int = DEFAULT_STEP_CAP,
@@ -191,7 +222,8 @@ def walk_on_spheres(domain: DomainOracle, base: complex, walks: int,
     Walk i draws its jump angles from counter stream (walk_offset + i); a
     run sharded into offset ranges merges to the unsharded result exactly.
     Walks exceeding ``step_cap`` are counted as stalled; the run is rejected
-    if the stalled fraction reaches 0.1%.
+    if the stalled fraction reaches 0.1%.  Walks run in contiguous chunks
+    of ``CHUNK`` streams, so memory does not grow with ``walks``.
     """
     if walks < 1:
         raise OutOfRange(f"walks must be >= 1, got {walks}")
@@ -207,29 +239,12 @@ def walk_on_spheres(domain: DomainOracle, base: complex, walks: int,
     centers = domain.component_centers()
     hists = new_histograms(domain.n_components, n_bins, walks)
     counts = np.stack([h.counts for h in hists])
+    stalled = 0
+    end = walk_offset + walks
+    for first in range(walk_offset, end, CHUNK):
+        stalled += _walk_chunk(domain, base, seed, first, min(first + CHUNK, end),
+                               epsilon_shell, step_cap, centers, counts)
 
-    z = np.full(walks, base, dtype=np.complex128)
-    streams = np.arange(walk_offset, walk_offset + walks, dtype=np.uint64)
-    alive = np.arange(walks)
-    step = 0
-    while alive.size and step < step_cap:
-        za = z[alive]
-        d, comp = domain.distance(za)
-        done = d < epsilon_shell
-        if done.any():
-            exits = za[done]
-            cids = comp[done]
-            ang = np.angle(exits - centers[cids]) % TWO_PI
-            np.add.at(counts, (cids, bin_angles(ang, n_bins)), 1)
-        live = ~done
-        ia = alive[live]
-        if ia.size:
-            u = uniform01(seed, streams[ia], step + 1)
-            z[ia] = za[live] + d[live] * np.exp(1j * TWO_PI * u)
-        alive = ia
-        step += 1
-
-    stalled = int(alive.size)
     if stalled / walks >= STALL_GATE:
         raise StallRateExceeded(
             f"{stalled} of {walks} walks exceeded the step cap {step_cap}"

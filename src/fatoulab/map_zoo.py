@@ -223,7 +223,8 @@ def spec_from_dict(obj: dict) -> MapSpec:
     """MapSpec from its JSON form.
 
     The parameters sit under ``"params"`` (the form ``spec_to_dict`` writes)
-    or, in the flat spelling, beside ``"kind"``.
+    or, in the flat spelling, beside ``"kind"``.  An unknown kind, like a
+    missing or ill-typed key, raises OutOfRange.
     """
     with malformed_map_json():
         kind = obj["kind"]
@@ -245,7 +246,7 @@ def spec_from_dict(obj: dict) -> MapSpec:
             return keen(p["alpha"], p["lambda"])
         if kind == MCMULLEN:
             return mcmullen(p["m"], p["l"], _cval(p["c"]))
-    raise UnsupportedMap(f"unknown map kind {kind!r}")
+    raise OutOfRange(f"unknown map kind {kind!r}")
 
 
 def spec_from_json(text: str) -> MapSpec:

@@ -17,10 +17,15 @@ _M2 = np.uint64(0x94D049BB133111EB)
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _INV53 = 1.0 / 9007199254740992.0  # 2^-53
 
+# streams per chunk: Monte-Carlo loops draw from contiguous chunks of this
+# many streams, so their memory does not grow with the sample count, and
+# since every variate is a pure function of its coordinates the chunk
+# boundaries never change a result
+CHUNK = 1 << 16
 
-def mix64(x):
-    """splitmix64 finalizer, elementwise on uint64 arrays."""
-    x = np.asarray(x, dtype=np.uint64).copy()
+
+def _mix_inplace(x):
+    """splitmix64 finalizer applied in place to a uint64 array the caller owns."""
     with np.errstate(over="ignore"):
         x ^= x >> np.uint64(30)
         x *= _M1
@@ -30,18 +35,38 @@ def mix64(x):
     return x
 
 
+def mix64(x):
+    """splitmix64 finalizer, elementwise on uint64 arrays."""
+    return _mix_inplace(np.array(x, dtype=np.uint64))
+
+
+def stream_keys(seed, stream):
+    """The step-independent half of the counter hash, one key per stream.
+
+    ``uniform01(None, stream_keys(seed, stream), step)`` equals
+    ``uniform01(seed, stream, step)``, so a caller drawing many steps from
+    the same streams hashes the stream coordinates only once.
+    """
+    s = np.uint64(int(seed) & _MASK)
+    with np.errstate(over="ignore"):
+        return _mix_inplace(s + _GOLDEN * np.asarray(stream, dtype=np.uint64))
+
+
 def uniform01(seed, stream, step):
     """Uniform variate in [0, 1) at integer coordinates (seed, stream, step).
 
     ``stream`` and ``step`` may be scalars or uint64-compatible arrays; they
-    broadcast.  The top 53 bits of the mixed counter feed the mantissa, so
-    every value is an exact double in [0, 1).
+    broadcast.  With ``seed`` None, ``stream`` holds keys from
+    ``stream_keys`` and each variate costs one hash instead of two.  The top
+    53 bits of the mixed counter feed the mantissa, so every value is an
+    exact double in [0, 1).
     """
-    s = np.uint64(int(seed) & _MASK)
+    key = stream if seed is None else stream_keys(seed, stream)
     with np.errstate(over="ignore"):
-        h = mix64(s + _GOLDEN * np.asarray(stream, dtype=np.uint64))
-        h = mix64(h + _GOLDEN * np.asarray(step, dtype=np.uint64))
-    u = (h >> np.uint64(11)).astype(np.float64) * _INV53
+        h = _mix_inplace(key + _GOLDEN * np.asarray(step, dtype=np.uint64))
+    h >>= np.uint64(11)
+    u = h.astype(np.float64)
+    u *= _INV53
     return u if u.ndim else float(u)
 
 

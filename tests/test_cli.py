@@ -69,6 +69,22 @@ def test_verify_semiconj_large_alpha_scaled(tmp_path, capsys):
     assert data["max_scaled_residual"] < 1e-12
 
 
+def test_verify_semiconj_residuals_do_not_depend_on_blocks(tmp_path, capsys, monkeypatch):
+    # the residuals are maxima over fixed-size blocks of samples; the values
+    # at alpha 0.25, seed 8, 1e5 samples (two blocks) were recorded before
+    # the samples were blocked
+    args = ["verify-semiconj", "--alpha", "0.25", "--seed", "8", "--out-dir", str(tmp_path)]
+    code, out, _err = run(args + ["--samples", "100000"], capsys)
+    assert code == 0
+    data = json.loads(out)
+    assert data["max_residual"] == 2.4168899914933136e-13
+    assert data["max_scaled_residual"] == 2.21810999987533e-15
+    _code, whole, _err = run(args + ["--samples", "1000"], capsys)
+    monkeypatch.setattr(cli, "CHUNK", 37)  # does not divide 1000
+    _code, blocked, _err = run(args + ["--samples", "1000"], capsys)
+    assert blocked == whole
+
+
 def test_seed_recorded_when_generated(tmp_path, capsys):
     code, out, _err = run(
         ["verify-semiconj", "--alpha", "0.3", "--samples", "50",
@@ -298,6 +314,7 @@ def test_map_json_both_spellings(tmp_path, capsys):
      "--config", "grid.json"],
     ["render", "--map", '{"params": {"alpha": 0.4}}', "--config", "grid.json"],
     ["render", "--map", '[0.4]', "--config", "grid.json"],
+    ["render", "--map", '{"kind": "frob"}', "--config", "grid.json"],
     ["circle-stats", "--map", '{"kind": "power"}'],
     ["circle-stats", "--map", '{"kind": "power", "params": 2}'],
     ["circle-stats", "--map", '{"kind": "finite_blaschke", "zeros": 0.5}'],
@@ -315,3 +332,24 @@ def test_malformed_map_json_is_a_usage_error(tmp_path, capsys, argv):
     assert code == 1
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def test_mobius_pole_on_the_circle_is_a_usage_error(tmp_path, capsys):
+    # the pole of (z + 0) / (z - 1) sits on the circle-preservation probe 1.0
+    code, _out, err = run(
+        ["circle-stats", "--map", '{"kind": "mobius", "a": 1, "b": 0, "c": 1, "d": -1}',
+         "--out-dir", str(tmp_path)], capsys)
+    assert code == 1
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
+def test_render_known_kind_it_cannot_draw_is_a_runtime_error(tmp_path, capsys):
+    config = tmp_path / "grid.json"
+    config.write_text(json.dumps({"center": [0.0, 0.0], "width": 4.0, "height": 4.0,
+                                  "nx": 8, "ny": 8, "max_iter": 8}))
+    code, _out, err = run(
+        ["render", "--map", '{"kind": "keen", "alpha": 0.2, "lambda": -1}',
+         "--config", str(config), "--out-dir", str(tmp_path)], capsys)
+    assert code == 2
+    assert err.startswith("error: ")

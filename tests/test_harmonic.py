@@ -1,4 +1,6 @@
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from fatoulab.histograms import shift_bins, tv_distance
 R_E = math.e
 
 PENTAGON = [(0.45 * np.exp(2j * math.pi * (k / 5 + 0.05)), 0.09) for k in range(5)]
+FOUR = [(0.5 * np.exp(1j * (0.3 + k * math.pi / 2)), 0.1) for k in range(4)]
 
 
 def test_annulus_closed_form_oracle():
@@ -161,3 +164,109 @@ def test_cross_validate_domain_mismatch():
         hm.cross_validate(hm.annulus(0.5, 2.0), model, 1_000, seed=1)
     with pytest.raises(DomainMismatch):
         hm.cross_validate(hm.champagne_disk([(0.0j, 0.2)]), model, 1_000, seed=1)
+
+
+def _counts(hists):
+    return np.stack([h.counts for h in hists])
+
+
+def _sha(arrays, stalled=None):
+    m = hashlib.sha256()
+    for a in arrays:
+        m.update(np.ascontiguousarray(a, dtype=np.int64).tobytes())
+    if stalled is not None:
+        m.update(str(stalled).encode())
+    return m.hexdigest()
+
+
+def test_golden_wos_and_pushforward_counts():
+    # sha256 of the exit counts at fixed seeds, computed before the walk
+    # loop ran in chunks; 100k annulus walks and 200k samples span several
+    # chunks
+    ann = hm.walk_on_spheres(hm.annulus(1.0 / R_E, R_E), 1.0 + 0.0j, 100_000, seed=2024)
+    assert _sha([h.counts for h in ann.hits], ann.stalled) == (
+        "811f0f99a60035906cb764b0e77be78deef04e05b9c1f1b960f0232bfab35662")
+    champ = hm.walk_on_spheres(hm.champagne_disk(FOUR), 0.05 + 0.02j, 30_000, seed=77)
+    assert _sha([h.counts for h in champ.hits], champ.stalled) == (
+        "08c45e5285fe4c270d0171327ea43b560084cf15dba1c581eba22e063483c93d")
+    push = cov.pushforward_measure(cov.annulus_model(R_E), 200_000, 64, seed=5)
+    assert _sha([h.counts for h in push]) == (
+        "e635087bf5075514165cd782d6304512693c8a05a01952b05cfaceba6f3076e6")
+
+
+@pytest.mark.parametrize("domain, base", [
+    (hm.annulus(0.5, 2.0), 1.0 + 0.0j),
+    (hm.champagne_disk(FOUR), 0.05 + 0.02j),
+], ids=["annulus", "champagne"])
+def test_wos_chunk_invariance(monkeypatch, domain, base):
+    # step cap 40 stalls ~5% of the walks; the gate is lifted so that
+    # stalled walks are compared too
+    monkeypatch.setattr(hm, "STALL_GATE", 1.0)
+    walks, seed = 1_001, 13
+    runs = {cap: hm.walk_on_spheres(domain, base, walks, seed=seed, step_cap=cap)
+            for cap in (hm.DEFAULT_STEP_CAP, 40)}
+    assert runs[40].stalled > 0
+    monkeypatch.setattr(hm, "CHUNK", 37)  # divides neither walks nor the shards
+    for cap, ref in runs.items():
+        res = hm.walk_on_spheres(domain, base, walks, seed=seed, step_cap=cap)
+        assert np.array_equal(_counts(res.hits), _counts(ref.hits))
+        assert res.stalled == ref.stalled
+        # shards whose offsets straddle chunk boundaries merge exactly
+        bounds = [0, 50, 111, 700, walks]
+        shards = [hm.walk_on_spheres(domain, base, hi - lo, seed=seed, step_cap=cap,
+                                     walk_offset=lo)
+                  for lo, hi in zip(bounds, bounds[1:])]
+        assert np.array_equal(sum(_counts(s.hits) for s in shards), _counts(ref.hits))
+        assert sum(s.stalled for s in shards) == ref.stalled
+
+
+def test_pushforward_chunk_invariance(monkeypatch):
+    for model in (cov.annulus_model(R_E), cov.disk_model(), cov.punctured_disk_model()):
+        ref = cov.pushforward_measure(model, 1_001, 16, seed=8)
+        monkeypatch.setattr(cov, "CHUNK", 37)
+        res = cov.pushforward_measure(model, 1_001, 16, seed=8)
+        bounds = [0, 50, 111, 1_001]
+        shards = [cov.pushforward_measure(model, hi - lo, 16, seed=8, sample_offset=lo)
+                  for lo, hi in zip(bounds, bounds[1:])]
+        monkeypatch.undo()
+        assert np.array_equal(_counts(res), _counts(ref))
+        assert np.array_equal(sum(_counts(s) for s in shards), _counts(ref))
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_memory_bounded_by_chunk(monkeypatch):
+    # a small chunk keeps the test fast; 8x the samples must not need much
+    # more memory than one chunk
+    chunk = 2_048
+    monkeypatch.setattr(hm, "CHUNK", chunk)
+    monkeypatch.setattr(cov, "CHUNK", chunk)
+    domain = hm.champagne_disk(FOUR)
+    model = cov.annulus_model(R_E)
+    for run in (lambda n: hm.walk_on_spheres(domain, 0.0j, n, seed=4),
+                lambda n: cov.pushforward_measure(model, n, 64, seed=4)):
+        one, eight = (_peak_bytes(lambda: run(n)) for n in (chunk, 8 * chunk))
+        assert eight <= 1.5 * one, (one, eight)
+
+
+def test_champagne_distance_keeps_first_nearest_on_ties():
+    # two bubbles mirrored in the real axis: points on the axis are equally
+    # near both, and the lower component id wins, as argmin would pick
+    domain = hm.champagne_disk([(0.5j, 0.2), (-0.5j, 0.2), (0.6 + 0.0j, 0.1)])
+    rng = np.random.default_rng(3)
+    z = np.concatenate([rng.uniform(-0.2, 0.45, 50) + 0.0j,
+                        0.8 * np.exp(2j * math.pi * rng.random(500))])
+    d, comp = domain.distance(z)
+    table = np.stack([1.0 - np.abs(z)] + [np.abs(z - c) - r for c, r in domain.bubbles],
+                     axis=1)
+    assert np.array_equal(comp, np.argmin(table, axis=1))
+    assert np.array_equal(d, table.min(axis=1))
+    assert np.any(table[:50, 1] == table[:50, 2])
+    assert np.all(comp[:50][table[:50, 1] == table[:50, 2]] != 2)
