@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -154,10 +155,21 @@ class BlaschkeProduct:
     def from_alpha(cls, alpha: float, tol: float = 1e-12) -> "BlaschkeProduct":
         return cls.from_tau(solve_tau(alpha, tol=tol))
 
+    @cached_property
+    def horizon(self) -> int:
+        """The saturation horizon: no evaluation uses more terms."""
+        return _saturation_horizon(self.s)
+
+    @cached_property
+    def zeros_squared(self) -> np.ndarray:
+        """a_n^2 for n = 1..horizon, the factor coefficients of evaluation."""
+        a = self.zeros_upto(self.horizon)
+        return a * a
+
     def zeros_upto(self, n: int) -> np.ndarray:
         """First min(n, saturation horizon) zeros; saturated terms would be
         exactly 1 in double precision and are never produced."""
-        n = min(n, _saturation_horizon(self.s))
+        n = min(n, self.horizon)
         if n <= self.truncation_N:
             return self.zeros[:n]
         return np.tanh(np.arange(1, n + 1) * (self.s / 2.0))
@@ -169,6 +181,33 @@ def _chordal_gap(z):
     return np.minimum(np.abs(z - 1.0), np.abs(z + 1.0))
 
 
+def _excluded(exclusion: float) -> TooCloseToSingularity:
+    return TooCloseToSingularity(
+        f"evaluation within {exclusion:.3g} of a singularity at +-1",
+        min_usable_radius=exclusion,
+    )
+
+
+def _past_cap(target_err: float, exclusion: float) -> TooCloseToSingularity:
+    return TooCloseToSingularity(
+        f"term cap {N_CAP} cannot certify target_err={target_err:.3g} here",
+        min_usable_radius=exclusion,
+    )
+
+
+def _past_horizon(target_err: float, exclusion: float) -> TooCloseToSingularity:
+    return TooCloseToSingularity(
+        f"double precision cannot certify target_err={target_err:.3g} "
+        "this close to the singularities",
+        min_usable_radius=exclusion,
+    )
+
+
+def _tail_at_horizon(B: BlaschkeProduct, u, w):
+    """Certified bound on the factors past the saturation horizon."""
+    return (16.0 * u / (w * (1.0 - 1.0 / B.tau))) * B.tau ** -(B.horizon + 1.0)
+
+
 def required_terms(B: BlaschkeProduct, z, target_err: float = DEFAULT_TARGET_ERR,
                    exclusion: float = DEFAULT_EXCLUSION):
     """Product terms needed to bound the truncation error below target_err at z.
@@ -177,15 +216,17 @@ def required_terms(B: BlaschkeProduct, z, target_err: float = DEFAULT_TARGET_ERR
     TooCloseToSingularity if z violates the exclusion radius around +-1 or if
     the certified count would exceed the term cap.
     """
-    if target_err <= 0:
+    if not target_err > 0:
         raise OutOfRange(f"target_err must be > 0, got {target_err}")
+    if isinstance(z, (int, float, complex)):
+        try:
+            return _required_terms_one(B, complex(z), target_err, exclusion)
+        except (ArithmeticError, ValueError):
+            pass  # a bound at zero or infinity: numpy's IEEE arithmetic copes
     z_arr = np.asarray(z, dtype=np.complex128)
     gap = _chordal_gap(z_arr)
     if np.any(gap <= exclusion):
-        raise TooCloseToSingularity(
-            f"evaluation within {exclusion:.3g} of a singularity at +-1",
-            min_usable_radius=exclusion,
-        )
+        raise _excluded(exclusion)
     w = np.abs(1.0 - z_arr * z_arr)
     u = np.maximum(np.abs(1.0 + z_arr * z_arr), 1e-300)
     log_tau = B.s
@@ -196,25 +237,44 @@ def required_terms(B: BlaschkeProduct, z, target_err: float = DEFAULT_TARGET_ERR
     )
     n = np.maximum(np.maximum(n0, geom), 1.0)
     if np.any(n > N_CAP):
-        raise TooCloseToSingularity(
-            f"term cap {N_CAP} cannot certify target_err={target_err:.3g} here",
-            min_usable_radius=exclusion,
-        )
+        raise _past_cap(target_err, exclusion)
     # past the saturation horizon the remaining factors are exactly 1 in
     # double precision; check the bound still certifies the target there
-    horizon = _saturation_horizon(B.s)
-    clipped = n > horizon
+    clipped = n > B.horizon
     if np.any(clipped):
-        tail = (16.0 * u / (w * (1.0 - 1.0 / B.tau))) * B.tau ** -(horizon + 1.0)
-        if np.any(tail[clipped] > target_err):
-            raise TooCloseToSingularity(
-                f"double precision cannot certify target_err={target_err:.3g} "
-                "this close to the singularities",
-                min_usable_radius=exclusion,
-            )
-        n = np.minimum(n, horizon)
+        if np.any(_tail_at_horizon(B, u, w)[clipped] > target_err):
+            raise _past_horizon(target_err, exclusion)
+        n = np.minimum(n, B.horizon)
     n = n.astype(np.int64)
     return n if z_arr.ndim else int(n)
+
+
+def _required_terms_one(B: BlaschkeProduct, z: complex, target_err: float,
+                        exclusion: float) -> int:
+    """required_terms at one point: the same formula and refusals in math.
+
+    ceil is monotone and N_CAP an integer, so testing the cap before
+    rounding up refuses the same points.
+    """
+    if min(abs(z - 1.0), abs(z + 1.0)) <= exclusion:
+        raise _excluded(exclusion)
+    zz = z * z
+    w = abs(1.0 - zz)
+    u = max(abs(1.0 + zz), 1e-300)
+    bound = max(math.log(8.0 / w) / B.s,
+                math.log(16.0 * u / (w * (1.0 - 1.0 / B.tau) * target_err)) / B.s,
+                1.0)
+    if bound > N_CAP:
+        raise _past_cap(target_err, exclusion)
+    n = math.ceil(bound)
+    if n > B.horizon:
+        if _tail_at_horizon(B, u, w) > target_err:
+            raise _past_horizon(target_err, exclusion)
+        n = B.horizon
+    return n
+
+
+_OUTSIDE_DISK = "eval_blaschke requires |z| <= 1"
 
 
 def eval_blaschke(B: BlaschkeProduct, z, target_err: float = 1e-12,
@@ -226,18 +286,36 @@ def eval_blaschke(B: BlaschkeProduct, z, target_err: float = 1e-12,
     sum would be ill-defined at the zeros +-a_n and gains nothing here.
     """
     z_arr = np.asarray(z, dtype=np.complex128)
-    scalar = z_arr.ndim == 0
-    z_arr = np.atleast_1d(z_arr)
+    if z_arr.size == 1:
+        out = _eval_one(B, z_arr.reshape(1), target_err, exclusion)
+        return complex(out[0]) if z_arr.ndim == 0 else out.reshape(z_arr.shape)
     if np.any(np.abs(z_arr) > 1.0 + 1e-12):
-        raise OutOfRange("eval_blaschke requires |z| <= 1")
-    n = int(np.max(required_terms(B, z_arr, target_err, exclusion)))
-    a = B.zeros_upto(n)
+        raise OutOfRange(_OUTSIDE_DISK)
+    n = int(np.max(required_terms(B, z_arr, target_err, exclusion), initial=0))
     z2 = z_arr * z_arr
     out = z_arr.copy()
-    for an in a:
-        a2 = an * an
+    for a2 in B.zeros_squared[:n]:
         out *= (a2 - z2) / (1.0 - a2 * z2)
-    return complex(out[0]) if scalar else out
+    return out
+
+
+def _eval_one(B: BlaschkeProduct, z1: np.ndarray, target_err: float,
+              exclusion: float) -> np.ndarray:
+    """eval_blaschke at the point of the one-element array z1.
+
+    All factors are built in one broadcast and multiplied in order by one
+    reduction, which rounds like the in-place product of one-element arrays:
+    this reproduces the per-term loop over a one-element array bit for bit.
+    numpy's products over longer arrays fuse multiply-adds and round
+    differently, so longer inputs keep their own loop.
+    """
+    z = complex(z1[0])
+    if abs(z) > 1.0 + 1e-12:
+        raise OutOfRange(_OUTSIDE_DISK)
+    a2 = B.zeros_squared[:required_terms(B, z, target_err, exclusion)]
+    z2 = z1 * z1
+    return np.multiply.reduce(np.concatenate((z1, (a2 - z2) / (1.0 - a2 * z2))),
+                              keepdims=True)
 
 
 def derivative_at_zero(B: BlaschkeProduct) -> float:
@@ -267,10 +345,11 @@ def circle_eval_many(B: BlaschkeProduct, thetas,
                      exclusion: float = DEFAULT_EXCLUSION) -> np.ndarray:
     """Vectorized circle_eval over an array of angles."""
     th = np.asarray(thetas, dtype=np.float64)
-    z = np.exp(1j * th)
-    vals = eval_blaschke(B, z, target_err, exclusion)
-    moduli = np.abs(vals)
-    worst = float(np.max(np.abs(moduli - 1.0))) if vals.size else 0.0
+    vals = eval_blaschke(B, np.exp(1j * th), target_err, exclusion)
+    if vals.size == 1:  # an orbit step: skip np.max's per-call overhead
+        worst = abs(abs(vals.item()) - 1.0)
+    else:
+        worst = float(np.max(np.abs(np.abs(vals) - 1.0), initial=0.0))
     if worst > max(target_err, 1e-13):
         raise FatouLabError(
             f"boundary modulus check failed: | |B| - 1 | = {worst:.3g}"

@@ -141,15 +141,30 @@ def _blaschke_gap(thetas, exclusion):
     return gap <= exclusion
 
 
+def _entered_exclusion_zone(cmap: CircleMap) -> SingularityApproach:
+    return SingularityApproach(
+        f"orbit entered the exclusion zone (radius {cmap.exclusion:.3g}) "
+        "around the boundary singularities at +-1"
+    )
+
+
+# kinds whose scalar step (_step) keeps the bits of the array path; Mobius
+# and finite Blaschke maps would need CPython's complex division, which
+# rounds differently from numpy's
+_SCALAR_KINDS = frozenset((map_zoo.ROTATION, map_zoo.POWER, BLASCHKE))
+
+
 def apply_map(cmap: CircleMap, thetas):
     """One application of the boundary map; angles reduced mod 2*pi.
 
     Scalar in, scalar out; array in, array out.
     """
+    k = cmap.kind
+    if isinstance(thetas, float) and k in _SCALAR_KINDS:
+        return _step(cmap, thetas % TWO_PI)
     th = np.asarray(thetas, dtype=np.float64)
     scalar = th.ndim == 0
     th = np.atleast_1d(th) % TWO_PI
-    k = cmap.kind
     if k == map_zoo.ROTATION:
         out = np.fmod(th + cmap.map.params[0], TWO_PI)
     elif k == map_zoo.POWER:
@@ -158,14 +173,28 @@ def apply_map(cmap: CircleMap, thetas):
         out = np.fmod(cmap.map.params[0] * th, TWO_PI)
     elif k == BLASCHKE:
         if np.any(_blaschke_gap(th, cmap.exclusion)):
-            raise SingularityApproach(
-                f"orbit entered the exclusion zone (radius {cmap.exclusion:.3g}) "
-                "around the boundary singularities at +-1"
-            )
+            raise _entered_exclusion_zone(cmap)
         out = _bl.circle_eval_many(cmap.map, th, cmap.target_err, cmap.exclusion)
     else:
         out = np.angle(map_zoo.evaluate_many(cmap.map, np.exp(1j * th))) % TWO_PI
     return float(out[0]) if scalar else out
+
+
+def _step(cmap: CircleMap, th: float) -> float:
+    """apply_map of one angle in [0, 2*pi) with the array path's bits, minus
+    numpy's per-call overhead where it can be skipped.
+
+    math.fmod is the C fmod that np.fmod calls, and float % follows numpy's
+    sign rule.  The Blaschke map still evaluates through a one-element array.
+    """
+    k = cmap.kind
+    if k == map_zoo.ROTATION:
+        return math.fmod(th + cmap.map.params[0], TWO_PI)
+    if k == map_zoo.POWER:
+        return math.fmod(cmap.map.params[0] * th, TWO_PI)
+    if min(2.0 * abs(math.sin(th / 2.0)), 2.0 * abs(math.cos(th / 2.0))) <= cmap.exclusion:
+        raise _entered_exclusion_zone(cmap)
+    return float(_bl.circle_eval_many(cmap.map, (th,), cmap.target_err, cmap.exclusion)[0])
 
 
 def iterate(cmap: CircleMap, theta0: float, n: int) -> np.ndarray:

@@ -188,3 +188,84 @@ def test_eval_outside_disk_rejected():
     B = bl.BlaschkeProduct.from_alpha(0.4)
     with pytest.raises(OutOfRange):
         bl.eval_blaschke(B, 1.5)
+
+
+def _per_term_loop(B, th):
+    """B(e^(i th)) and its angle by the per-term loop over a one-element
+    array: the bitwise reference for one-point evaluation."""
+    z = np.exp(1j * np.asarray([th]))
+    n = int(np.max(bl.required_terms(B, z, bl.DEFAULT_TARGET_ERR)))
+    z2 = z * z
+    out = z.copy()
+    for an in B.zeros_upto(n):
+        a2 = an * an
+        out *= (a2 - z2) / (1.0 - a2 * z2)
+    return out[0], (np.angle(out) % (2.0 * math.pi))[0]
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.25, 0.4])
+def test_one_point_eval_matches_per_term_loop(alpha):
+    B = bl.BlaschkeProduct.from_alpha(alpha)
+    rng = np.random.default_rng(int(alpha * 100))
+    near = rng.uniform(2e-3, 0.05, 500)  # within 0.05 of +-1
+    th = np.concatenate([rng.uniform(0.05, math.pi - 0.05, 2000),
+                         near, math.pi - near, math.pi + near, 2.0 * math.pi - near])
+    for t in th.tolist():
+        value, angle = _per_term_loop(B, t)
+        z = np.exp(1j * np.asarray([t]))
+        assert bl.eval_blaschke(B, z, bl.DEFAULT_TARGET_ERR)[0] == value
+        assert bl.circle_eval_many(B, np.asarray([t]))[0] == angle
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.25, 0.4])
+def test_scalar_required_terms_matches_array(alpha):
+    B = bl.BlaschkeProduct.from_alpha(alpha)
+    th = np.concatenate([np.linspace(2e-3, math.pi - 2e-3, 3001),
+                         2e-3 * 1.01 ** np.arange(300)])
+    z = np.exp(1j * th)
+    for target_err in (1e-9, 1e-12):
+        many = bl.required_terms(B, z, target_err, exclusion=1e-3)
+        one = [bl.required_terms(B, complex(p), target_err, exclusion=1e-3) for p in z]
+        assert one == many.tolist()
+
+
+def test_required_terms_degenerate_bounds():
+    # with no error to certify the bound is log(0); the scalar path takes
+    # numpy's IEEE answer instead of failing in math.log
+    B = bl.BlaschkeProduct.from_alpha(0.4)
+    with np.errstate(divide="ignore"):
+        assert bl.required_terms(B, 1j, math.inf) == \
+            bl.required_terms(B, np.array([1j]), math.inf)[0]
+    for bad in (0.0, -1e-9, math.nan):
+        with pytest.raises(OutOfRange):
+            bl.required_terms(B, 1j, bad)
+
+
+@pytest.mark.parametrize("theta, target_err, exclusion, message", [
+    (1e-3, 1e-13, 1e-7, "cannot certify"),
+    (1e-4, bl.DEFAULT_TARGET_ERR, bl.DEFAULT_EXCLUSION, "within"),
+    (math.pi + 1e-4, bl.DEFAULT_TARGET_ERR, bl.DEFAULT_EXCLUSION, "within"),
+])
+def test_one_point_and_vector_paths_refuse_alike(theta, target_err, exclusion, message):
+    B = bl.BlaschkeProduct.from_alpha(0.4)
+    with pytest.raises(TooCloseToSingularity, match=message) as one:
+        bl.circle_eval_many(B, np.array([theta]), target_err, exclusion)
+    with pytest.raises(TooCloseToSingularity) as many:
+        bl.circle_eval_many(B, np.array([1.0, theta]), target_err, exclusion)
+    assert str(one.value) == str(many.value)
+    assert one.value.min_usable_radius == many.value.min_usable_radius
+
+
+def test_eval_empty_input():
+    B = bl.BlaschkeProduct.from_alpha(0.4)
+    assert bl.eval_blaschke(B, np.array([])).shape == (0,)
+    assert bl.circle_eval_many(B, np.array([])).shape == (0,)
+
+
+def test_eval_keeps_the_shape_of_one_point():
+    B = bl.BlaschkeProduct.from_alpha(0.4)
+    z = np.exp(0.7j)
+    assert isinstance(bl.eval_blaschke(B, z), complex)
+    for shape in ((1,), (1, 1)):
+        out = bl.eval_blaschke(B, np.full(shape, z))
+        assert out.shape == shape and out.ravel()[0] == bl.eval_blaschke(B, z)

@@ -90,6 +90,86 @@ def test_golden_circle_map_bytes(make, orbit_sha, image_sha, spread_sha):
     assert hashlib.sha256(fractions.tobytes()).hexdigest() == spread_sha
 
 
+# sha256 of the bytes of orbits iterated one scalar step at a time, as
+# circle-stats does, computed with numpy 2.4 on x86-64 Linux.  The four
+# Blaschke orbits (alpha = 0.4, theta0 = pi/8 + k pi/2) are the benchmark's;
+# each stops at the +-1 exclusion zone after the recorded number of points.
+_GOLDEN_BLASCHKE_ORBITS = [
+    (5167, "43d10875037f87d61a526d0ebc7352bc479e1e5a3d10b85f550278ed6ba71d0d"),
+    (2448, "1bcfc55efcfae36120b7f1aae0379e3a1bf368a1110b5ffc560817bd3aa578a2"),
+    (1235, "bfa1c5f784f857be85f23cfb15315270505c910a58533bb3329a6b51e3b2a7ce"),
+    (1470, "eb9047a37c9c3bf0a0b469767ac9157706e07991c6e6ec75ef7cba6d5f552f3c"),
+]
+_GOLDEN_ANGLE_ORBITS = [
+    ("power2", lambda: cd.power_circle_map(2),
+     "a80a827b89053d3201bc62920a48b0f0d28a272a485c3044ffda2a150d737556"),
+    ("power3", lambda: cd.power_circle_map(3),
+     "435478db95b79f902a8163ffc565bc99b1777c9166baddd8fa5937f9100de225"),
+    ("rotation", lambda: cd.rotation_map(0.7),
+     "348269c8506a4b54ed377eafb7a7c0a7731bf853dd0be1d01592483432e07d6c"),
+]
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_golden_blaschke_orbit_bytes(k):
+    cmap = cd.blaschke_boundary_map(bl.BlaschkeProduct.from_alpha(0.4))
+    points, sha = _GOLDEN_BLASCHKE_ORBITS[k]
+    orbit = []
+    th = math.pi / 8 + k * math.pi / 2
+    with pytest.raises(SingularityApproach):
+        for _ in range(10 * points):
+            th = cd.apply_map(cmap, th)
+            orbit.append(th)
+    assert len(orbit) == points
+    assert hashlib.sha256(np.asarray(orbit).tobytes()).hexdigest() == sha
+
+
+@pytest.mark.parametrize("make, sha", [g[1:] for g in _GOLDEN_ANGLE_ORBITS],
+                         ids=[g[0] for g in _GOLDEN_ANGLE_ORBITS])
+def test_golden_angle_orbit_bytes(make, sha):
+    orbit = cd.iterate(make(), 0.9, 10_000)
+    assert hashlib.sha256(orbit.tobytes()).hexdigest() == sha
+
+
+_ONE_OF_EACH_CIRCLE_KIND = [
+    ("rotation", lambda: cd.rotation_map(0.7)),
+    ("power", lambda: cd.power_circle_map(2)),
+    ("mobius", lambda: cd.mobius_boundary_map(1.0, 0.3, 0.3, 1.0)),
+    ("finite_blaschke", lambda: cd.finite_blaschke_boundary_map([0.0, 0.5 + 0.2j])),
+    ("blaschke", lambda: cd.blaschke_boundary_map(bl.BlaschkeProduct.from_alpha(0.4))),
+]
+
+
+@pytest.mark.parametrize("make", [g[1] for g in _ONE_OF_EACH_CIRCLE_KIND],
+                         ids=[g[0] for g in _ONE_OF_EACH_CIRCLE_KIND])
+def test_apply_map_empty_input(make):
+    out = cd.apply_map(make(), np.array([]))
+    assert out.shape == (0,) and out.dtype == np.float64
+
+
+@pytest.mark.parametrize("make", [g[1] for g in _ONE_OF_EACH_CIRCLE_KIND],
+                         ids=[g[0] for g in _ONE_OF_EACH_CIRCLE_KIND])
+def test_scalar_step_matches_array_step(make):
+    # a Python float takes the scalar path; a one-element array does not
+    cmap = make()
+    th = np.linspace(-7.0, 10.0, 301)
+    th = th[np.abs(np.sin(th)) > 0.02]  # clear of the Blaschke map's +-1
+    for t in th:
+        got = cd.apply_map(cmap, float(t))
+        assert type(got) is float
+        assert got == cd.apply_map(cmap, np.array([t]))[0]
+
+
+def test_scalar_step_refuses_the_exclusion_zone_like_the_array_step():
+    cmap = cd.blaschke_boundary_map(bl.BlaschkeProduct.from_alpha(0.4))
+    for th in (1e-4, math.pi - 1e-4, TWO_PI - 1e-4):
+        with pytest.raises(SingularityApproach) as one:
+            cd.apply_map(cmap, th)
+        with pytest.raises(SingularityApproach) as many:
+            cd.apply_map(cmap, np.array([1.0, th]))
+        assert str(one.value) == str(many.value)
+
+
 def test_mobius_circle_preservation_enforced():
     with pytest.raises(OutOfRange):
         cd.mobius_boundary_map(1.0, 0.4, 0.0, 1.0)  # not an automorphism of the circle
