@@ -42,11 +42,6 @@ N_CAP = 10_000
 DEFAULT_EXCLUSION = 1e-3
 DEFAULT_TARGET_ERR = 1e-9
 
-# Absolute tail target used when solving for tau; keeps the truncated product
-# indistinguishable from the full one at double precision.
-_TAIL_TARGET = 1e-16
-
-
 @dataclass(frozen=True)
 class TauSolution:
     """Root of prod tanh^2(n s / 2) = 2 alpha."""
@@ -65,7 +60,7 @@ def _product_terms(s: float) -> int:
     return min(int(math.ceil(42.0 / s)) + 8, 60_000)
 
 
-def log_multiplier_product(s: float, n_terms: int | None = None) -> float:
+def log_multiplier_product(s: float) -> float:
     """log prod_{n=1..N} tanh^2(n s / 2), evaluated as a sum of logs.
 
     Working in log space keeps small-s evaluations (where the raw product
@@ -73,8 +68,7 @@ def log_multiplier_product(s: float, n_terms: int | None = None) -> float:
     """
     if s <= 0:
         raise OutOfRange(f"log_multiplier_product requires s > 0, got {s}")
-    n = n_terms if n_terms is not None else _product_terms(s)
-    k = np.arange(1, n + 1, dtype=np.float64)
+    k = np.arange(1, _product_terms(s) + 1, dtype=np.float64)
     return float(2.0 * np.log(np.tanh(k * (s / 2.0))).sum())
 
 
@@ -102,14 +96,13 @@ def solve_tau(alpha: float, tol: float = 1e-12,
         raise NoSignChange(
             f"bracket {bracket} does not contain the root for alpha={alpha}"
         ) from exc
-    n_terms = _product_terms(s)
-    residual = abs(math.exp(log_multiplier_product(s, n_terms)) - 2.0 * alpha)
+    residual = abs(math.exp(log_multiplier_product(s)) - 2.0 * alpha)
     if residual > tol:
         raise OutOfRange(
             f"bisection residual {residual:.3g} exceeds requested tol {tol:.3g}"
         )
     return TauSolution(alpha=alpha, tau=math.exp(s), s=s,
-                       residual=residual, product_terms_used=n_terms)
+                       residual=residual, product_terms_used=_product_terms(s))
 
 
 def _saturation_horizon(s: float) -> int:
@@ -144,9 +137,8 @@ class BlaschkeProduct:
     zeros: np.ndarray
 
     @classmethod
-    def from_tau(cls, ts: TauSolution, n_terms: int | None = None) -> "BlaschkeProduct":
-        n = n_terms if n_terms is not None else max(ts.product_terms_used, 64)
-        n = min(n, N_CAP, _saturation_horizon(ts.s))
+    def from_tau(cls, ts: TauSolution) -> "BlaschkeProduct":
+        n = min(max(ts.product_terms_used, 64), N_CAP, _saturation_horizon(ts.s))
         zeros = np.tanh(np.arange(1, n + 1) * (ts.s / 2.0))
         return cls(alpha=ts.alpha, tau=ts.tau, s=ts.s, truncation_N=n,
                    tail_bound_constant=4.0 / (ts.tau - 1.0), zeros=zeros)
@@ -343,9 +335,10 @@ def circle_eval(B: BlaschkeProduct, theta: float,
 def circle_eval_many(B: BlaschkeProduct, thetas,
                      target_err: float = DEFAULT_TARGET_ERR,
                      exclusion: float = DEFAULT_EXCLUSION) -> np.ndarray:
-    """Vectorized circle_eval over an array of angles."""
+    """Vectorized circle_eval over an array of angles, 0-d included."""
     th = np.asarray(thetas, dtype=np.float64)
-    vals = eval_blaschke(B, np.exp(1j * th), target_err, exclusion)
+    # eval_blaschke answers a 0-d point with a Python complex
+    vals = np.asarray(eval_blaschke(B, np.exp(1j * th), target_err, exclusion))
     if vals.size == 1:  # an orbit step: skip np.max's per-call overhead
         worst = abs(abs(vals.item()) - 1.0)
     else:

@@ -105,7 +105,7 @@ _FROM_SPEC = {
 def circle_map_from_dict(obj: dict) -> CircleMap:
     """CircleMap from JSON: a map of a circle kind in either spelling that
     ``map_zoo.spec_from_dict`` reads, or ``{"kind": "blaschke", "alpha": a}``."""
-    with map_zoo.malformed_map_json():
+    with map_zoo.malformed_json("map JSON"):
         kind = obj["kind"]
         if kind == BLASCHKE:
             alpha = float(obj.get("params", obj)["alpha"])
@@ -236,7 +236,8 @@ def discrepancy(samples) -> float:
     """Star discrepancy of circle samples against normalized arc length.
 
     Exact sorted-sample formula on x_i = theta_i / (2 pi):
-    D* = max_i max(i/N - x_(i), x_(i) - (i-1)/N).
+    D* = max_i max(i/N - x_(i), x_(i) - (i-1)/N).  This is also the
+    Kolmogorov-Smirnov distance from the uniform law.
     """
     th = np.asarray(samples, dtype=np.float64)
     if th.size == 0:
@@ -245,11 +246,6 @@ def discrepancy(samples) -> float:
     n = x.size
     i = np.arange(1, n + 1)
     return float(max(np.max(i / n - x), np.max(x - (i - 1) / n)))
-
-
-def ks_statistic(samples) -> float:
-    """Kolmogorov-Smirnov distance of circle samples from the uniform law."""
-    return discrepancy(samples)
 
 
 def ks_critical(n: int, level: float = 0.01) -> float:
@@ -284,7 +280,7 @@ def invariance_test(cmap: CircleMap, n_samples: int, seed: int) -> float:
             th[bad] = TWO_PI * uniform01(seed, streams[bad], attempt)
         else:
             raise SingularityApproach("rejection sampling failed to clear the zones")
-    return ks_statistic(apply_map(cmap, th))
+    return discrepancy(apply_map(cmap, th))
 
 
 def birkhoff_average(cmap: CircleMap, theta0: float, n: int,

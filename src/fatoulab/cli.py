@@ -158,7 +158,8 @@ def _parse_bubbles(text: str):
     if os.path.exists(text):
         text = Path(text).read_text(encoding="ascii")
     data = json.loads(text)
-    return [(complex(b[0], b[1]), float(b[2])) for b in data]
+    with map_zoo.malformed_json("bubble JSON"):
+        return [(complex(b[0], b[1]), float(b[2])) for b in data]
 
 
 def _harmonic_domain(args):
@@ -321,6 +322,11 @@ def _cmd_render(args) -> int:
 # Parser wiring
 
 
+def _float_pair(text: str) -> tuple:
+    x, y = (float(v) for v in text.split(","))
+    return x, y
+
+
 def _add_common(p):
     p.add_argument("--out-dir", default=".", help="directory for output files")
     p.add_argument("--prefix", default=None, help="output filename prefix")
@@ -357,8 +363,8 @@ def build_parser() -> _Parser:
                    required=True)
     p.add_argument("--R", type=float, default=math.e)
     p.add_argument("--rho", type=float, default=1.0, help="base point modulus (annulus)")
-    p.add_argument("--base", type=lambda s: tuple(float(x) for x in s.split(",")),
-                   default=(0.0, 0.0), help="base point re,im (champagne)")
+    p.add_argument("--base", type=_float_pair, default=(0.0, 0.0),
+                   help="base point re,im (champagne)")
     p.add_argument("--bubbles", default=None,
                    help="JSON list of [cx, cy, r] bubbles, inline or a file path")
     p.add_argument("--walks", type=int, default=100000)

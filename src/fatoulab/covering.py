@@ -20,7 +20,6 @@ oscillates between the two regimes.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -62,11 +61,6 @@ class CoveringModel:
     limit_set: tuple
     deck_generator: map_zoo.MapSpec
 
-    def to_json(self) -> str:
-        if self.domain == ANNULUS:
-            return json.dumps({"domain": ANNULUS, "R": self.R}, sort_keys=True)
-        return json.dumps({"domain": self.domain}, sort_keys=True)
-
 
 def annulus_model(R: float) -> CoveringModel:
     """Canonical self-dual annulus A(1/R, R), R > 1."""
@@ -82,13 +76,6 @@ def annulus_model(R: float) -> CoveringModel:
         limit_set=(1.0 + 0.0j, -1.0 + 0.0j),
         deck_generator=map_zoo.mobius(1.0, t0, t0, 1.0),
     )
-
-
-def annulus_model_from_radii(r_in: float, r_out: float) -> CoveringModel:
-    """General round annulus, rescaled to the self-dual form A(1/R, R)."""
-    if not 0.0 < r_in < r_out:
-        raise OutOfRange(f"need 0 < r_in < r_out, got ({r_in}, {r_out})")
-    return annulus_model(math.sqrt(r_out / r_in))
 
 
 def punctured_disk_model() -> CoveringModel:
@@ -107,17 +94,6 @@ def punctured_disk_model() -> CoveringModel:
 def disk_model() -> CoveringModel:
     return CoveringModel(domain=DISK, R=math.nan, scale=math.nan,
                          limit_set=(), deck_generator=map_zoo.identity_mobius())
-
-
-def model_from_dict(obj: dict) -> CoveringModel:
-    domain = obj["domain"]
-    if domain == ANNULUS:
-        return annulus_model(obj["R"])
-    if domain == PUNCTURED_DISK:
-        return punctured_disk_model()
-    if domain == DISK:
-        return disk_model()
-    raise UnsupportedMap(f"unknown covering domain {domain!r}")
 
 
 def _check_in_disk(z):

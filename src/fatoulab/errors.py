@@ -8,22 +8,9 @@ class FatouLabError(Exception):
 class SingularityHit(FatouLabError):
     """An evaluation point coincides with a listed essential singularity."""
 
-    def __init__(self, message, index=None):
-        super().__init__(message)
-        self.index = index
-
 
 class ExponentOverflow(FatouLabError):
-    """The exponent of an exponential-type map left the safe range.
-
-    Carries ``sign``: +1 if the real part exceeded the cap (value blows up
-    toward infinity), -1 if it fell below the negative cap (value collapses
-    toward zero).
-    """
-
-    def __init__(self, message, sign):
-        super().__init__(message)
-        self.sign = sign
+    """The exponent of an exponential-type map left the safe range."""
 
 
 class NoSignChange(FatouLabError):

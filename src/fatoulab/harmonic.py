@@ -11,8 +11,12 @@ Domains are described by distance oracles with stable integer component ids:
 
 * ``annulus(r_in, r_out)``: component 0 is the outer circle, 1 the inner.
 * ``champagne_disk(bubbles)``: the unit disk minus disjoint closed disks;
-  component 0 is the unit circle, components 1..k the bubble circles.
-* ``disk_minus_disk(center, radius)``: the one-bubble special case.
+  component 0 is the unit circle, components 1..k the bubble circles.  One
+  bubble gives the disk minus a disk.
+
+Beside the estimator, ``support_test`` checks that every arc of every
+component receives mass, and ``cross_validate`` compares the annulus
+estimate with the radial pushforward of ``covering``.
 
 Randomness is a pure function of (seed, walk index, step index), so runs are
 reproducible and independent of batching or worker count; walks may be
@@ -42,7 +46,6 @@ TWO_PI = 2.0 * math.pi
 
 ANNULUS = "annulus"
 CHAMPAGNE_DISK = "champagne_disk"
-DISK_MINUS_DISK = "disk_minus_disk"
 
 DEFAULT_STEP_CAP = 100_000
 DEFAULT_N_BINS = 64
@@ -104,10 +107,6 @@ class DomainOracle:
             np.copyto(comp, cid, where=closer)
         return d, comp
 
-    def distance_point(self, z: complex):
-        d, comp = self.distance(np.asarray([z]))
-        return float(d[0]), int(comp[0])
-
 
 def annulus(r_in: float, r_out: float) -> DomainOracle:
     if not 0.0 < r_in < r_out:
@@ -130,20 +129,6 @@ def champagne_disk(bubbles) -> DomainOracle:
             if abs(c - cj) <= r + rj:
                 raise OutOfRange(f"bubbles {i} and {j} are not disjoint")
     return DomainOracle(CHAMPAGNE_DISK, math.nan, math.nan, bub)
-
-
-def disk_minus_disk(center: complex, radius: float) -> DomainOracle:
-    oracle = champagne_disk([(center, radius)])
-    return DomainOracle(DISK_MINUS_DISK, math.nan, math.nan, oracle.bubbles)
-
-
-def rotated(domain: DomainOracle, beta: float) -> DomainOracle:
-    """The domain rotated by angle beta about the origin."""
-    if domain.kind == ANNULUS:
-        return domain
-    rot = complex(math.cos(beta), math.sin(beta))
-    bub = tuple((rot * c, r) for c, r in domain.bubbles)
-    return DomainOracle(domain.kind, domain.r_in, domain.r_out, bub)
 
 
 def annulus_outer_mass(rho: float, r_in: float, r_out: float) -> float:
@@ -227,11 +212,13 @@ def walk_on_spheres(domain: DomainOracle, base: complex, walks: int,
     """
     if walks < 1:
         raise OutOfRange(f"walks must be >= 1, got {walks}")
+    if n_bins < 1:
+        raise OutOfRange(f"n_bins must be >= 1, got {n_bins}")
     if epsilon_shell is None:
         epsilon_shell = 1e-6 * domain.diameter
     base = complex(base)
-    d0, _ = domain.distance_point(base)
-    if d0 <= epsilon_shell:
+    d0, _ = domain.distance(np.asarray([base]))
+    if d0[0] <= epsilon_shell:
         raise BasePointOnBoundary(
             f"base point {base} is within the epsilon shell of the boundary"
         )

@@ -77,12 +77,6 @@ def tv_distance(hists_a, hists_b):
     return 0.5 * acc
 
 
-def shift_bins(hist: ArcHistogram, shift: int) -> ArcHistogram:
-    """Histogram with bins rotated by ``shift`` positions (positive rotates up)."""
-    return ArcHistogram(hist.component_id, np.roll(hist.counts, shift),
-                        hist.total_samples)
-
-
 def to_csv_text(hists) -> str:
     lines = [CSV_HEADER]
     for h in hists:

@@ -1,7 +1,9 @@
 """Catalogue of the concrete holomorphic maps used across the package.
 
-Provides complex evaluation, closed-form derivatives, orbits, critical data,
-and a deterministic scalar bisection root-finder.  The star of the zoo is the
+Provides map specs with their one JSON parser, complex evaluation (one
+formula per kind, for arrays and single points), closed-form derivatives and
+a deterministic scalar bisection root-finder.  Orbits of the plane maps are
+classified by ``renderer.classify_points``.  The star of the zoo is the
 punctured-plane map
 
     f(z) = exp(alpha * (z - 1/z)),    alpha in (0, 1/2),
@@ -17,11 +19,10 @@ module draws random numbers or mutates shared state.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -94,9 +95,6 @@ class MapSpec:
     kind: str
     params: tuple  # kind-specific parameter tuple, see factory functions
     singularities: tuple = ()
-
-    def to_json(self) -> str:
-        return json.dumps(spec_to_dict(self), sort_keys=True)
 
 
 def exp_baker(alpha: float) -> MapSpec:
@@ -181,52 +179,29 @@ def mcmullen(m: int, l: int, c: complex) -> MapSpec:
 
 
 # ---------------------------------------------------------------------------
-# JSON serialization
-
-
-def spec_to_dict(spec: MapSpec) -> dict:
-    k = spec.kind
-    if k == EXP_BAKER:
-        params = {"alpha": spec.params[0]}
-    elif k == SINE_MODEL:
-        params = {"alpha": spec.params[0]}
-    elif k == POWER:
-        params = {"d": spec.params[0]}
-    elif k == ROTATION:
-        params = {"theta": spec.params[0]}
-    elif k == MOBIUS:
-        a, b, c, d = spec.params
-        params = {"a": _cpair(a), "b": _cpair(b), "c": _cpair(c), "d": _cpair(d)}
-    elif k == FINITE_BLASCHKE:
-        zs, rot = spec.params
-        params = {"zeros": [_cpair(z) for z in zs], "rotation": _cpair(rot)}
-    elif k == KEEN:
-        params = {"alpha": spec.params[0], "lambda": spec.params[1]}
-    elif k == MCMULLEN:
-        m, l, c = spec.params
-        params = {"m": m, "l": l, "c": _cpair(c)}
-    else:
-        raise UnsupportedMap(f"unknown map kind {k!r}")
-    return {"kind": k, "params": params}
+# JSON parsing
 
 
 @contextmanager
-def malformed_map_json():
-    """Report a missing or ill-typed key of a map's JSON form as OutOfRange."""
+def malformed_json(what: str):
+    """Report a missing or ill-typed key of parsed JSON input as OutOfRange.
+
+    ``what`` names the input in the message, for example "map JSON".
+    """
     try:
         yield
     except (KeyError, IndexError, TypeError, AttributeError) as exc:
-        raise OutOfRange(f"malformed map JSON: {type(exc).__name__} {exc}") from None
+        raise OutOfRange(f"malformed {what}: {type(exc).__name__} {exc}") from None
 
 
 def spec_from_dict(obj: dict) -> MapSpec:
     """MapSpec from its JSON form.
 
-    The parameters sit under ``"params"`` (the form ``spec_to_dict`` writes)
-    or, in the flat spelling, beside ``"kind"``.  An unknown kind, like a
-    missing or ill-typed key, raises OutOfRange.
+    The parameters sit under ``"params"`` or, in the flat spelling, beside
+    ``"kind"``.  An unknown kind, like a missing or ill-typed key, raises
+    OutOfRange.
     """
-    with malformed_map_json():
+    with malformed_json("map JSON"):
         kind = obj["kind"]
         p = obj.get("params", obj)
         if kind == EXP_BAKER:
@@ -249,14 +224,6 @@ def spec_from_dict(obj: dict) -> MapSpec:
     raise OutOfRange(f"unknown map kind {kind!r}")
 
 
-def spec_from_json(text: str) -> MapSpec:
-    return spec_from_dict(json.loads(text))
-
-
-def _cpair(z: complex):
-    return [z.real, z.imag]
-
-
 def _cval(v) -> complex:
     if isinstance(v, (int, float)):
         return complex(v)
@@ -274,16 +241,14 @@ def _coerce(z) -> ComplexPoint:
 
 
 def _check_singularities(spec: MapSpec, p: ComplexPoint):
-    for i, s in enumerate(spec.singularities):
+    for s in spec.singularities:
         if s.at_infinity:
             if p.at_infinity:
-                raise SingularityHit(f"{spec.kind}: evaluation at infinity", index=i)
+                raise SingularityHit(f"{spec.kind}: evaluation at infinity")
         elif not p.at_infinity:
             if p.re == s.re and p.im == s.im:
                 raise SingularityHit(
-                    f"{spec.kind}: evaluation at singularity {complex(s.re, s.im)}",
-                    index=i,
-                )
+                    f"{spec.kind}: evaluation at singularity {complex(s.re, s.im)}")
 
 
 def _exponent(spec: MapSpec, z):
@@ -297,9 +262,9 @@ def _exponent(spec: MapSpec, z):
 
 def _check_exponent(w: complex, what: str) -> complex:
     if w.real > EXP_CAP:
-        raise ExponentOverflow(f"{what}: exponent real part {w.real:.3g} above cap", +1)
+        raise ExponentOverflow(f"{what}: exponent real part {w.real:.3g} above cap")
     if w.real < -EXP_CAP:
-        raise ExponentOverflow(f"{what}: exponent real part {w.real:.3g} below cap", -1)
+        raise ExponentOverflow(f"{what}: exponent real part {w.real:.3g} below cap")
     return w
 
 
@@ -366,7 +331,7 @@ def evaluate(spec: MapSpec, z) -> ComplexPoint:
     if k in _CSTAR_KINDS:
         _check_exponent(_exponent(spec, v), k)
     elif k == SINE_MODEL and abs(v.imag) > EXP_CAP:
-        raise ExponentOverflow(f"{k}: |Im z| = {abs(v.imag):.3g} above cap", +1)
+        raise ExponentOverflow(f"{k}: |Im z| = {abs(v.imag):.3g} above cap")
     elif k == MCMULLEN and v == 0:
         return INFINITY  # pole of order l
     try:
@@ -391,7 +356,7 @@ def derivative(spec: MapSpec, z) -> ComplexPoint:
     if k == SINE_MODEL:
         (alpha,) = spec.params
         if abs(v.imag) > EXP_CAP:
-            raise ExponentOverflow(f"{k}: |Im z| above cap", +1)
+            raise ExponentOverflow(f"{k}: |Im z| above cap")
         return ComplexPoint.from_complex(2.0 * alpha * cmath.cos(v))
     if k == POWER:
         (d,) = spec.params
@@ -428,163 +393,6 @@ def derivative(spec: MapSpec, z) -> ComplexPoint:
             raise SingularityHit(f"{k}: derivative at the pole 0")
         return ComplexPoint.from_complex(m * v ** (m - 1) - l * c / v ** (l + 1))
     raise UnsupportedMap(f"unknown map kind {k!r}")
-
-
-# ---------------------------------------------------------------------------
-# Orbits
-
-TERMINAL_COMPLETED = "completed"
-TERMINAL_ESCAPED = "escaped"
-TERMINAL_HIT_SINGULARITY = "hit_singularity"
-TERMINAL_CONVERGED = "converged"
-
-END_ZERO = "zero"
-END_INFINITY = "infinity"
-
-
-@dataclass(frozen=True)
-class Orbit:
-    """Iterate sequence with its terminal state.
-
-    ``points[k+1]`` is always the map applied to ``points[k]``; the terminal
-    describes why iteration stopped after the last stored point.
-    """
-
-    points: tuple
-    terminal: str
-    escape_end: Optional[str] = None
-    escape_radius: Optional[float] = None
-    singularity_index: Optional[int] = None
-    target: Optional[ComplexPoint] = None
-    tolerance: Optional[float] = None
-
-
-def orbit(
-    spec: MapSpec,
-    z0,
-    n_max: int,
-    escape_radius: float,
-    target: Optional[tuple] = None,
-) -> Orbit:
-    """Iterate the map from z0 for at most n_max steps.
-
-    Stops on escape (|z| > escape_radius; for punctured-plane maps also
-    |z| < 1/escape_radius, attributed to the zero end), on a singularity hit,
-    or on convergence to ``target = (point, tol)``.  Exponent-cap overflows
-    terminate as escapes toward the corresponding end, since the next value
-    would exceed any escape radius.
-    """
-    if n_max < 1:
-        raise OutOfRange(f"orbit requires n_max >= 1, got {n_max}")
-    if escape_radius <= 0:
-        raise OutOfRange(f"orbit requires escape_radius > 0, got {escape_radius}")
-
-    tgt = None
-    tol = None
-    if target is not None:
-        tgt = _coerce(target[0]).to_complex()
-        tol = float(target[1])
-
-    cstar = spec.kind in _CSTAR_KINDS
-    pts = [_coerce(z0)]
-
-    for _ in range(n_max):
-        try:
-            nxt = evaluate(spec, pts[-1])
-        except SingularityHit as exc:
-            return Orbit(tuple(pts), TERMINAL_HIT_SINGULARITY,
-                         singularity_index=exc.index)
-        except ExponentOverflow as exc:
-            end = END_INFINITY if exc.sign > 0 else END_ZERO
-            if not cstar:
-                end = END_INFINITY
-            return Orbit(tuple(pts), TERMINAL_ESCAPED, escape_end=end,
-                         escape_radius=escape_radius)
-        pts.append(nxt)
-        if nxt.at_infinity:
-            return Orbit(tuple(pts), TERMINAL_ESCAPED, escape_end=END_INFINITY,
-                         escape_radius=escape_radius)
-        v = nxt.to_complex()
-        if tgt is not None and abs(v - tgt) <= tol:
-            return Orbit(tuple(pts), TERMINAL_CONVERGED,
-                         target=ComplexPoint.from_complex(tgt), tolerance=tol)
-        if abs(v) > escape_radius:
-            return Orbit(tuple(pts), TERMINAL_ESCAPED, escape_end=END_INFINITY,
-                         escape_radius=escape_radius)
-        if cstar and abs(v) < 1.0 / escape_radius:
-            return Orbit(tuple(pts), TERMINAL_ESCAPED, escape_end=END_ZERO,
-                         escape_radius=escape_radius)
-
-    return Orbit(tuple(pts), TERMINAL_COMPLETED)
-
-
-# ---------------------------------------------------------------------------
-# Critical data
-
-
-def critical_data(spec: MapSpec):
-    """Critical points with their images, for kinds with closed-form data.
-
-    For exp_baker the critical points are +-i and their images are
-    exp(+-2 i alpha); for sine_model the points pi/2 + k pi are represented
-    by the fundamental pair +-pi/2 with images +-2 alpha.
-    """
-    k = spec.kind
-    if k == EXP_BAKER:
-        (alpha,) = spec.params
-        out = []
-        for cp in (1j, -1j):
-            out.append((ComplexPoint.from_complex(cp),
-                        evaluate(spec, cp)))
-        return out
-    if k == SINE_MODEL:
-        (alpha,) = spec.params
-        return [
-            (ComplexPoint(math.pi / 2, 0.0), ComplexPoint(2.0 * alpha, 0.0)),
-            (ComplexPoint(-math.pi / 2, 0.0), ComplexPoint(-2.0 * alpha, 0.0)),
-        ]
-    if k == POWER:
-        (d,) = spec.params
-        if d < 2:
-            return []
-        return [
-            (ComplexPoint(0.0, 0.0), ComplexPoint(0.0, 0.0)),
-            (INFINITY, INFINITY),
-        ]
-    if k == FINITE_BLASCHKE:
-        zs, rot = spec.params
-        if len(zs) < 2:
-            return []
-        # Critical points are the finite roots of P'Q - PQ' where
-        # B = rot * P/Q, P = prod(z - a), Q = prod(1 - conj(a) z).
-        from numpy.polynomial import polynomial as npoly
-
-        P = np.array([1.0 + 0.0j])
-        Q = np.array([1.0 + 0.0j])
-        for a in zs:
-            P = npoly.polymul(P, np.array([-a, 1.0 + 0.0j]))
-            Q = npoly.polymul(Q, np.array([1.0 + 0.0j, -a.conjugate()]))
-        num = npoly.polysub(
-            npoly.polymul(npoly.polyder(P), Q),
-            npoly.polymul(P, npoly.polyder(Q)),
-        )
-        roots = npoly.polyroots(num)
-        out = []
-        for r in roots:
-            pt = ComplexPoint.from_complex(complex(r))
-            out.append((pt, evaluate(spec, pt)))
-        return out
-    if k == MCMULLEN:
-        m, l, c = spec.params
-        # f' = 0  <=>  z^(m+l) = l c / m, plus the projective points 0, inf.
-        n = m + l
-        base = (l * c / m) ** (1.0 / n)
-        out = [(ComplexPoint(0.0, 0.0), INFINITY), (INFINITY, INFINITY)]
-        for j in range(n):
-            cp = base * cmath.exp(2j * math.pi * j / n)
-            out.append((ComplexPoint.from_complex(cp), evaluate(spec, cp)))
-        return out
-    raise UnsupportedMap(f"critical_data is not available for kind {k!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -103,15 +103,16 @@ class GridSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GridSpec":
-        target = d.get("target")
-        return cls(
-            center=complex(d["center"][0], d["center"][1]),
-            width=float(d["width"]), height=float(d["height"]),
-            nx=int(d["nx"]), ny=int(d["ny"]), max_iter=int(d["max_iter"]),
-            tol=float(d.get("tol", DEFAULT_TOL)),
-            escape_radius=float(d.get("escape_radius", DEFAULT_ESCAPE_RADIUS)),
-            target=None if target is None else complex(target[0], target[1]),
-        )
+        with map_zoo.malformed_json("grid JSON"):
+            target = d.get("target")
+            return cls(
+                center=complex(d["center"][0], d["center"][1]),
+                width=float(d["width"]), height=float(d["height"]),
+                nx=int(d["nx"]), ny=int(d["ny"]), max_iter=int(d["max_iter"]),
+                tol=float(d.get("tol", DEFAULT_TOL)),
+                escape_radius=float(d.get("escape_radius", DEFAULT_ESCAPE_RADIUS)),
+                target=None if target is None else complex(target[0], target[1]),
+            )
 
     @classmethod
     def from_json(cls, text: str) -> "GridSpec":

@@ -75,9 +75,3 @@ def derive_seed(seed, salt):
     with np.errstate(over="ignore"):
         h = mix64(np.uint64(int(seed) & _MASK) + _GOLDEN * np.uint64(int(salt) & _MASK))
     return int(h)
-
-
-def uniform_angles(seed, n, step=0):
-    """n angles uniform on [0, 2*pi), one per stream index 0..n-1."""
-    u = uniform01(seed, np.arange(n, dtype=np.uint64), step)
-    return 2.0 * np.pi * u

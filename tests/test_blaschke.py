@@ -171,16 +171,16 @@ def test_boundary_modulus_machine_level():
 def test_circle_pushforward_uniformity_ks():
     # Lebesgue measure is invariant under the boundary map of an inner
     # function fixing 0; the image of a uniform sample stays uniform.
-    from fatoulab.circle_dynamics import ks_critical, ks_statistic
-    from fatoulab.rng import uniform_angles
+    from fatoulab.circle_dynamics import discrepancy, ks_critical
+    from fatoulab.rng import uniform01
 
     B = bl.BlaschkeProduct.from_alpha(0.4)
     n = 10_000
-    th = uniform_angles(909, n)
+    th = bl.TWO_PI * uniform01(909, np.arange(n, dtype=np.uint64), 0)
     gap = np.minimum(np.abs(th), np.abs(th - math.pi))
     gap = np.minimum(gap, np.abs(th - 2.0 * math.pi))
     th = np.where(gap <= 2e-3, th + 4e-3, th)
-    ks = ks_statistic(bl.circle_eval_many(B, th))
+    ks = discrepancy(bl.circle_eval_many(B, th))
     assert ks < ks_critical(n, 0.01)
 
 
@@ -269,3 +269,13 @@ def test_eval_keeps_the_shape_of_one_point():
     for shape in ((1,), (1, 1)):
         out = bl.eval_blaschke(B, np.full(shape, z))
         assert out.shape == shape and out.ravel()[0] == bl.eval_blaschke(B, z)
+
+
+def test_circle_eval_many_takes_a_0d_angle():
+    B = bl.BlaschkeProduct.from_alpha(0.4)
+    out = bl.circle_eval_many(B, 1.0)
+    assert np.ndim(out) == 0
+    assert float(out) == bl.circle_eval(B, 1.0)
+    assert float(bl.circle_eval_many(B, np.float64(1.0))) == float(out)
+    with pytest.raises(TooCloseToSingularity):
+        bl.circle_eval_many(B, 1e-5)

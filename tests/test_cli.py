@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -265,6 +266,15 @@ def test_validation_rejects_before_compute(tmp_path, capsys):
         ["circle-stats", "--map", '{"kind": "power", "d": 2}', "--n", "0",
          "--seed", "1", "--out-dir", str(tmp_path)], capsys)
     assert code == 1
+    code, _out, err = run(
+        ["harmonic", "--domain", "annulus", "--method", "wos", "--walks", "10",
+         "--bins", "0", "--seed", "1", "--out-dir", str(tmp_path)], capsys)
+    assert code == 1
+    code, _out, err = run(
+        ["harmonic", "--domain", "champagne", "--method", "wos",
+         "--bubbles", "[[0.4, 0.0, 0.1]]", "--base", "0.1,0.2,0.3",
+         "--walks", "10", "--seed", "1", "--out-dir", str(tmp_path)], capsys)
+    assert code == 1
 
 
 def test_render_bad_config_path(tmp_path, capsys):
@@ -334,6 +344,29 @@ def test_malformed_map_json_is_a_usage_error(tmp_path, capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, config", [
+    (["render", "--map", '{"kind": "exp_baker", "alpha": 0.4}'], {}),
+    (["render", "--map", '{"kind": "exp_baker", "alpha": 0.4}'],
+     {"center": [0], "width": 4.0, "height": 4.0, "nx": 8, "ny": 8, "max_iter": 8}),
+    (["render", "--map", '{"kind": "exp_baker", "alpha": 0.4}'], [4.0]),
+    (["harmonic", "--domain", "champagne", "--method", "wos", "--bubbles", "[[0.1]]",
+      "--walks", "10", "--seed", "1"], None),
+    (["harmonic", "--domain", "champagne", "--method", "wos", "--bubbles", "0.1",
+      "--walks", "10", "--seed", "1"], None),
+], ids=["config-empty", "config-short-center", "config-list", "bubble-short",
+        "bubbles-not-a-list"])
+def test_malformed_input_json_is_a_usage_error(tmp_path, capsys, argv, config):
+    # JSON input beside --map (a grid config, a bubble list) with a missing
+    # or ill-typed entry exits 1 with one error line
+    if config is not None:
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(config))
+        argv = argv + ["--config", str(path)]
+    code, _out, err = run(argv + ["--out-dir", str(tmp_path)], capsys)
+    assert code == 1
+    assert err.startswith("error: malformed ") and len(err.splitlines()) == 1
+
+
 def test_mobius_pole_on_the_circle_is_a_usage_error(tmp_path, capsys):
     # the pole of (z + 0) / (z - 1) sits on the circle-preservation probe 1.0
     code, _out, err = run(
@@ -353,3 +386,114 @@ def test_render_known_kind_it_cannot_draw_is_a_runtime_error(tmp_path, capsys):
          "--config", str(config), "--out-dir", str(tmp_path)], capsys)
     assert code == 2
     assert err.startswith("error: ")
+
+
+# Golden CLI runs: each case runs in an empty directory with --out-dir out,
+# and its digest is the first 16 hex digits of sha256 over the sha256 of the
+# exit code, of stdout and of every output file, manifest included, in name
+# order.  The digests were computed with numpy 2.4.6 on x86-64; numpy's SIMD
+# kernels may round differently on other builds (see the CI runtime step).
+GOLDEN_GRID = {"center": [0.0, 0.0], "width": 8.0, "height": 8.0,
+               "nx": 64, "ny": 64, "max_iter": 100}
+BUBBLES = "[[0.4, 0.0, 0.1], [-0.3, 0.25, 0.1]]"
+CIRCLE_MAPS = {
+    "power": '{"kind": "power", "d": 2}',
+    "rotation": '{"kind": "rotation", "theta": 0.7}',
+    "mobius": '{"kind": "mobius", "a": 1, "b": 0.3, "c": 0.3, "d": 1}',
+    "finite-blaschke": '{"kind": "finite_blaschke", "zeros": [[0, 0], [0.5, 0.2]]}',
+    "blaschke": '{"kind": "blaschke", "alpha": 0.4}',
+}
+GOLDEN_RUNS = {
+    "tau": (["tau", "--alpha", "0.4"], None),
+    "verify-semiconj": (["verify-semiconj", "--alpha", "0.25", "--samples", "3000",
+                         "--seed", "8"], None),
+    "blaschke-eval": (["blaschke-eval", "--alpha", "0.4", "--theta", "1.0"], None),
+    "blaschke-eval-excluded": (["blaschke-eval", "--alpha", "0.4", "--theta", "1e-5"],
+                               None),
+    "harmonic-wos-annulus": (["harmonic", "--domain", "annulus", "--method", "wos",
+                              "--R", "2.0", "--rho", "1.2", "--walks", "3000",
+                              "--bins", "16", "--seed", "7", "--min-bin-mass", "1e-4"],
+                             None),
+    "harmonic-wos-champagne": (["harmonic", "--domain", "champagne", "--method", "wos",
+                                "--bubbles", BUBBLES, "--base", "0.0,-0.2",
+                                "--walks", "2000", "--seed", "5",
+                                "--min-bin-mass", "1e-4"], None),
+    "harmonic-pushforward": (["harmonic", "--domain", "annulus", "--method",
+                              "pushforward", "--walks", "5000", "--bins", "16",
+                              "--seed", "3"], None),
+    "harmonic-cross-validate": (["harmonic", "--domain", "annulus", "--method",
+                                 "cross-validate", "--walks", "3000", "--seed", "3"],
+                                None),
+    "harmonic-closed-form": (["harmonic", "--domain", "annulus", "--method",
+                              "closed-form", "--R", "2.0",
+                              "--rho", "1.4142135623730951"], None),
+    "classify-radial-annulus": (["classify-radial", "--domain", "annulus",
+                                 "--xi", "1.5707963267948966"], None),
+    "classify-radial-disk": (["classify-radial", "--domain", "disk", "--xi", "0.3"],
+                             None),
+    "classify-radial-punctured": (["classify-radial", "--domain", "punctured",
+                                   "--xi", "0.3"], None),
+    **{f"circle-stats-{name}": (["circle-stats", "--map", text, "--n", "2000",
+                                 "--seed", "5", "--theta0", "0.9"], None)
+       for name, text in CIRCLE_MAPS.items()},
+    **{f"spread-{name}": (["spread", "--map", text, "--arc", "1.0,0.0061359",
+                           "--n-max", "12", "--grid", "2048"], None)
+       for name, text in CIRCLE_MAPS.items()},
+    "render-exp_baker": (["render", "--map", '{"kind": "exp_baker", "alpha": 0.4}',
+                          "--config", "grid.json", "--loop", "0,0,1.0"], GOLDEN_GRID),
+    "render-sine_model": (["render", "--map", '{"kind": "sine_model", "alpha": 0.4}',
+                           "--config", "grid.json"], GOLDEN_GRID),
+    "render-mcmullen": (["render", "--map",
+                         '{"kind": "mcmullen", "m": 2, "l": 2, "c": [1e-4, 0]}',
+                         "--config", "grid.json"], dict(GOLDEN_GRID, width=2.0,
+                                                        height=2.0)),
+}
+GOLDEN_DIGESTS = {
+    "tau": "af4cc32d9ca5d71c",
+    "verify-semiconj": "cb2aa1e7574e3ae1",
+    "blaschke-eval": "c605ad10dc82110f",
+    "blaschke-eval-excluded": "b3924f8c2aa82b4c",
+    "harmonic-wos-annulus": "86231cb9c28b473f",
+    "harmonic-wos-champagne": "5914bd0c3fca24b7",
+    "harmonic-pushforward": "11a7a425d4ba7523",
+    "harmonic-cross-validate": "61e56de5e1cf11eb",
+    "harmonic-closed-form": "e84860ce425b4779",
+    "classify-radial-annulus": "3609838e6628897a",
+    "classify-radial-disk": "42178554db54f799",
+    "classify-radial-punctured": "a8c006592c9273b5",
+    "circle-stats-power": "a6b89222d1f06675",
+    "circle-stats-rotation": "edbc8d1bbab12051",
+    "circle-stats-mobius": "f51ec12fcc267227",
+    "circle-stats-finite-blaschke": "a09bdfee31d6c0c9",
+    "circle-stats-blaschke": "5b2f3c6853b5797c",
+    "spread-power": "373ff406c957854a",
+    "spread-rotation": "9547e81d5566d98f",
+    "spread-mobius": "038ff8c389d001a5",
+    "spread-finite-blaschke": "b6240864c799924f",
+    "spread-blaschke": "b3924f8c2aa82b4c",
+    "render-exp_baker": "c3eaedb674da7e75",
+    "render-sine_model": "1a5d118cb8be4668",
+    "render-mcmullen": "715a597d593e0a00",
+}
+
+
+def _golden_digest(argv, grid, workdir, monkeypatch, capsys):
+    workdir.mkdir()
+    monkeypatch.chdir(workdir)
+    if grid is not None:
+        (workdir / "grid.json").write_text(json.dumps(grid))
+    code = cli.main(argv + ["--out-dir", "out"])
+    parts = [str(code).encode(), capsys.readouterr().out.encode()]
+    out = workdir / "out"
+    if out.exists():
+        parts += [p.read_bytes() for p in sorted(out.iterdir())]
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(hashlib.sha256(part).digest())
+    return h.hexdigest()[:16]
+
+
+def test_golden_cli_digests(tmp_path, monkeypatch, capsys):
+    got = {name: _golden_digest(argv, grid, tmp_path / name, monkeypatch, capsys)
+           for name, (argv, grid) in GOLDEN_RUNS.items()}
+    assert got == GOLDEN_DIGESTS

@@ -108,13 +108,6 @@ def test_punctured_disk_model():
     assert m.limit_set == (1.0 + 0.0j,)
 
 
-def test_rescaled_annulus():
-    m = cov.annulus_model_from_radii(0.5, 2.0)
-    assert abs(m.R - 2.0) < 1e-15
-    with pytest.raises(OutOfRange):
-        cov.annulus_model_from_radii(2.0, 0.5)
-
-
 # ---------------------------------------------------------------------------
 # Lifts
 
@@ -352,15 +345,6 @@ def test_deck_generator_is_parabolic_for_punctured_disk():
     p, der = fps[0]
     assert abs(p - 1.0) < 1e-9
     assert abs(der - 1.0) < 1e-9
-
-
-def test_model_json_round_trip():
-    import json as _json
-    m = cov.annulus_model(2.5)
-    back = cov.model_from_dict(_json.loads(m.to_json()))
-    assert back == m
-    for m in (cov.disk_model(), cov.punctured_disk_model()):
-        assert cov.model_from_dict(_json.loads(m.to_json())) == m
 
 
 def test_pushforward_validation():

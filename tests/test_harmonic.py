@@ -13,7 +13,7 @@ from fatoulab.errors import (
     OutOfRange,
     StallRateExceeded,
 )
-from fatoulab.histograms import shift_bins, tv_distance
+from fatoulab.histograms import ArcHistogram, tv_distance
 
 R_E = math.e
 
@@ -46,13 +46,6 @@ def test_wos_single_bubble_closed_form():
     p = math.log(rho / r) / math.log(1.0 / r)
     sigma = math.sqrt(p * (1.0 - p) / walks)
     assert abs(res.component_masses()[0] - p) < 4.0 * sigma
-
-
-def test_disk_minus_disk_equals_single_bubble():
-    a = hm.walk_on_spheres(hm.disk_minus_disk(0.2 + 0.1j, 0.25), 0.6j, 20_000, seed=5)
-    b = hm.walk_on_spheres(hm.champagne_disk([(0.2 + 0.1j, 0.25)]), 0.6j, 20_000, seed=5)
-    for ha, hb in zip(a.hits, b.hits):
-        assert np.array_equal(ha.counts, hb.counts)
 
 
 def test_wos_bookkeeping():
@@ -121,11 +114,12 @@ def test_rotation_equivariance():
     domain = hm.champagne_disk(PENTAGON)
     base = 0.1 + 0.0j
     res = hm.walk_on_spheres(domain, base, walks, seed=31337, n_bins=n_bins)
-    rot_domain = hm.rotated(domain, beta)
-    rot_base = base * complex(math.cos(beta), math.sin(beta))
-    res_rot = hm.walk_on_spheres(rot_domain, rot_base, walks, seed=2718,
+    rot = complex(math.cos(beta), math.sin(beta))
+    rot_domain = hm.champagne_disk([(rot * c, r) for c, r in PENTAGON])
+    res_rot = hm.walk_on_spheres(rot_domain, base * rot, walks, seed=2718,
                                  n_bins=n_bins)
-    shifted = [shift_bins(h, 3) for h in res.hits]
+    shifted = [ArcHistogram(h.component_id, np.roll(h.counts, 3), h.total_samples)
+               for h in res.hits]
     assert tv_distance(shifted, list(res_rot.hits)) < 10.0 / math.sqrt(walks)
 
 

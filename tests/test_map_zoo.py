@@ -1,18 +1,20 @@
 import cmath
+import json
 import math
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fatoulab import map_zoo as mz
+from fatoulab import renderer as rd
 from fatoulab.errors import (
     ExponentOverflow,
     NoSignChange,
     OutOfRange,
     SingularityHit,
-    UnsupportedMap,
 )
 
 ALPHAS = [0.1, 0.25, 0.4]
@@ -134,11 +136,18 @@ def test_power_derivative_trivial():
     assert mz.derivative(mz.power_map(2), 1.0).to_complex() == 2.0 + 0.0j
 
 
+# Orbits of the plane maps are classified one point at a time by the
+# renderer's per-pixel contract.
+
+
+def _classify_one(spec, z0, max_iter, escape_radius):
+    verdict, steps = rd.classify_points(spec, [z0], max_iter,
+                                        escape_radius=escape_radius)
+    return int(verdict[0]), int(steps[0])
+
+
 def test_orbit_constant_at_fixed_point():
-    f = mz.exp_baker(0.4)
-    orb = mz.orbit(f, 1.0, n_max=10, escape_radius=1e6, target=(1.0, 1e-9))
-    assert orb.terminal == mz.TERMINAL_CONVERGED
-    assert all(p.to_complex() == 1.0 for p in orb.points)
+    assert _classify_one(mz.exp_baker(0.4), 1.0, 10, 1e6) == (rd.ATTRACTED, 0)
 
 
 def test_orbit_circle_attracts_to_one():
@@ -150,101 +159,93 @@ def test_orbit_circle_attracts_to_one():
     assert abs(theta) < 1e-9  # oracle confirms attraction to angle 0
 
     f = mz.exp_baker(alpha)
-    orb = mz.orbit(f, cmath.exp(0.3j), n_max=200, escape_radius=1e6,
-                   target=(1.0, 1e-9))
-    assert orb.terminal == mz.TERMINAL_CONVERGED
-    assert abs(orb.points[-1].to_complex() - 1.0) <= 1e-9
+    assert _classify_one(f, cmath.exp(0.3j), 200, 1e6) == (rd.ATTRACTED, 57)
 
 
 def test_orbit_mcmullen_escapes():
     f = mz.mcmullen(2, 2, 1e-4)
-    orb = mz.orbit(f, 10.0, n_max=50, escape_radius=1e8)
-    assert orb.terminal == mz.TERMINAL_ESCAPED
-    assert orb.escape_end == mz.END_INFINITY
+    assert _classify_one(f, 10.0, 50, 1e8) == (rd.ESCAPED_INFINITY, 3)
 
 
 def test_orbit_exp_baker_escapes_to_zero_end():
-    f = mz.exp_baker(0.4)
-    orb = mz.orbit(f, -5.0, n_max=30, escape_radius=1e3)
-    assert orb.terminal == mz.TERMINAL_ESCAPED
-    assert orb.escape_end == mz.END_ZERO
+    assert _classify_one(mz.exp_baker(0.4), -5.0, 30, 1e3) == (rd.ESCAPED_ZERO, 4)
 
 
 def test_orbit_starts_on_singularity():
-    f = mz.exp_baker(0.4)
-    orb = mz.orbit(f, 0.0, n_max=5, escape_radius=1e6)
-    assert orb.terminal == mz.TERMINAL_HIT_SINGULARITY
-    assert len(orb.points) == 1
+    assert _classify_one(mz.exp_baker(0.4), 0.0, 5, 1e6) == (rd.SINGULAR, 0)
 
 
 def test_orbit_points_reproduce_successors():
+    # each successor from the scalar evaluator is one step closer to the
+    # verdict of the point it came from
     f = mz.exp_baker(0.35)
-    orb = mz.orbit(f, 0.5 + 0.2j, n_max=8, escape_radius=1e6)
-    for a, b in zip(orb.points, orb.points[1:]):
-        assert mz.evaluate(f, a).to_complex() == b.to_complex()
+    z = 0.5 + 0.2j
+    for k in range(6):
+        assert _classify_one(f, z, 200, 1e6) == (rd.ATTRACTED, 39 - k)
+        z = mz.evaluate(f, z).to_complex()
 
 
 def test_orbit_completed():
-    f = mz.rotation(0.5)
-    orb = mz.orbit(f, 1.0, n_max=7, escape_radius=10.0)
-    assert orb.terminal == mz.TERMINAL_COMPLETED
-    assert len(orb.points) == 8
+    # the budget runs out 50 steps before the orbit reaches the target
+    f = mz.exp_baker(0.4)
+    assert _classify_one(f, cmath.exp(0.3j), 7, 1e6) == (rd.UNDECIDED, 0)
 
 
-def test_critical_data_exp_baker():
+# Critical points with their closed-form values: f' vanishes there.
+
+
+def test_critical_points_exp_baker():
+    # the critical points are +-i, with values exp(+-2 i alpha)
     alpha = 0.4
     f = mz.exp_baker(alpha)
-    data = mz.critical_data(f)
-    points = sorted((p.to_complex() for p, _ in data), key=lambda z: z.imag)
-    assert abs(points[0] - (-1j)) < 1e-15
-    assert abs(points[1] - 1j) < 1e-15
-    for p, v in data:
-        assert abs(mz.derivative(f, p.to_complex()).to_complex()) < 1e-14
-        want = cmath.exp(2j * alpha) if p.im > 0 else cmath.exp(-2j * alpha)
-        assert abs(v.to_complex() - want) < 1e-14
+    for cp in (1j, -1j):
+        assert abs(mz.derivative(f, cp).to_complex()) < 1e-14
+        want = cmath.exp(2j * alpha * cp.imag)
+        assert abs(mz.evaluate(f, cp).to_complex() - want) < 1e-14
 
 
-def test_critical_data_sine_power():
-    data = mz.critical_data(mz.sine_model(0.3))
-    vals = sorted(v.to_complex().real for _, v in data)
-    assert vals == pytest.approx([-0.6, 0.6], abs=1e-15)
-    data = mz.critical_data(mz.power_map(2))
-    assert any(p.at_infinity for p, _ in data)
-    assert any(p.to_complex() == 0 for p, _ in data if not p.at_infinity)
-    assert mz.critical_data(mz.power_map(1)) == []
+def test_critical_points_sine_power():
+    # sine_model: pi/2 + k pi with values +-2 alpha; power: the origin
+    F = mz.sine_model(0.3)
+    for cp, want in ((math.pi / 2, 0.6), (-math.pi / 2, -0.6)):
+        assert abs(mz.derivative(F, cp).to_complex()) < 1e-15
+        assert mz.evaluate(F, cp).to_complex() == pytest.approx(want, abs=1e-15)
+    assert mz.derivative(mz.power_map(2), 0.0).to_complex() == 0
+    assert mz.derivative(mz.power_map(1), 0.0).to_complex() == 1
 
 
-def test_critical_data_mcmullen():
+def test_critical_points_mcmullen():
+    # f' = 0 at the four roots of z^4 = l c / m
     f = mz.mcmullen(2, 2, 0.01)
-    data = mz.critical_data(f)
-    finite = [(p, v) for p, v in data if not p.at_infinity and p.to_complex() != 0]
-    assert len(finite) == 4  # z^4 = l c / m
-    for p, _ in finite:
-        assert abs(mz.derivative(f, p.to_complex()).to_complex()) < 1e-12
+    base = (2 * 0.01 / 2) ** 0.25
+    for j in range(4):
+        cp = base * cmath.exp(0.5j * math.pi * j)
+        assert abs(mz.derivative(f, cp).to_complex()) < 1e-12
 
 
-def test_critical_data_finite_blaschke():
-    f = mz.finite_blaschke([0.4, -0.3 + 0.2j])
-    data = mz.critical_data(f)
-    assert data
-    for p, v in data:
-        assert abs(mz.derivative(f, p.to_complex()).to_complex()) < 1e-9
-        assert abs(mz.evaluate(f, p.to_complex()).to_complex() - v.to_complex()) < 1e-12
-
-
-def test_critical_data_keen_unsupported():
-    with pytest.raises(UnsupportedMap):
-        mz.critical_data(mz.keen(0.2, -1.0))
+def test_critical_points_finite_blaschke():
+    # the critical points are the finite roots of P'Q - PQ' for
+    # B = P/Q, P = prod(z - a), Q = prod(1 - conj(a) z)
+    zeros = [0.4, -0.3 + 0.2j]
+    f = mz.finite_blaschke(zeros)
+    P = Q = np.array([1.0 + 0.0j])
+    for a in zeros:
+        P = npoly.polymul(P, [-a, 1.0])
+        Q = npoly.polymul(Q, [1.0, -complex(a).conjugate()])
+    num = npoly.polysub(npoly.polymul(npoly.polyder(P), Q),
+                        npoly.polymul(P, npoly.polyder(Q)))
+    roots = npoly.polyroots(num)
+    assert roots.size
+    for cp in roots:
+        assert abs(mz.derivative(f, complex(cp)).to_complex()) < 1e-9
 
 
 def test_exponent_cap():
     f = mz.exp_baker(0.4)
-    with pytest.raises(ExponentOverflow) as exc:
+    with pytest.raises(ExponentOverflow, match="above cap"):
         mz.evaluate(f, 2000.0)
-    assert exc.value.sign == 1
-    with pytest.raises(ExponentOverflow) as exc:
+    with pytest.raises(ExponentOverflow, match="below cap"):
         mz.evaluate(f, -2000.0)
-    assert exc.value.sign == -1
 
 
 def test_singularity_hit():
@@ -313,13 +314,29 @@ ONE_OF_EACH_KIND = [
 ]
 
 
-@pytest.mark.parametrize("spec", ONE_OF_EACH_KIND)
+# The same specs as literal JSON, in the flat spelling.
+ONE_OF_EACH_KIND_JSON = [
+    '{"kind": "exp_baker", "alpha": 0.4}',
+    '{"kind": "sine_model", "alpha": 0.1}',
+    '{"kind": "power", "d": 5}',
+    '{"kind": "rotation", "theta": 2.2}',
+    '{"kind": "mobius", "a": 1, "b": [0.5, 0], "c": 0.5, "d": [1.0, 0.0]}',
+    '{"kind": "finite_blaschke", "zeros": [0.3, [-0.2, 0.4]],'
+    ' "rotation": [0.955336489125606, 0.29552020666133955]}',
+    '{"kind": "keen", "alpha": 0.2, "lambda": -1.0}',
+    '{"kind": "mcmullen", "m": 3, "l": 2, "c": [0.5, 0.1]}',
+]
+
+
+@pytest.mark.parametrize("spec", list(zip(ONE_OF_EACH_KIND, ONE_OF_EACH_KIND_JSON)))
 def test_json_round_trip(spec):
-    back = mz.spec_from_json(spec.to_json())
-    assert back == spec
-    # the flat spelling puts the parameters beside "kind"
-    obj = mz.spec_to_dict(spec)
-    assert mz.spec_from_dict(dict(obj["params"], kind=obj["kind"])) == spec
+    # literal JSON parses back to the spec, with the parameters beside
+    # "kind" (flat) or under "params" (nested)
+    want, text = spec
+    flat = json.loads(text)
+    nested = {"kind": flat.pop("kind"), "params": flat}
+    assert mz.spec_from_dict(json.loads(text)) == want
+    assert mz.spec_from_dict(nested) == want
 
 
 @pytest.mark.parametrize("spec", ONE_OF_EACH_KIND)
