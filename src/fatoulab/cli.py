@@ -86,7 +86,7 @@ def _finish(args, subcommand: str, seed, summary: dict, files: dict) -> int:
     for suffix, content in files.items():
         path = out / f"{prefix}-{suffix}"
         if isinstance(content, (bytes, bytearray)):
-            path.write_bytes(bytes(content))
+            path.write_bytes(content)
         else:
             _write_text(path, content)
         written.append(path.name)
@@ -303,11 +303,9 @@ def _cmd_render(args) -> int:
     spec = map_zoo.spec_from_dict(json.loads(args.map))
     grid_spec = renderer.GridSpec.from_json(Path(args.config).read_text())
     grid = renderer.classify_grid(spec, grid_spec, threads=max(1, args.threads or 1))
-    counts = {name: int((grid.verdict == code).sum())
-              for code, name in renderer.VERDICT_NAMES.items()}
     summary = {
         "map": json.loads(args.map), "grid": grid_spec.to_dict(),
-        "verdict_counts": counts,
+        "verdict_counts": renderer.verdict_counts(grid),
     }
     files = {"image.ppm": renderer.ppm_bytes(grid)}
     if args.loop:

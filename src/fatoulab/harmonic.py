@@ -84,17 +84,29 @@ class DomainOracle:
         return 2.0 * self.r_out if self.kind == ANNULUS else 2.0
 
     def distance(self, z):
-        """Distance to the boundary and id of the nearest component.
+        """Distance from each point of the complex array ``z`` to the
+        boundary; negative outside the domain."""
+        z = np.asarray(z, dtype=np.complex128)
+        if self.kind == ANNULUS:
+            r = np.abs(z)
+            return np.minimum(self.r_out - r, r - self.r_in)
+        d = 1.0 - np.abs(z)
+        for c, r in self.bubbles:
+            d_bub = np.abs(z - c)
+            d_bub -= r
+            np.minimum(d, d_bub, out=d)
+        return d
 
-        Vectorized; ``z`` is a complex array, returns (float array, int array).
+    def component(self, z):
+        """Id of the boundary component nearest to each point of ``z``.
+
+        Built from the same elementwise distances as ``distance``, so a walk
+        asks for the ids of its exiting points only.
         """
         z = np.asarray(z, dtype=np.complex128)
         if self.kind == ANNULUS:
             r = np.abs(z)
-            d_out = self.r_out - r
-            d_in = r - self.r_in
-            comp = np.where(d_out < d_in, 0, 1)
-            return np.minimum(d_out, d_in), comp
+            return np.where(self.r_out - r < r - self.r_in, 0, 1)
         # running minimum over the bubbles; strict < keeps the first
         # nearest component on ties, as argmin would
         d = 1.0 - np.abs(z)
@@ -105,7 +117,7 @@ class DomainOracle:
             closer = d_bub < d
             np.copyto(d, d_bub, where=closer)
             np.copyto(comp, cid, where=closer)
-        return d, comp
+        return comp
 
 
 def annulus(r_in: float, r_out: float) -> DomainOracle:
@@ -181,11 +193,12 @@ def _walk_chunk(domain, base, seed, first, end, epsilon_shell, step_cap,
     key = stream_keys(seed, np.arange(first, end, dtype=np.uint64))
     step = 0
     while z.size and step < step_cap:
-        d, comp = domain.distance(z)
+        d = domain.distance(z)
         done = d < epsilon_shell
         if done.any():
-            cids = comp[done]
-            ang = np.angle(z[done] - centers[cids]) % TWO_PI
+            exits = z[done]
+            cids = domain.component(exits)
+            ang = np.angle(exits - centers[cids]) % TWO_PI
             np.add.at(counts, (cids, bin_angles(ang, n_bins)), 1)
             live = ~done
             z, d, key = z[live], d[live], key[live]
@@ -217,8 +230,10 @@ def walk_on_spheres(domain: DomainOracle, base: complex, walks: int,
     if epsilon_shell is None:
         epsilon_shell = 1e-6 * domain.diameter
     base = complex(base)
-    d0, _ = domain.distance(np.asarray([base]))
-    if d0[0] <= epsilon_shell:
+    d0 = domain.distance(np.asarray([base]))[0]
+    if d0 < 0:
+        raise OutOfRange(f"base point {base} lies outside the domain")
+    if d0 <= epsilon_shell:
         raise BasePointOnBoundary(
             f"base point {base} is within the epsilon shell of the boundary"
         )

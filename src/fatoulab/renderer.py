@@ -79,16 +79,39 @@ class GridSpec:
     def pixel_size(self) -> tuple:
         return self.width / self.nx, self.height / self.ny
 
-    def points(self) -> np.ndarray:
-        """Pixel centers, row 0 at the top.  Offsets are half-integer
-        multiples of the pixel size, so a window centered on an axis is
-        exactly mirror-symmetric."""
+    def block_points(self, start: int, stop: int, scratch=None) -> np.ndarray:
+        """Centers of the pixels with flat row-major indices start..stop-1,
+        row 0 at the top: pixel j sits in column j % nx and row j // nx.
+        Offsets are half-integer multiples of the pixel size, so a window
+        centered on an axis is exactly mirror-symmetric.  Every pixel's
+        coordinates go through the same operations in the same order, so
+        a center does not depend on the block it is built in.
+
+        ``scratch`` (from ``_point_scratch``) holds the work arrays and the
+        result, so that block after block allocates nothing; the next call
+        overwrites the result.
+        """
+        n = stop - start
+        ramp, col, row, t, z = (a[:n] for a in scratch or _point_scratch(n))
         dx, dy = self.pixel_size()
-        tx = np.arange(self.nx) + 0.5 - self.nx / 2.0
-        ty = self.ny / 2.0 - 0.5 - np.arange(self.ny)
-        xs = self.center.real + tx * dx
-        ys = self.center.imag + ty * dy
-        return xs[None, :] + 1j * ys[:, None]
+        np.add(ramp, start, out=col)  # j
+        np.floor_divide(col, self.nx, out=row)
+        np.subtract(self.ny / 2.0 - 0.5, row, out=t)
+        t *= dy
+        t += self.center.imag
+        np.multiply(1j, t, out=z)
+        row *= self.nx
+        col -= row  # j - (j // nx) * nx, which is j % nx and cheaper
+        np.add(col, 0.5, out=t)
+        t -= self.nx / 2.0
+        t *= dx
+        t += self.center.real
+        z += t
+        return z
+
+    def points(self) -> np.ndarray:
+        """Pixel centers of the whole grid, shape (ny, nx); see block_points."""
+        return self.block_points(0, self.nx * self.ny).reshape(self.ny, self.nx)
 
     def to_dict(self) -> dict:
         d = {
@@ -138,6 +161,14 @@ _DEFAULT_TARGETS = {
 # blocks repeat the per-iteration Python overhead on long-lived tail pixels
 # (2**13 made the mcmullen render slower).
 BLOCK = 1 << 15
+
+
+def _point_scratch(n: int) -> tuple:
+    """Work arrays for ``GridSpec.block_points`` over blocks of up to n
+    pixels: a ramp 0..n-1, column and row indices, one real coordinate and
+    the complex result."""
+    return (np.arange(n), np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64),
+            np.empty(n), np.empty(n, dtype=np.complex128))
 
 
 def _retire(verdict, steps, hit, code, k, idx, *state):
@@ -259,21 +290,32 @@ def classify_points(spec: map_zoo.MapSpec, points, max_iter: int,
     each iteration pair; by default it is 1/points.  Passing a swapped pair
     (u0, z0) realizes the exact z <-> 1/z verdict symmetry.
 
-    Points are classified in contiguous blocks of ``BLOCK`` pixels, mapped
-    over a pool of ``threads`` workers when threads > 1.  Every operation is
+    Points are classified in contiguous blocks of ``BLOCK`` pixels, shared
+    out over ``threads`` workers when threads > 1.  Every operation is
     elementwise per pixel, so neither the blocks nor the thread count change
     a verdict or a step.
     """
     pts = np.asarray(points, dtype=np.complex128).ravel()
+    recips = (None if reciprocals is None
+              else np.asarray(reciprocals, dtype=np.complex128).ravel())
+    return _classify_blocks(spec, pts.size, lambda start, stop, _: pts[start:stop],
+                            max_iter, tol, escape_radius, target, recips, threads)
+
+
+def _classify_blocks(spec, n, points_of, max_iter, tol, escape_radius,
+                     target, recips, threads):
+    """Classify ``n`` pixels block by block.
+
+    ``points_of(start, stop, scratch)`` gives the start points of one
+    block.  ``scratch`` is the calling worker's own ``_point_scratch``, so
+    the points may live in it; the kernels only read them.
+    """
     if target == "default":
         target = _DEFAULT_TARGETS.get(spec.kind)
     if spec.kind == map_zoo.EXP_BAKER:
         (alpha,) = spec.params
-        recips = (None if reciprocals is None
-                  else np.asarray(reciprocals, dtype=np.complex128).ravel())
 
-        def kernel(block):
-            z0 = pts[block]
+        def kernel(z0, block):
             if recips is None:
                 with np.errstate(divide="ignore", invalid="ignore"):
                     u0 = np.where(z0 != 0, 1.0 / z0, np.inf)
@@ -284,73 +326,106 @@ def classify_points(spec: map_zoo.MapSpec, points, max_iter: int,
     elif spec.kind == map_zoo.SINE_MODEL:
         (alpha,) = spec.params
 
-        def kernel(block):
-            return _classify_sine(alpha, pts[block], max_iter, tol,
-                                  escape_radius, target)
+        def kernel(z0, block):
+            return _classify_sine(alpha, z0, max_iter, tol, escape_radius, target)
     elif spec.kind == map_zoo.MCMULLEN:
         m, l, c = spec.params
 
-        def kernel(block):
-            return _classify_mcmullen(m, l, c, pts[block], max_iter, tol,
+        def kernel(z0, block):
+            return _classify_mcmullen(m, l, c, z0, max_iter, tol,
                                       escape_radius, target)
     else:
         raise UnsupportedMap(f"classify supports exp_baker, sine_model, "
                              f"mcmullen; got {spec.kind!r}")
 
-    verdict = np.empty(pts.size, dtype=np.uint8)
-    steps = np.empty(pts.size, dtype=np.int32)
+    verdict = np.empty(n, dtype=np.uint8)
+    steps = np.empty(n, dtype=np.int32)
+    starts = range(0, n, BLOCK)
+    workers = max(1, min(threads, len(starts)))
 
-    def run(start):
-        block = slice(start, start + BLOCK)
-        verdict[block], steps[block] = kernel(block)
+    def work(first):
+        scratch = _point_scratch(min(BLOCK, n))
+        for start in starts[first::workers]:
+            block = slice(start, min(start + BLOCK, n))
+            z0 = points_of(block.start, block.stop, scratch)
+            verdict[block], steps[block] = kernel(z0, block)
 
-    starts = range(0, pts.size, BLOCK)
-    if threads <= 1:
-        for start in starts:
-            run(start)
+    if workers == 1:
+        work(0)
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, starts))
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(work, range(workers)))
     return verdict, steps
 
 
 def classify_grid(spec: map_zoo.MapSpec, grid: GridSpec,
                   threads: int = 1) -> ClassifiedGrid:
     """Classify every pixel of the grid; ``threads`` caps the workers and
-    does not change the result (see classify_points)."""
+    does not change the result (see classify_points).  Each worker builds
+    its blocks' pixel centers in its own scratch arrays, so memory is the
+    outputs plus a fixed amount per worker."""
     target = grid.target if grid.target is not None else "default"
-    verdict, steps = classify_points(spec, grid.points(), grid.max_iter,
-                                     grid.tol, grid.escape_radius, target,
-                                     threads=threads)
+    verdict, steps = _classify_blocks(spec, grid.nx * grid.ny, grid.block_points,
+                                      grid.max_iter, grid.tol, grid.escape_radius,
+                                      target, None, threads)
     shape = (grid.ny, grid.nx)
     return ClassifiedGrid(grid, verdict.reshape(shape), steps.reshape(shape))
+
+
+def verdict_counts(grid: ClassifiedGrid) -> dict:
+    """Pixels per verdict name.  One ``bincount`` per block: over the
+    whole grid, bincount's int64 copy of the verdicts would be the largest
+    array of a render."""
+    verdict = grid.verdict.ravel()
+    tally = np.zeros(len(VERDICT_NAMES), dtype=np.int64)
+    for start in range(0, verdict.size, BLOCK):
+        tally += np.bincount(verdict[start:start + BLOCK], minlength=tally.size)
+    return {name: int(tally[code]) for code, name in VERDICT_NAMES.items()}
 
 
 # ---------------------------------------------------------------------------
 # Image emission
 
 
-def render_rgb(grid: ClassifiedGrid) -> np.ndarray:
-    """uint8 RGB array: fixed palette per verdict, brightness decaying with
-    the step count."""
-    shade = 0.25 + 0.75 / (1.0 + grid.steps / 48.0)
-    rgb = np.zeros((grid.spec.ny, grid.spec.nx, 3), dtype=np.uint8)
-    for code, base in _PALETTE.items():
-        mask = grid.verdict == code
-        if not mask.any():
-            continue
-        if code in (UNDECIDED, SINGULAR):
-            rgb[mask] = base
-        else:
-            for ch in range(3):
-                rgb[..., ch][mask] = (base[ch] * shade[mask]).astype(np.uint8)
-    return rgb
+def render_rgb(grid: ClassifiedGrid, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """uint8 RGB array of shape (ny, nx, 3): fixed palette per verdict,
+    brightness decaying with the step count.
+
+    Painted block by block into ``out`` (C-contiguous) when given, so no
+    array but the image spans the whole grid.
+    """
+    if out is None:
+        out = np.zeros((grid.spec.ny, grid.spec.nx, 3), dtype=np.uint8)
+    verdict, steps, rgb = grid.verdict.ravel(), grid.steps.ravel(), out.reshape(-1, 3)
+    for start in range(0, verdict.size, BLOCK):
+        block = slice(start, start + BLOCK)
+        v, pixels = verdict[block], rgb[block]
+        shade = 0.25 + 0.75 / (1.0 + steps[block] / 48.0)
+        for code, base in _PALETTE.items():
+            mask = v == code
+            if not mask.any():
+                continue
+            if code in (UNDECIDED, SINGULAR):
+                pixels[mask] = base
+            else:
+                lit = shade[mask]
+                for ch in range(3):
+                    pixels[:, ch][mask] = (base[ch] * lit).astype(np.uint8)
+    return out
 
 
-def ppm_bytes(grid: ClassifiedGrid) -> bytes:
-    """Binary PPM (P6); byte-deterministic for a given classified grid."""
-    header = f"P6\n{grid.spec.nx} {grid.spec.ny}\n255\n".encode("ascii")
-    return header + render_rgb(grid).tobytes()
+def ppm_bytes(grid: ClassifiedGrid) -> bytearray:
+    """Binary PPM (P6); byte-deterministic for a given classified grid.
+
+    The pixels are painted straight into the one buffer that also holds the
+    header.
+    """
+    nx, ny = grid.spec.nx, grid.spec.ny
+    header = f"P6\n{nx} {ny}\n255\n".encode("ascii")
+    buf = bytearray(len(header) + 3 * nx * ny)
+    buf[:len(header)] = header
+    render_rgb(grid, np.frombuffer(buf, np.uint8, offset=len(header)).reshape(ny, nx, 3))
+    return buf
 
 
 def write_image(grid: ClassifiedGrid, path) -> None:
@@ -414,12 +489,22 @@ def loop_probe(grid: ClassifiedGrid, center: complex, radius: float) -> LoopCert
             f"{bad} of {n_samples} loop samples land on non-attracted pixels"
         )
 
-    pix = spec.points()
-    dist = np.abs(pix - center)
+    # count the non-basin pixels inside and outside block by block
     margin = math.hypot(dx, dy)
-    nonbasin = grid.verdict != ATTRACTED
-    inside = int((nonbasin & (dist < radius - margin)).sum())
-    outside = int((nonbasin & (dist > radius + margin)).sum())
+    verdict = grid.verdict.ravel()
+    n = verdict.size
+    scratch = _point_scratch(min(BLOCK, n))
+    inside = outside = 0
+    for start in range(0, n, BLOCK):
+        stop = min(start + BLOCK, n)
+        nonbasin = verdict[start:stop] != ATTRACTED
+        if not nonbasin.any():
+            continue
+        z = spec.block_points(start, stop, scratch)
+        z -= center
+        dist = np.abs(z)
+        inside += int((nonbasin & (dist < radius - margin)).sum())
+        outside += int((nonbasin & (dist > radius + margin)).sum())
     return LoopCertificate(center=center, radius=radius,
                            inside_nonbasin=inside, outside_nonbasin=outside,
                            verdict=inside > 0 and outside > 0)

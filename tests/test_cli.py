@@ -275,6 +275,16 @@ def test_validation_rejects_before_compute(tmp_path, capsys):
          "--bubbles", "[[0.4, 0.0, 0.1]]", "--base", "0.1,0.2,0.3",
          "--walks", "10", "--seed", "1", "--out-dir", str(tmp_path)], capsys)
     assert code == 1
+    # a base point outside the domain is invalid input, not a point on the
+    # boundary: at a bubble's center, and beyond the annulus (R = e)
+    for where in (["--domain", "champagne", "--bubbles", "[[0.4, 0.0, 0.1]]",
+                   "--base", "0.4,0"],
+                  ["--domain", "annulus", "--rho", "5"]):
+        code, _out, err = run(
+            ["harmonic", "--method", "wos", *where, "--walks", "10", "--seed", "1",
+             "--out-dir", str(tmp_path)], capsys)
+        assert code == 1, where
+        assert "outside the domain" in err, where
 
 
 def test_render_bad_config_path(tmp_path, capsys):

@@ -73,6 +73,12 @@ def test_wos_base_point_validation():
     domain = hm.annulus(0.5, 2.0)
     with pytest.raises(BasePointOnBoundary):
         hm.walk_on_spheres(domain, 2.0, 10, seed=1)
+    for outside in (2.5, 0.25, -3j):
+        with pytest.raises(OutOfRange, match="outside the domain"):
+            hm.walk_on_spheres(domain, outside, 10, seed=1)
+    bubble = hm.champagne_disk([(0.4 + 0.0j, 0.1)])
+    with pytest.raises(OutOfRange, match="outside the domain"):
+        hm.walk_on_spheres(bubble, 0.4, 10, seed=1)
     with pytest.raises(OutOfRange):
         hm.walk_on_spheres(domain, 1.0, 0, seed=1)
 
@@ -257,7 +263,7 @@ def test_champagne_distance_keeps_first_nearest_on_ties():
     rng = np.random.default_rng(3)
     z = np.concatenate([rng.uniform(-0.2, 0.45, 50) + 0.0j,
                         0.8 * np.exp(2j * math.pi * rng.random(500))])
-    d, comp = domain.distance(z)
+    d, comp = domain.distance(z), domain.component(z)
     table = np.stack([1.0 - np.abs(z)] + [np.abs(z - c) - r for c, r in domain.bubbles],
                      axis=1)
     assert np.array_equal(comp, np.argmin(table, axis=1))

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -138,25 +139,75 @@ def test_loop_probe_validation(baker_grid):
         rd.loop_probe(baker_grid, 0.0j, -1.0)
 
 
-# one grid per kernel, each with more than one verdict
+# one grid per kernel, each with more than one verdict, and a probe loop
 _KERNEL_GRIDS = [
-    (mz.exp_baker(0.4), _grid(0.2 + 0.1j, 6.0, 96, max_iter=120)),
-    (mz.sine_model(0.4), _grid(0.1 + 0.2j, 8.0, 96, max_iter=120)),
-    (mz.mcmullen(2, 2, 1e-4), _grid(0.05j, 4.0, 96, max_iter=120)),
+    (mz.exp_baker(0.4), _grid(0.2 + 0.1j, 6.0, 96, max_iter=120), (0.0j, 1.0)),
+    (mz.sine_model(0.4), _grid(0.1 + 0.2j, 8.0, 96, max_iter=120), (0.0j, 0.5)),
+    (mz.mcmullen(2, 2, 1e-4), _grid(0.05j, 4.0, 96, max_iter=120), (0.0j, 1.0)),
 ]
 
 
+def _probe(grid, loop):
+    """The loop certificate, or the refusal: mcmullen has no attracting
+    fixed point, so no loop lies in its basin."""
+    try:
+        return rd.loop_probe(grid, *loop).to_dict()
+    except LoopNotInBasin as exc:
+        return str(exc)
+
+
 def test_threads_do_not_change_results(monkeypatch):
-    for spec, grid in _KERNEL_GRIDS:
+    for spec, grid, loop in _KERNEL_GRIDS:
         assert grid.nx * grid.ny <= rd.BLOCK  # the reference is one block
         ref = rd.classify_grid(spec, grid)
         assert len(np.unique(ref.verdict)) > 1
+        ref_ppm, ref_probe = rd.ppm_bytes(ref), _probe(ref, loop)
+        ref_counts = {name: int((ref.verdict == code).sum())
+                      for code, name in rd.VERDICT_NAMES.items()}
         with monkeypatch.context() as m:
             m.setattr(rd, "BLOCK", 37)  # many blocks; 37 does not divide 96 * 96
             for threads in (1, 2, 3):
                 got = rd.classify_grid(spec, grid, threads=threads)
                 assert np.array_equal(got.verdict, ref.verdict), (spec.kind, threads)
                 assert np.array_equal(got.steps, ref.steps), (spec.kind, threads)
+                assert rd.ppm_bytes(got) == ref_ppm, (spec.kind, threads)
+                assert _probe(got, loop) == ref_probe, (spec.kind, threads)
+                assert rd.verdict_counts(got) == ref_counts, (spec.kind, threads)
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_render_memory_bounded_by_block(monkeypatch):
+    # beyond its outputs (verdict, steps and the PPM: 8 bytes a pixel plus
+    # the header), a render holds a fixed number of blocks, in the palette
+    # pass and the loop probe too; a small block keeps the test fast
+    block = 2_048
+    monkeypatch.setattr(rd, "BLOCK", block)
+    spec = mz.exp_baker(0.4)
+
+    def beyond_outputs(nx, ny):
+        grid = rd.GridSpec(0.0j, 8.0, 8.0, nx, ny, 80)
+
+        def render():
+            out = rd.classify_grid(spec, grid)
+            ppm = rd.ppm_bytes(out)
+            assert rd.loop_probe(out, 0.0j, 1.0).verdict
+            return ppm
+
+        header = len(f"P6\n{nx} {ny}\n255\n")
+        return _peak_bytes(render) - 8 * nx * ny - header
+
+    two = beyond_outputs(64, 64)
+    sixteen = beyond_outputs(128, 256)
+    assert 64 * 64 == 2 * block and 128 * 256 == 16 * block
+    assert sixteen <= 1.5 * two, (two, sixteen)
 
 
 # sha256 of the PPM bytes and of steps.tobytes(); any change to a kernel,
@@ -199,6 +250,23 @@ def test_undecided_is_first_class():
     spec = _grid(3.0 + 2.0j, 0.5, 8, max_iter=1)
     grid = rd.classify_grid(mz.exp_baker(0.4), spec)
     assert (grid.verdict == rd.UNDECIDED).sum() > 0
+
+
+def test_block_points_match_the_broadcast_formula():
+    # the whole grid at once, as the reference: half-integer offsets from
+    # the center, row 0 at the top
+    spec = rd.GridSpec(0.3 - 0.7j, 5.0, 2.5, 37, 23, 10)
+    dx, dy = spec.pixel_size()
+    xs = spec.center.real + (np.arange(spec.nx) + 0.5 - spec.nx / 2.0) * dx
+    ys = spec.center.imag + (spec.ny / 2.0 - 0.5 - np.arange(spec.ny)) * dy
+    ref = (xs[None, :] + 1j * ys[:, None]).ravel()
+    assert np.array_equal(spec.points().ravel(), ref)
+    scratch = rd._point_scratch(100)
+    # blocks of up to 100 pixels, most of them straddling rows
+    bounds = [0, 1, 36, 37, 100, 137, 200, 290, 389, 488, 587, 686, 785, 37 * 23]
+    for start, stop in zip(bounds, bounds[1:]):
+        got = spec.block_points(start, stop, scratch)
+        assert got.tobytes() == ref[start:stop].tobytes(), (start, stop)
 
 
 def test_grid_spec_json_round_trip():
