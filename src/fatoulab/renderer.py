@@ -6,6 +6,15 @@ on a singularity, or undecided within the iteration budget.  Undecided is a
 first-class verdict; near essential singularities it is the honest answer at
 finite resolution.
 
+One compaction loop, ``_escape_time``, runs every kind over blocks of
+pixels; a kind is an ``_Orbits`` description.  At step k its ``now`` tests
+retire pixels with step k.  Below max_iter its ``ahead`` tests, which read
+what the next step is built from, retire pixels with step k + 1, and its
+step writes step k + 1 into the state arrays in place.  The order of each
+list is part of the contract: mcmullen tests escape before attraction, the
+other kinds attraction first.  Live pixels are compacted only when a test
+fires, and only the arrays read after that test are.
+
 For the punctured-plane map exp(alpha*(z - 1/z)) the iteration carries the
 pair (z, 1/z) and tests escape on the exponent's real part.  Under the
 symmetry f(1/z) = 1/f(z) the paired exponent sequence negates exactly in
@@ -16,11 +25,12 @@ under conjugation for the same reason (all arithmetic commutes with conj).
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -69,12 +79,14 @@ class GridSpec:
     target: Optional[complex] = None  # default chosen per map kind
 
     def __post_init__(self):
-        if self.nx < 1 or self.ny < 1:
-            raise OutOfRange("grid needs nx, ny >= 1")
-        if self.width <= 0 or self.height <= 0:
-            raise OutOfRange("grid needs positive width and height")
-        if self.max_iter < 1:
-            raise OutOfRange("grid needs max_iter >= 1")
+        if self.nx < 1 or self.ny < 1 or self.max_iter < 1:
+            raise OutOfRange("grid needs nx, ny and max_iter >= 1")
+        if not (cmath.isfinite(self.center) and 0 < self.width < math.inf
+                and 0 < self.height < math.inf):
+            raise OutOfRange("grid needs a finite center, width and height > 0")
+        if not (0 < self.tol < math.inf and 1 < self.escape_radius < math.inf):
+            raise OutOfRange(f"grid needs finite tol > 0 and escape_radius > 1, "
+                             f"got {self.tol}, {self.escape_radius}")
 
     def pixel_size(self) -> tuple:
         return self.width / self.nx, self.height / self.ny
@@ -149,13 +161,6 @@ class ClassifiedGrid:
     steps: np.ndarray  # int32, shape (ny, nx)
 
 
-_DEFAULT_TARGETS = {
-    map_zoo.EXP_BAKER: 1.0 + 0.0j,
-    map_zoo.SINE_MODEL: 0.0 + 0.0j,
-    map_zoo.MCMULLEN: None,
-}
-
-
 # Pixels per kernel call: a complex state array of 2**15 values is 512 KiB,
 # so a block's few state arrays fit a 2 MiB per-core L2 cache.  Smaller
 # blocks repeat the per-iteration Python overhead on long-lived tail pixels
@@ -171,173 +176,164 @@ def _point_scratch(n: int) -> tuple:
             np.empty(n), np.empty(n, dtype=np.complex128))
 
 
-def _retire(verdict, steps, hit, code, k, idx, *state):
-    """Record verdict ``code`` and step ``k`` for the pixels where ``hit``;
-    return the compacted ``(idx, *state)`` of the others (always copies)."""
-    done = idx[hit]
-    verdict[done] = code
-    steps[done] = k
-    keep = ~hit
-    return (idx[keep],) + tuple(a[keep] for a in state)
+@dataclass(frozen=True)
+class _Orbits:
+    """One kind's escape-time kernel over one block (see the module
+    docstring).  ``start()`` gives the per-pixel state and scratch arrays
+    and the pixels retired as singular at step 0, so that the loop holds
+    no start array it has compacted; a test is ``(mask_of(*arrays),
+    verdict)``; ``advance`` computes what the ``ahead`` tests read; a
+    retire compacts the arrays with indices in ``now_reads`` or
+    ``ahead_reads`` and cuts the others, dead until the step, to size."""
+
+    start: Callable
+    now: list
+    step: Callable
+    ahead: list = ()
+    advance: Optional[Callable] = None
+    now_reads: tuple = (0,)
+    ahead_reads: tuple = (0,)
 
 
-def _classify_exp_baker(alpha, z, u, max_iter, tol, escape_radius, target):
-    """Pair iteration for exp(alpha*(z - 1/z)); u tracks 1/z.
+def _escape_time(orbits: _Orbits, max_iter: int) -> tuple:
+    """Verdicts and steps of one block: the one compaction loop."""
+    arrays, singular = orbits.start()
+    n = singular.size
+    verdict, steps, idx = np.zeros(n, np.uint8), np.zeros(n, np.int32), np.arange(n)
 
-    State is compacted to the live pixels ``(idx, z, u)``, and compacted
-    again only on iterations where a verdict test fires.  Each step is
-    written into the state arrays in place: allocating fresh block-sized
-    arrays every iteration costs more in page faults than all the
-    arithmetic besides ``exp``.
-    """
-    n = z.size
-    verdict = np.zeros(n, dtype=np.uint8)
-    steps = np.zeros(n, dtype=np.int32)
-    log_r = math.log(escape_radius)
-    bad = (z == 0) | (u == 0) | ~np.isfinite(z) | ~np.isfinite(u)
-    # copies, so the in-place steps never write to the caller's points
-    idx, z, u = _retire(verdict, steps, bad, SINGULAR, 0, np.arange(n), z, u)
-    w = np.empty_like(z)
+    def retire(hit, code, k, reads):
+        nonlocal idx, arrays
+        done = idx[hit]
+        verdict[done] = code
+        steps[done] = k
+        keep = ~hit
+        idx = idx[keep]
+        arrays = tuple(a[keep] if i in reads else a[:idx.size]
+                       for i, a in enumerate(arrays))
+
+    # boolean indexing copies, so no step writes to the caller's points
+    retire(singular, SINGULAR, 0, orbits.now_reads)
     for k in range(max_iter + 1):
-        if not idx.size:
-            break
-        if target is not None:
-            conv = np.abs(z - target) < tol
-            if conv.any():
-                idx, z, u = _retire(verdict, steps, conv, ATTRACTED, k, idx, z, u)
-                if not idx.size:
-                    break
-        if k == max_iter:
-            break
-        w = w[:idx.size]
-        np.multiply(alpha, z, out=w)
-        w -= alpha * u
-        re = w.real
-        esc_inf = re > log_r
-        esc = esc_inf | (re < -log_r)
-        if esc.any():
-            code = np.where(esc_inf, ESCAPED_INFINITY, ESCAPED_ZERO)[esc]
-            idx, w = _retire(verdict, steps, esc, code, k + 1, idx, w)
-            z, u = z[:idx.size], u[:idx.size]
-        np.exp(w, out=z)
-        np.exp(np.negative(w, out=w), out=u)
-    return verdict, steps
-
-
-def _classify_sine(alpha, z, max_iter, tol, escape_radius, target):
-    n = z.size
-    verdict = np.zeros(n, dtype=np.uint8)
-    steps = np.zeros(n, dtype=np.int32)
-    idx = np.arange(n)
-    bad = ~np.isfinite(z)
-    if bad.any():
-        idx, z = _retire(verdict, steps, bad, SINGULAR, 0, idx, z)
-    for k in range(max_iter + 1):
-        if not idx.size:
-            break
-        if target is not None:
-            conv = np.abs(z - target) < tol
-            if conv.any():
-                idx, z = _retire(verdict, steps, conv, ATTRACTED, k, idx, z)
-                if not idx.size:
-                    break
-        esc = (np.abs(z) > escape_radius) | (np.abs(z.imag) > map_zoo.EXP_CAP)
-        if esc.any():
-            idx, z = _retire(verdict, steps, esc, ESCAPED_INFINITY, k, idx, z)
+        for test, code in orbits.now:
+            hit = test(*arrays)
+            if hit.any():
+                retire(hit, code, k, orbits.now_reads)
         if k == max_iter or not idx.size:
             break
-        z = 2.0 * alpha * np.sin(z)
+        if orbits.advance is not None:
+            orbits.advance(*arrays)
+        for test, code in orbits.ahead:
+            hit = test(*arrays)
+            if hit.any():
+                retire(hit, code, k + 1, orbits.ahead_reads)
+        orbits.step(*arrays)
     return verdict, steps
 
 
-def _classify_mcmullen(m, l, c, z, max_iter, tol, escape_radius, target):
-    n = z.size
-    verdict = np.zeros(n, dtype=np.uint8)
-    steps = np.zeros(n, dtype=np.int32)
-    idx = np.arange(n)
-    for k in range(max_iter + 1):
-        if not idx.size:
-            break
-        esc = (np.abs(z) > escape_radius) | ~np.isfinite(z)
-        if esc.any():
-            idx, z = _retire(verdict, steps, esc, ESCAPED_INFINITY, k, idx, z)
-            if not idx.size:
-                break
-        if target is not None:
-            conv = np.abs(z - target) < tol
-            if conv.any():
-                idx, z = _retire(verdict, steps, conv, ATTRACTED, k, idx, z)
-                if not idx.size:
-                    break
-        if k == max_iter:
-            break
-        pole = z == 0
-        if pole.any():  # the pole maps straight to infinity
-            idx, z = _retire(verdict, steps, pole, ESCAPED_INFINITY, k + 1, idx, z)
+def _attraction(target, default, tol) -> list:
+    """The attraction test on z = arrays[0], or none without a target;
+    ``"default"`` picks the kind's own."""
+    target = default if target == "default" else target
+    return [] if target is None else [(lambda z, *_: np.abs(z - target) < tol, ATTRACTED)]
+
+
+def _exp_baker(alpha, z, u, tol, escape_radius, target) -> _Orbits:
+    """Pair iteration for exp(alpha*(z - 1/z)); u tracks 1/z.  The escape
+    tests read the next exponent w = alpha*z - alpha*u, so only w is
+    compacted with them, and the step rewrites z and u from w."""
+    log_r = math.log(escape_radius)
+
+    def start(u=u):
+        if u is None:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                u = np.where(z != 0, 1.0 / z, np.inf)
+        return ((z, u, np.empty_like(z)),
+                (z == 0) | (u == 0) | ~np.isfinite(z) | ~np.isfinite(u))
+
+    def advance(z, u, w):
+        np.multiply(alpha, z, out=w)
+        w -= np.multiply(alpha, u, out=u)  # u is dead until the step
+
+    def step(z, u, w):
+        np.exp(w, out=z)
+        np.exp(np.negative(w, out=w), out=u)
+
+    return _Orbits(
+        start=start, now=_attraction(target, 1.0 + 0.0j, tol), step=step, advance=advance,
+        ahead=[(lambda z, u, w: w.real > log_r, ESCAPED_INFINITY),
+               (lambda z, u, w: w.real < -log_r, ESCAPED_ZERO)],
+        now_reads=(0, 1), ahead_reads=(2,))
+
+
+def _sine(alpha, z, _u, tol, escape_radius, target) -> _Orbits:
+    """2*alpha*sin(z); ``np.sin`` and a real scale are bit-safe in place."""
+    def escaped(z):
+        return (np.abs(z) > escape_radius) | (np.abs(z.imag) > map_zoo.EXP_CAP)
+
+    def step(z):
+        np.sin(z, out=z)
+        z *= 2.0 * alpha
+
+    return _Orbits(start=lambda: ((z,), ~np.isfinite(z)), step=step,
+                   now=_attraction(target, 0.0j, tol) + [(escaped, ESCAPED_INFINITY)])
+
+
+def _mcmullen(m, l, c, z, _u, tol, escape_radius, target) -> _Orbits:
+    """z**m + c / z**l, testing escape before attraction; the pole maps to
+    infinity.  ``z ** 2`` is ``np.square``, and each ufunc writes apart from
+    its input: aliased, np.square rounds a one-element array differently."""
+    power_m, power_l = (np.square if e == 2 else
+                        (lambda z, out, e=e: np.power(z, e, out=out)) for e in (m, l))
+
+    def step(z, a, b):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            z = z ** m + c / z ** l
-    return verdict, steps
+            power_l(z, out=a)
+            np.divide(c, a, out=b)
+            power_m(z, out=a)
+            np.add(a, b, out=z)
+
+    return _Orbits(
+        start=lambda: ((z, np.empty_like(z), np.empty_like(z)), np.zeros(z.shape, bool)),
+        step=step,
+        now=[(lambda z, *_: (np.abs(z) > escape_radius) | ~np.isfinite(z),
+              ESCAPED_INFINITY)] + _attraction(target, None, tol),
+        ahead=[(lambda z, *_: z == 0, ESCAPED_INFINITY)])
+
+
+_KINDS = {map_zoo.EXP_BAKER: _exp_baker, map_zoo.SINE_MODEL: _sine,
+          map_zoo.MCMULLEN: _mcmullen}
 
 
 def classify_points(spec: map_zoo.MapSpec, points, max_iter: int,
                     tol: float = DEFAULT_TOL,
                     escape_radius: float = DEFAULT_ESCAPE_RADIUS,
-                    target: Optional[complex] = "default",
-                    reciprocals=None, threads: int = 1):
+                    target: Optional[complex] = "default", reciprocals=None):
     """Classify arbitrary start points under the grid orbit contract.
 
     For exp_baker, ``reciprocals`` optionally supplies the second member of
     each iteration pair; by default it is 1/points.  Passing a swapped pair
     (u0, z0) realizes the exact z <-> 1/z verdict symmetry.
 
-    Points are classified in contiguous blocks of ``BLOCK`` pixels, shared
-    out over ``threads`` workers when threads > 1.  Every operation is
-    elementwise per pixel, so neither the blocks nor the thread count change
-    a verdict or a step.
+    Every operation is elementwise per pixel, so a point's verdict and step
+    do not depend on the points classified with it.
     """
     pts = np.asarray(points, dtype=np.complex128).ravel()
     recips = (None if reciprocals is None
               else np.asarray(reciprocals, dtype=np.complex128).ravel())
     return _classify_blocks(spec, pts.size, lambda start, stop, _: pts[start:stop],
-                            max_iter, tol, escape_radius, target, recips, threads)
+                            max_iter, tol, escape_radius, target, recips, 1)
 
 
 def _classify_blocks(spec, n, points_of, max_iter, tol, escape_radius,
                      target, recips, threads):
-    """Classify ``n`` pixels block by block.
-
-    ``points_of(start, stop, scratch)`` gives the start points of one
-    block.  ``scratch`` is the calling worker's own ``_point_scratch``, so
-    the points may live in it; the kernels only read them.
-    """
-    if target == "default":
-        target = _DEFAULT_TARGETS.get(spec.kind)
-    if spec.kind == map_zoo.EXP_BAKER:
-        (alpha,) = spec.params
-
-        def kernel(z0, block):
-            if recips is None:
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    u0 = np.where(z0 != 0, 1.0 / z0, np.inf)
-            else:
-                u0 = recips[block]
-            return _classify_exp_baker(alpha, z0, u0, max_iter, tol,
-                                       escape_radius, target)
-    elif spec.kind == map_zoo.SINE_MODEL:
-        (alpha,) = spec.params
-
-        def kernel(z0, block):
-            return _classify_sine(alpha, z0, max_iter, tol, escape_radius, target)
-    elif spec.kind == map_zoo.MCMULLEN:
-        m, l, c = spec.params
-
-        def kernel(z0, block):
-            return _classify_mcmullen(m, l, c, z0, max_iter, tol,
-                                      escape_radius, target)
-    else:
+    """Classify ``n`` pixels in contiguous blocks of ``BLOCK``, shared out
+    over up to ``threads`` workers.  ``points_of(start, stop, scratch)``
+    gives a block's start points, possibly in the worker's own
+    ``_point_scratch``; the loop copies them before its first step."""
+    orbits = _KINDS.get(spec.kind)
+    if orbits is None:
         raise UnsupportedMap(f"classify supports exp_baker, sine_model, "
                              f"mcmullen; got {spec.kind!r}")
-
     verdict = np.empty(n, dtype=np.uint8)
     steps = np.empty(n, dtype=np.int32)
     starts = range(0, n, BLOCK)
@@ -348,7 +344,9 @@ def _classify_blocks(spec, n, points_of, max_iter, tol, escape_radius,
         for start in starts[first::workers]:
             block = slice(start, min(start + BLOCK, n))
             z0 = points_of(block.start, block.stop, scratch)
-            verdict[block], steps[block] = kernel(z0, block)
+            u0 = None if recips is None else recips[block]
+            verdict[block], steps[block] = _escape_time(
+                orbits(*spec.params, z0, u0, tol, escape_radius, target), max_iter)
 
     if workers == 1:
         work(0)
@@ -387,15 +385,11 @@ def verdict_counts(grid: ClassifiedGrid) -> dict:
 # Image emission
 
 
-def render_rgb(grid: ClassifiedGrid, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """uint8 RGB array of shape (ny, nx, 3): fixed palette per verdict,
-    brightness decaying with the step count.
-
-    Painted block by block into ``out`` (C-contiguous) when given, so no
-    array but the image spans the whole grid.
+def render_rgb(grid: ClassifiedGrid, out: np.ndarray) -> np.ndarray:
+    """Paint ``out``, a C-contiguous uint8 RGB array of shape (ny, nx, 3),
+    block by block: fixed palette per verdict, brightness decaying with the
+    step count.  No array but the image spans the whole grid.
     """
-    if out is None:
-        out = np.zeros((grid.spec.ny, grid.spec.nx, 3), dtype=np.uint8)
     verdict, steps, rgb = grid.verdict.ravel(), grid.steps.ravel(), out.reshape(-1, 3)
     for start in range(0, verdict.size, BLOCK):
         block = slice(start, start + BLOCK)
@@ -464,30 +458,35 @@ def loop_probe(grid: ClassifiedGrid, center: complex, radius: float) -> LoopCert
     """Probe the circle (center, radius) against the classified grid.
 
     Every pixel the circle passes through must carry the attracted verdict,
-    otherwise LoopNotInBasin is raised.
+    otherwise LoopNotInBasin is raised.  A loop with a non-finite center or
+    radius, or whose bounding box leaves the grid by more than a pixel, is
+    refused with OutOfRange before it is rasterized: its samples would
+    leave the grid too, and their number grows with the radius.
     """
-    if radius <= 0:
-        raise OutOfRange(f"loop radius must be > 0, got {radius}")
+    center = complex(center)
+    if not (cmath.isfinite(center) and 0 < radius < math.inf):
+        raise OutOfRange(f"loop needs a finite center and a finite radius > 0, "
+                         f"got {center}, {radius}")
     spec = grid.spec
     dx, dy = spec.pixel_size()
-    center = complex(center)
+    x0 = spec.center.real - spec.width / 2.0
+    y0 = spec.center.imag + spec.height / 2.0
+    if (abs(center.real - spec.center.real) + radius > spec.width / 2.0 + dx
+            or abs(center.imag - spec.center.imag) + radius > spec.height / 2.0 + dy):
+        raise OutOfRange("probe loop leaves the classified grid")
 
     # rasterize the loop with sub-pixel sampling
     n_samples = max(1024, int(8.0 * (2.0 * math.pi * radius) / min(dx, dy)))
     t = np.linspace(0.0, 2.0 * math.pi, n_samples, endpoint=False)
     pts = center + radius * np.exp(1j * t)
-    x0 = spec.center.real - spec.width / 2.0
-    y0 = spec.center.imag + spec.height / 2.0
     ix = np.floor((pts.real - x0) / dx).astype(np.int64)
     iy = np.floor((y0 - pts.imag) / dy).astype(np.int64)
     if (ix < 0).any() or (ix >= spec.nx).any() or (iy < 0).any() or (iy >= spec.ny).any():
         raise OutOfRange("probe loop leaves the classified grid")
-    loop_verdicts = grid.verdict[iy, ix]
-    if (loop_verdicts != ATTRACTED).any():
-        bad = int((loop_verdicts != ATTRACTED).sum())
-        raise LoopNotInBasin(
-            f"{bad} of {n_samples} loop samples land on non-attracted pixels"
-        )
+    bad = int((grid.verdict[iy, ix] != ATTRACTED).sum())
+    if bad:
+        raise LoopNotInBasin(f"{bad} of {n_samples} loop samples land on "
+                             "non-attracted pixels")
 
     # count the non-basin pixels inside and outside block by block
     margin = math.hypot(dx, dy)

@@ -253,6 +253,30 @@ def test_render_with_loop(tmp_path, capsys):
     assert "fig-image.ppm" in man1["outputs"]
 
 
+def test_render_rejects_bad_loops_and_grids(tmp_path, capsys):
+    # each is an argument error (exit 1) with a one-line message: a loop
+    # with a non-finite center or radius, or far outside the grid (refused
+    # before its samples are drawn), and a grid with a non-finite extent,
+    # tol or escape radius
+    grid = {"center": [0.0, 0.0], "width": 8.0, "height": 8.0,
+            "nx": 21, "ny": 21, "max_iter": 20}
+    baker = '{"kind": "exp_baker", "alpha": 0.4}'
+    sine = '{"kind": "sine_model", "alpha": 0.4}'
+    cases = [(baker, grid, loop) for loop in ("0,0,inf", "nan,0,1", "0,inf,1", "0,0,1e6")]
+    cases += [(baker, {**grid, "width": math.nan}, None),
+              (baker, {**grid, "center": [math.inf, 0.0]}, None),
+              (baker, {**grid, "tol": 0.0}, None),
+              (sine, {**grid, "escape_radius": -5.0}, None),
+              (baker, {**grid, "escape_radius": 0.0}, None)]
+    for kind, config, loop in cases:
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(config))
+        argv = ["render", "--map", kind, "--config", str(path), "--out-dir", str(tmp_path)]
+        code, _out, err = run(argv + (["--loop", loop] if loop else []), capsys)
+        assert code == 1, (config, loop)
+        assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+
+
 def test_validation_rejects_before_compute(tmp_path, capsys):
     code, _out, err = run(
         ["harmonic", "--domain", "annulus", "--method", "wos", "--R", "-1",

@@ -137,6 +137,13 @@ def test_loop_probe_validation(baker_grid):
         rd.loop_probe(baker_grid, 0.0j, 100.0)
     with pytest.raises(OutOfRange):
         rd.loop_probe(baker_grid, 0.0j, -1.0)
+    # refused before rasterizing: at radius 1e12 the samples alone would
+    # not fit in memory
+    for center, radius in [(0.0j, math.inf), (0.0j, math.nan), (0.0j, 1e12),
+                           (complex(math.nan, 0.0), 1.0), (complex(0.0, math.inf), 1.0),
+                           (3.9 + 0.0j, 0.5), (-3.0j, 1.5)]:
+        with pytest.raises(OutOfRange):
+            rd.loop_probe(baker_grid, center, radius)
 
 
 # one grid per kernel, each with more than one verdict, and a probe loop
@@ -173,6 +180,26 @@ def test_threads_do_not_change_results(monkeypatch):
                 assert rd.ppm_bytes(got) == ref_ppm, (spec.kind, threads)
                 assert _probe(got, loop) == ref_probe, (spec.kind, threads)
                 assert rd.verdict_counts(got) == ref_counts, (spec.kind, threads)
+
+
+# one grid per kernel, small enough to classify pixel by pixel
+_ALONE_GRIDS = [
+    (mz.exp_baker(0.4), _grid(0.2 + 0.1j, 6.0, 31, max_iter=60)),
+    (mz.sine_model(0.4), _grid(0.1 + 0.2j, 8.0, 31, max_iter=60)),
+    (mz.mcmullen(2, 2, 1e-4), _grid(0.05j, 4.0, 31, max_iter=60)),
+]
+
+
+@pytest.mark.parametrize("spec, grid", _ALONE_GRIDS, ids=[g[0].kind for g in _ALONE_GRIDS])
+def test_pixel_alone_matches_the_grid(spec, grid):
+    # numpy rounds some ufuncs differently on a one-element array (an
+    # aliased np.square(z, out=z), for one), so a step that is not
+    # elementwise-exact shows here as a pixel that differs when alone
+    ref = rd.classify_grid(spec, grid)
+    assert len(np.unique(ref.verdict)) > 1
+    for j, z0 in enumerate(grid.points().ravel()):
+        v, s = rd.classify_points(spec, [z0], grid.max_iter)
+        assert (v[0], s[0]) == (ref.verdict.flat[j], ref.steps.flat[j]), (j, z0)
 
 
 def _peak_bytes(fn):
@@ -246,6 +273,13 @@ def test_mcmullen_classification():
     assert grid.verdict[mid, mid] == rd.ESCAPED_INFINITY
 
 
+def test_overflowing_step_escapes_quietly():
+    # z**2 overflows on the first step from 1e200; the pixel escapes at step
+    # 1, and no RuntimeWarning leaks (the test settings make one an error)
+    v, s = rd.classify_points(mz.mcmullen(2, 2, 1e-4), [1e200], 10, escape_radius=1e300)
+    assert (v[0], s[0]) == (rd.ESCAPED_INFINITY, 1)
+
+
 def test_undecided_is_first_class():
     spec = _grid(3.0 + 2.0j, 0.5, 8, max_iter=1)
     grid = rd.classify_grid(mz.exp_baker(0.4), spec)
@@ -280,3 +314,15 @@ def test_grid_spec_validation():
         rd.GridSpec(0.0j, 1.0, 1.0, 0, 4, 10)
     with pytest.raises(OutOfRange):
         rd.GridSpec(0.0j, -1.0, 1.0, 4, 4, 10)
+    with pytest.raises(OutOfRange):
+        rd.GridSpec(0.0j, 1.0, 1.0, 4, 4, 0)
+    nan, inf = math.nan, math.inf
+    bad = [dict(center=complex(nan, 0.0)), dict(center=complex(0.0, inf)),
+           dict(width=nan), dict(width=inf), dict(height=nan), dict(height=inf),
+           dict(tol=0.0), dict(tol=-1e-6), dict(tol=nan), dict(tol=inf),
+           dict(escape_radius=1.0), dict(escape_radius=0.0),
+           dict(escape_radius=-5.0), dict(escape_radius=nan), dict(escape_radius=inf)]
+    for kw in bad:
+        args = dict(center=0.0j, width=1.0, height=1.0, nx=4, ny=4, max_iter=10)
+        with pytest.raises(OutOfRange):
+            rd.GridSpec(**{**args, **kw})
