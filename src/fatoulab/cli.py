@@ -300,9 +300,11 @@ def _cmd_spread(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    if args.threads is not None and args.threads < 1:
+        raise OutOfRange(f"--threads must be >= 1, got {args.threads}")
     spec = map_zoo.spec_from_dict(json.loads(args.map))
     grid_spec = renderer.GridSpec.from_json(Path(args.config).read_text())
-    grid = renderer.classify_grid(spec, grid_spec, threads=max(1, args.threads or 1))
+    grid = renderer.classify_grid(spec, grid_spec, threads=args.threads or 1)
     summary = {
         "map": json.loads(args.map), "grid": grid_spec.to_dict(),
         "verdict_counts": renderer.verdict_counts(grid),

@@ -19,8 +19,14 @@ For the punctured-plane map exp(alpha*(z - 1/z)) the iteration carries the
 pair (z, 1/z) and tests escape on the exponent's real part.  Under the
 symmetry f(1/z) = 1/f(z) the paired exponent sequence negates exactly in
 floating point, so swapping a pair start (z0, u0) -> (u0, z0) provably swaps
-the zero/infinity escape verdicts bit-for-bit.  Pixel rows mirror exactly
-under conjugation for the same reason (all arithmetic commutes with conj).
+the zero/infinity escape verdicts bit-for-bit.
+
+Every kind's arithmetic (complex add and fused multiply-add, Smith
+division, ``exp``, ``sin``, ``square``, ``abs``) commutes with conjugation,
+so a map with real parameters and a real target gives conj(z0) the verdict
+and step of z0.  A grid centered on the real axis has its rows at exact
+negatives of each other, so ``classify_grid`` classifies only the rows on
+and above the axis and mirrors them into the rows below.
 """
 
 from __future__ import annotations
@@ -64,6 +70,16 @@ _PALETTE = {
 }
 
 
+def _check_orbit_contract(max_iter, tol, escape_radius) -> None:
+    """Refuse an iteration budget below 1, a tol that is not finite and > 0
+    and an escape radius that is not finite and > 1."""
+    if not max_iter >= 1:
+        raise OutOfRange(f"orbits need max_iter >= 1, got {max_iter}")
+    if not (0 < tol < math.inf and 1 < escape_radius < math.inf):
+        raise OutOfRange(f"orbits need finite tol > 0 and escape_radius > 1, "
+                         f"got {tol}, {escape_radius}")
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Pixel grid over a rectangle of the plane, with orbit parameters."""
@@ -79,14 +95,12 @@ class GridSpec:
     target: Optional[complex] = None  # default chosen per map kind
 
     def __post_init__(self):
-        if self.nx < 1 or self.ny < 1 or self.max_iter < 1:
-            raise OutOfRange("grid needs nx, ny and max_iter >= 1")
+        if self.nx < 1 or self.ny < 1:
+            raise OutOfRange("grid needs nx, ny >= 1")
         if not (cmath.isfinite(self.center) and 0 < self.width < math.inf
                 and 0 < self.height < math.inf):
             raise OutOfRange("grid needs a finite center, width and height > 0")
-        if not (0 < self.tol < math.inf and 1 < self.escape_radius < math.inf):
-            raise OutOfRange(f"grid needs finite tol > 0 and escape_radius > 1, "
-                             f"got {self.tol}, {self.escape_radius}")
+        _check_orbit_contract(self.max_iter, self.tol, self.escape_radius)
 
     def pixel_size(self) -> tuple:
         return self.width / self.nx, self.height / self.ny
@@ -315,27 +329,31 @@ def classify_points(spec: map_zoo.MapSpec, points, max_iter: int,
     (u0, z0) realizes the exact z <-> 1/z verdict symmetry.
 
     Every operation is elementwise per pixel, so a point's verdict and step
-    do not depend on the points classified with it.
+    do not depend on the points classified with it.  Every point is
+    iterated: nothing is mirrored.
     """
+    _check_orbit_contract(max_iter, tol, escape_radius)
     pts = np.asarray(points, dtype=np.complex128).ravel()
     recips = (None if reciprocals is None
               else np.asarray(reciprocals, dtype=np.complex128).ravel())
-    return _classify_blocks(spec, pts.size, lambda start, stop, _: pts[start:stop],
-                            max_iter, tol, escape_radius, target, recips, 1)
+    verdict, steps = np.empty(pts.size, np.uint8), np.empty(pts.size, np.int32)
+    _classify_blocks(spec, verdict, steps, lambda start, stop, _: pts[start:stop],
+                     max_iter, tol, escape_radius, target, recips, 1)
+    return verdict, steps
 
 
-def _classify_blocks(spec, n, points_of, max_iter, tol, escape_radius,
+def _classify_blocks(spec, verdict, steps, points_of, max_iter, tol, escape_radius,
                      target, recips, threads):
-    """Classify ``n`` pixels in contiguous blocks of ``BLOCK``, shared out
-    over up to ``threads`` workers.  ``points_of(start, stop, scratch)``
-    gives a block's start points, possibly in the worker's own
-    ``_point_scratch``; the loop copies them before its first step."""
+    """Classify pixels 0..n-1 into the 1-D arrays ``verdict`` and ``steps``
+    of size n, in contiguous blocks of ``BLOCK`` shared out over up to
+    ``threads`` workers.  ``points_of(start, stop, scratch)`` gives a
+    block's start points, possibly in the worker's own ``_point_scratch``;
+    the loop copies them before its first step."""
     orbits = _KINDS.get(spec.kind)
     if orbits is None:
         raise UnsupportedMap(f"classify supports exp_baker, sine_model, "
                              f"mcmullen; got {spec.kind!r}")
-    verdict = np.empty(n, dtype=np.uint8)
-    steps = np.empty(n, dtype=np.int32)
+    n = verdict.size
     starts = range(0, n, BLOCK)
     workers = max(1, min(threads, len(starts)))
 
@@ -353,7 +371,6 @@ def _classify_blocks(spec, n, points_of, max_iter, tol, escape_radius,
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(work, range(workers)))
-    return verdict, steps
 
 
 def classify_grid(spec: map_zoo.MapSpec, grid: GridSpec,
@@ -361,13 +378,27 @@ def classify_grid(spec: map_zoo.MapSpec, grid: GridSpec,
     """Classify every pixel of the grid; ``threads`` caps the workers and
     does not change the result (see classify_points).  Each worker builds
     its blocks' pixel centers in its own scratch arrays, so memory is the
-    outputs plus a fixed amount per worker."""
+    outputs plus a fixed amount per worker.
+
+    When the grid's center is on the real axis, every map parameter is real
+    and the target is the kind's default or real, the rows below the axis
+    are the conjugates of the rows above it and get their verdicts and
+    steps bit for bit (see the module docstring): only the top
+    ``ny - ny // 2`` rows, the middle row of an odd grid included, are
+    classified, and the rest are their mirror image.
+    """
     target = grid.target if grid.target is not None else "default"
-    verdict, steps = _classify_blocks(spec, grid.nx * grid.ny, grid.block_points,
-                                      grid.max_iter, grid.tol, grid.escape_radius,
-                                      target, None, threads)
-    shape = (grid.ny, grid.nx)
-    return ClassifiedGrid(grid, verdict.reshape(shape), steps.reshape(shape))
+    verdict = np.empty((grid.ny, grid.nx), dtype=np.uint8)
+    steps = np.empty((grid.ny, grid.nx), dtype=np.int32)
+    # a kind without a kernel goes on to _classify_blocks' UnsupportedMap
+    mirrored = (spec.kind in _KINDS and grid.center.imag == 0
+                and all(complex(v).imag == 0 for v in spec.params + (grid.target or 0,)))
+    top = grid.ny - grid.ny // 2 if mirrored else grid.ny
+    _classify_blocks(spec, verdict[:top].ravel(), steps[:top].ravel(), grid.block_points,
+                     grid.max_iter, grid.tol, grid.escape_radius, target, None, threads)
+    verdict[top:] = verdict[:grid.ny - top][::-1]
+    steps[top:] = steps[:grid.ny - top][::-1]
+    return ClassifiedGrid(grid, verdict, steps)
 
 
 def verdict_counts(grid: ClassifiedGrid) -> dict:

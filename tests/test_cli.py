@@ -277,6 +277,22 @@ def test_render_rejects_bad_loops_and_grids(tmp_path, capsys):
         assert err.startswith("error: ") and len(err.splitlines()) == 1, err
 
 
+def test_render_threads_below_one_is_a_usage_error(tmp_path, capsys):
+    config = tmp_path / "grid.json"
+    config.write_text(json.dumps({"center": [0.0, 0.0], "width": 8.0, "height": 8.0,
+                                  "nx": 11, "ny": 11, "max_iter": 20}))
+    argv = ["render", "--map", '{"kind": "exp_baker", "alpha": 0.4}',
+            "--config", str(config), "--out-dir", str(tmp_path)]
+    for threads in ("0", "-3"):
+        code, _out, err = run(argv + ["--threads", threads], capsys)
+        assert code == 1, threads
+        assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+    assert not list(tmp_path.glob("render-*"))
+    # unset, --threads keeps its default of one thread
+    code, _out, _err = run(argv, capsys)
+    assert code == 0
+
+
 def test_validation_rejects_before_compute(tmp_path, capsys):
     code, _out, err = run(
         ["harmonic", "--domain", "annulus", "--method", "wos", "--R", "-1",

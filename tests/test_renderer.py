@@ -75,10 +75,17 @@ def baker_grid():
 
 
 def test_conjugation_symmetry_exact(baker_grid):
-    v = baker_grid.verdict
-    s = baker_grid.steps
+    # classify_grid mirrors the lower rows of this axis-centered grid, so
+    # they are held against the same pixels iterated by classify_points,
+    # which never mirrors
+    g, v, s = baker_grid.spec, baker_grid.verdict, baker_grid.steps
     assert np.array_equal(v, v[::-1, :])
     assert np.array_equal(s, s[::-1, :])
+    lower = (g.ny - g.ny // 2) * g.nx
+    v_alone, s_alone = rd.classify_points(mz.exp_baker(0.4),
+                                          g.block_points(lower, g.ny * g.nx), g.max_iter)
+    assert np.array_equal(v_alone, v.ravel()[lower:])
+    assert np.array_equal(s_alone, s.ravel()[lower:])
 
 
 def _assert_reciprocal_swap(grid):
@@ -151,6 +158,8 @@ _KERNEL_GRIDS = [
     (mz.exp_baker(0.4), _grid(0.2 + 0.1j, 6.0, 96, max_iter=120), (0.0j, 1.0)),
     (mz.sine_model(0.4), _grid(0.1 + 0.2j, 8.0, 96, max_iter=120), (0.0j, 0.5)),
     (mz.mcmullen(2, 2, 1e-4), _grid(0.05j, 4.0, 96, max_iter=120), (0.0j, 1.0)),
+    # centered on the real axis, so only the top 41 rows are classified
+    (mz.exp_baker(0.4), rd.GridSpec(0.0j, 6.0, 5.0, 96, 81, 120), (0.0j, 1.0)),
 ]
 
 
@@ -182,24 +191,54 @@ def test_threads_do_not_change_results(monkeypatch):
                 assert rd.verdict_counts(got) == ref_counts, (spec.kind, threads)
 
 
-# one grid per kernel, small enough to classify pixel by pixel
-_ALONE_GRIDS = [
-    (mz.exp_baker(0.4), _grid(0.2 + 0.1j, 6.0, 31, max_iter=60)),
-    (mz.sine_model(0.4), _grid(0.1 + 0.2j, 8.0, 31, max_iter=60)),
-    (mz.mcmullen(2, 2, 1e-4), _grid(0.05j, 4.0, 31, max_iter=60)),
+# axis-centered grids that classify_grid must not mirror: a non-real
+# parameter or target breaks the conjugation symmetry
+_UNMIRRORED_AXIS_GRIDS = [
+    pytest.param(mz.mcmullen(2, 2, 1e-4 + 1e-4j), _grid(0.0j, 4.0, 25, max_iter=60),
+                 id="mcmullen-complex-c"),
+    pytest.param(mz.exp_baker(0.4),
+                 _grid(0.0j, 6.0, 25, max_iter=60, tol=0.05, target=1.0 + 0.03j),
+                 id="exp_baker-complex-target"),
 ]
 
+# one grid per kernel, small enough to classify pixel by pixel; the first
+# three are off the axis, the axis-centered ones are mirrored, with odd
+# and even ny, and the last are not
+_ALONE_GRIDS = [
+    pytest.param(mz.exp_baker(0.4), _grid(0.2 + 0.1j, 6.0, 31, max_iter=60), id="exp_baker"),
+    pytest.param(mz.sine_model(0.4), _grid(0.1 + 0.2j, 8.0, 31, max_iter=60), id="sine_model"),
+    pytest.param(mz.mcmullen(2, 2, 1e-4), _grid(0.05j, 4.0, 31, max_iter=60), id="mcmullen"),
+] + [
+    pytest.param(spec, rd.GridSpec(0.0j, extent, extent, 24, ny, 60),
+                 id=f"{spec.kind}-axis-{'odd' if ny % 2 else 'even'}")
+    for spec, extent in [(mz.exp_baker(0.4), 6.0), (mz.sine_model(0.4), 8.0),
+                         (mz.mcmullen(2, 2, 1e-4), 4.0)]
+    for ny in (23, 24)
+] + _UNMIRRORED_AXIS_GRIDS
 
-@pytest.mark.parametrize("spec, grid", _ALONE_GRIDS, ids=[g[0].kind for g in _ALONE_GRIDS])
+
+@pytest.mark.parametrize("spec, grid", _ALONE_GRIDS)
 def test_pixel_alone_matches_the_grid(spec, grid):
     # numpy rounds some ufuncs differently on a one-element array (an
     # aliased np.square(z, out=z), for one), so a step that is not
-    # elementwise-exact shows here as a pixel that differs when alone
+    # elementwise-exact shows here as a pixel that differs when alone; a
+    # mirrored row that differs from its pixels iterated alone shows too
     ref = rd.classify_grid(spec, grid)
     assert len(np.unique(ref.verdict)) > 1
+    target = "default" if grid.target is None else grid.target
     for j, z0 in enumerate(grid.points().ravel()):
-        v, s = rd.classify_points(spec, [z0], grid.max_iter)
+        v, s = rd.classify_points(spec, [z0], grid.max_iter, tol=grid.tol,
+                                  escape_radius=grid.escape_radius, target=target)
         assert (v[0], s[0]) == (ref.verdict.flat[j], ref.steps.flat[j]), (j, z0)
+
+
+@pytest.mark.parametrize("spec, grid", _UNMIRRORED_AXIS_GRIDS)
+def test_asymmetric_axis_grids_are_not_mirrored(spec, grid):
+    # these grids are not row-symmetric, so a mirror would fail the
+    # pixel-alone test on them
+    ref = rd.classify_grid(spec, grid)
+    assert not (np.array_equal(ref.verdict, ref.verdict[::-1])
+                and np.array_equal(ref.steps, ref.steps[::-1]))
 
 
 def _peak_bytes(fn):
@@ -326,3 +365,17 @@ def test_grid_spec_validation():
         args = dict(center=0.0j, width=1.0, height=1.0, nx=4, ny=4, max_iter=10)
         with pytest.raises(OutOfRange):
             rd.GridSpec(**{**args, **kw})
+
+
+def test_classify_points_validation():
+    # the orbit contract of GridSpec holds for arbitrary start points too:
+    # unchecked, escape_radius 0 dies in math.log, and tol nan or max_iter
+    # -3 report every point undecided
+    nan, inf = math.nan, math.inf
+    bad = [dict(escape_radius=0.0), dict(escape_radius=-5.0), dict(escape_radius=1.0),
+           dict(escape_radius=nan), dict(escape_radius=inf), dict(tol=nan), dict(tol=-1.0),
+           dict(tol=0.0), dict(tol=inf), dict(max_iter=-3), dict(max_iter=0)]
+    for spec in (mz.exp_baker(0.4), mz.sine_model(0.4), mz.mcmullen(2, 2, 1e-4)):
+        for kw in bad:
+            with pytest.raises(OutOfRange):
+                rd.classify_points(spec, [1.0 + 0.0j], **{"max_iter": 10, **kw})
