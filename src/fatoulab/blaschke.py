@@ -35,10 +35,6 @@ from .errors import FatouLabError, NoSignChange, OutOfRange, TooCloseToSingulari
 
 TWO_PI = 2.0 * math.pi
 
-# Hard ceiling on product terms; far beyond anything the default exclusion
-# radius can demand.
-N_CAP = 10_000
-
 DEFAULT_EXCLUSION = 1e-3
 DEFAULT_TARGET_ERR = 1e-9
 
@@ -122,49 +118,36 @@ def _saturation_horizon(s: float) -> int:
 
 @dataclass(frozen=True)
 class BlaschkeProduct:
-    """Zero data of the product, with enough terms cached for routine use.
+    """Zero data of the product.
 
-    ``zeros`` holds a_n = tanh(n s / 2) for n = 1..truncation_N; evaluation
-    may compute further zeros on the fly without mutating the instance.
-    ``tail_bound_constant`` is C with sum_{n>N} (1 - a_n^2) <= C * tau^-N.
+    ``zeros`` holds a_n = tanh(n s / 2) for n = 1..horizon, where the
+    saturation horizon is the last n with a_n < 1 in double precision: the
+    factors past it are exactly 1, so no evaluation uses more terms.
     """
 
     alpha: float
     tau: float
     s: float
-    truncation_N: int
-    tail_bound_constant: float
     zeros: np.ndarray
 
     @classmethod
     def from_tau(cls, ts: TauSolution) -> "BlaschkeProduct":
-        n = min(max(ts.product_terms_used, 64), N_CAP, _saturation_horizon(ts.s))
-        zeros = np.tanh(np.arange(1, n + 1) * (ts.s / 2.0))
-        return cls(alpha=ts.alpha, tau=ts.tau, s=ts.s, truncation_N=n,
-                   tail_bound_constant=4.0 / (ts.tau - 1.0), zeros=zeros)
+        zeros = np.tanh(np.arange(1, _saturation_horizon(ts.s) + 1) * (ts.s / 2.0))
+        return cls(alpha=ts.alpha, tau=ts.tau, s=ts.s, zeros=zeros)
 
     @classmethod
     def from_alpha(cls, alpha: float, tol: float = 1e-12) -> "BlaschkeProduct":
         return cls.from_tau(solve_tau(alpha, tol=tol))
 
-    @cached_property
+    @property
     def horizon(self) -> int:
         """The saturation horizon: no evaluation uses more terms."""
-        return _saturation_horizon(self.s)
+        return self.zeros.size
 
     @cached_property
     def zeros_squared(self) -> np.ndarray:
         """a_n^2 for n = 1..horizon, the factor coefficients of evaluation."""
-        a = self.zeros_upto(self.horizon)
-        return a * a
-
-    def zeros_upto(self, n: int) -> np.ndarray:
-        """First min(n, saturation horizon) zeros; saturated terms would be
-        exactly 1 in double precision and are never produced."""
-        n = min(n, self.horizon)
-        if n <= self.truncation_N:
-            return self.zeros[:n]
-        return np.tanh(np.arange(1, n + 1) * (self.s / 2.0))
+        return self.zeros * self.zeros
 
 
 def _chordal_gap(z):
@@ -176,13 +159,6 @@ def _chordal_gap(z):
 def _excluded(exclusion: float) -> TooCloseToSingularity:
     return TooCloseToSingularity(
         f"evaluation within {exclusion:.3g} of a singularity at +-1",
-        min_usable_radius=exclusion,
-    )
-
-
-def _past_cap(target_err: float, exclusion: float) -> TooCloseToSingularity:
-    return TooCloseToSingularity(
-        f"term cap {N_CAP} cannot certify target_err={target_err:.3g} here",
         min_usable_radius=exclusion,
     )
 
@@ -206,7 +182,7 @@ def required_terms(B: BlaschkeProduct, z, target_err: float = DEFAULT_TARGET_ERR
 
     Scalar z gives an int; an array gives an int array.  Raises
     TooCloseToSingularity if z violates the exclusion radius around +-1 or if
-    the certified count would exceed the term cap.
+    the factors up to the saturation horizon cannot certify target_err.
     """
     if not target_err > 0:
         raise OutOfRange(f"target_err must be > 0, got {target_err}")
@@ -228,8 +204,6 @@ def required_terms(B: BlaschkeProduct, z, target_err: float = DEFAULT_TARGET_ERR
         np.log(16.0 * u / (w * (1.0 - 1.0 / B.tau) * target_err)) / log_tau
     )
     n = np.maximum(np.maximum(n0, geom), 1.0)
-    if np.any(n > N_CAP):
-        raise _past_cap(target_err, exclusion)
     # past the saturation horizon the remaining factors are exactly 1 in
     # double precision; check the bound still certifies the target there
     clipped = n > B.horizon
@@ -243,11 +217,7 @@ def required_terms(B: BlaschkeProduct, z, target_err: float = DEFAULT_TARGET_ERR
 
 def _required_terms_one(B: BlaschkeProduct, z: complex, target_err: float,
                         exclusion: float) -> int:
-    """required_terms at one point: the same formula and refusals in math.
-
-    ceil is monotone and N_CAP an integer, so testing the cap before
-    rounding up refuses the same points.
-    """
+    """required_terms at one point: the same formula and refusals in math."""
     if min(abs(z - 1.0), abs(z + 1.0)) <= exclusion:
         raise _excluded(exclusion)
     zz = z * z
@@ -256,8 +226,6 @@ def _required_terms_one(B: BlaschkeProduct, z: complex, target_err: float,
     bound = max(math.log(8.0 / w) / B.s,
                 math.log(16.0 * u / (w * (1.0 - 1.0 / B.tau) * target_err)) / B.s,
                 1.0)
-    if bound > N_CAP:
-        raise _past_cap(target_err, exclusion)
     n = math.ceil(bound)
     if n > B.horizon:
         if _tail_at_horizon(B, u, w) > target_err:
@@ -311,14 +279,12 @@ def _eval_one(B: BlaschkeProduct, z1: np.ndarray, target_err: float,
 
 
 def derivative_at_zero(B: BlaschkeProduct) -> float:
-    """B'(0) = prod a_n^2, accumulated in log space with a certified tail.
+    """B'(0) = prod a_n^2 over every zero, accumulated in log space.
 
-    Equals 2*alpha up to the tau-solve residual plus the product tail, both
-    far below 1e-10.
+    Equals 2*alpha up to the tau-solve residual, far below 1e-10: the
+    factors past the saturation horizon are exactly 1.
     """
-    n = int(math.ceil(math.log(B.tail_bound_constant / 1e-14) / B.s)) + 1
-    a = B.zeros_upto(max(n, B.truncation_N))
-    return float(math.exp(2.0 * np.log(a).sum()))
+    return float(math.exp(2.0 * np.log(B.zeros).sum()))
 
 
 def circle_eval(B: BlaschkeProduct, theta: float,

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__, blaschke, circle_dynamics, covering, harmonic, map_zoo, renderer
 from .errors import FatouLabError, OutOfRange, SingularityApproach
-from .histograms import ArcHistogram, accumulate, to_csv_text
+from .histograms import ArcHistogram, bin_angles, count_arcs, to_csv_text
 from .rng import CHUNK, uniform01
 
 EXIT_OK = 0
@@ -60,12 +60,12 @@ def _out_dir(args) -> Path:
     return d
 
 
-def _manifest(args, subcommand: str, seed, outputs, extra=None) -> dict:
+def _manifest(args, subcommand: str, seed, outputs) -> dict:
     arguments = {
         k: v for k, v in sorted(vars(args).items())
         if k not in ("func",) and v is not None
     }
-    man = {
+    return {
         "tool": "fatoulab",
         "version": __version__,
         "subcommand": subcommand,
@@ -73,9 +73,6 @@ def _manifest(args, subcommand: str, seed, outputs, extra=None) -> dict:
         "seed": seed,
         "outputs": sorted(outputs),
     }
-    if extra:
-        man.update(extra)
-    return man
 
 
 def _finish(args, subcommand: str, seed, summary: dict, files: dict) -> int:
@@ -184,14 +181,14 @@ def _cmd_harmonic(args) -> int:
         if args.domain != "annulus":
             raise OutOfRange("the pushforward estimator applies to the annulus only")
         model = covering.annulus_model(args.R)
-        hists = covering.pushforward_measure(model, args.walks, args.bins, seed)
+        hist = covering.pushforward_measure(model, args.walks, args.bins, seed)
         summary = {
             "domain": "annulus", "R": args.R, "method": "pushforward",
             "samples": args.walks, "seed": seed, "bins": args.bins,
-            "component_masses": [h.mass() for h in hists],
+            "component_masses": hist.component_masses(),
         }
         return _finish(args, "harmonic", seed, summary,
-                       {"histogram.csv": to_csv_text(hists)})
+                       {"histogram.csv": to_csv_text(hist)})
 
     if args.method == "cross-validate":
         if args.domain != "annulus":
@@ -217,7 +214,7 @@ def _cmd_harmonic(args) -> int:
         summary["support_test"] = harmonic.support_test(
             result, args.min_bin_mass).to_dict()
     return _finish(args, "harmonic", seed, summary,
-                   {"histogram.csv": to_csv_text(list(result.hits))})
+                   {"histogram.csv": to_csv_text(result.hist)})
 
 
 def _cmd_classify_radial(args) -> int:
@@ -276,9 +273,8 @@ def _cmd_circle_stats(args) -> int:
         summary["invariance_ks"] = ks
         summary["ks_critical_1pct"] = circle_dynamics.ks_critical(args.n)
         # one-step pushforward of the orbit as an arc histogram
-        hist = ArcHistogram(0, np.zeros(64, dtype=np.int64), orbit.size)
-        accumulate(hist, orbit)
-        files["pushforward.csv"] = to_csv_text([hist])
+        hist = ArcHistogram(count_arcs(0, bin_angles(orbit, 64), (1, 64)), orbit.size)
+        files["pushforward.csv"] = to_csv_text(hist)
     return _finish(args, "circle-stats", seed, summary, files)
 
 
@@ -430,10 +426,7 @@ def main(argv=None) -> int:
     except (OutOfRange, _UsageError, json.JSONDecodeError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
-    except FatouLabError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_RUNTIME
-    except OSError as exc:
+    except (FatouLabError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_RUNTIME
 

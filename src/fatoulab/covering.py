@@ -27,7 +27,7 @@ import numpy as np
 
 from . import map_zoo
 from .errors import OutOfRange, OutsideDisk, UnsupportedMap
-from .histograms import accumulate, new_histograms
+from .histograms import ArcHistogram, bin_angles, count_arcs
 from .rng import CHUNK, uniform01
 
 TWO_PI = 2.0 * math.pi
@@ -318,11 +318,11 @@ def pushforward_measure(model: CoveringModel, n_samples: int, n_bins: int,
 
     Samples xi uniformly on the unit circle, maps through the model's
     closed-form radial limit, and bins on each boundary component.  Returns
-    one ArcHistogram per component, all sharing n_samples as denominator.
-    Sample i draws from counter stream (sample_offset + i), so a run split
-    into offset ranges merges exactly into the unsplit result; samples are
-    drawn in contiguous chunks of ``CHUNK`` streams, so memory does not grow
-    with ``n_samples``.
+    one ArcHistogram whose row c is component c, with n_samples as its
+    denominator.  Sample i draws from counter stream (sample_offset + i), so
+    the counts of a run split into offset ranges add up exactly to the
+    unsplit result; samples are drawn in contiguous chunks of ``CHUNK``
+    streams, so memory does not grow with ``n_samples``.
     """
     if n_samples < 1:
         raise OutOfRange(f"n_samples must be >= 1, got {n_samples}")
@@ -330,24 +330,22 @@ def pushforward_measure(model: CoveringModel, n_samples: int, n_bins: int,
         raise OutOfRange(f"n_bins must be >= 1, got {n_bins}")
     if model.domain not in (ANNULUS, DISK, PUNCTURED_DISK):
         raise UnsupportedMap(f"unknown covering domain {model.domain!r}")
-    hists = new_histograms(1 if model.domain == DISK else 2, n_bins, n_samples)
+    shape = (1 if model.domain == DISK else 2, n_bins)
+    counts = np.zeros(shape, dtype=np.int64)
     end = sample_offset + n_samples
     for first in range(sample_offset, end, CHUNK):
-        _pushforward_chunk(model, hists, seed, first, min(first + CHUNK, end))
-    return hists
+        counts += _pushforward_chunk(model, shape, seed, first, min(first + CHUNK, end))
+    return ArcHistogram(counts, n_samples)
 
 
-def _pushforward_chunk(model: CoveringModel, hists, seed: int, first: int, end: int):
-    """Add the pushforward of samples ``first .. end - 1`` to ``hists``."""
+def _pushforward_chunk(model: CoveringModel, shape, seed: int, first: int, end: int):
+    """Counts, a ``shape`` matrix, of the pushforward of samples ``first .. end - 1``."""
     phi = TWO_PI * uniform01(seed, np.arange(first, end, dtype=np.uint64), 0)
     if model.domain == ANNULUS:
         comp, psi = radial_limit_annulus(model, phi)
-        for cid in (0, 1):
-            accumulate(hists[cid], psi[comp == cid])
-    elif model.domain == DISK:
-        accumulate(hists[0], phi)
-    else:
+        return count_arcs(comp, bin_angles(psi, shape[1]), shape)
+    if model.domain == PUNCTURED_DISK:
         # all mass lands on the unit circle; the puncture has zero capacity
         tiny = 1e-12
-        phi_c = np.clip(phi, tiny, TWO_PI - tiny)
-        accumulate(hists[0], (-1.0 / np.tan(phi_c / 2.0)) % TWO_PI)
+        phi = (-1.0 / np.tan(np.clip(phi, tiny, TWO_PI - tiny) / 2.0)) % TWO_PI
+    return count_arcs(0, bin_angles(phi, shape[1]), shape)

@@ -20,7 +20,8 @@ estimate with the radial pushforward of ``covering``.
 
 Randomness is a pure function of (seed, walk index, step index), so runs are
 reproducible and independent of batching or worker count; walks may be
-sharded with ``walk_offset`` and merged exactly.
+sharded with ``walk_offset`` and their count matrices merged exactly by
+addition.
 """
 
 from __future__ import annotations
@@ -37,9 +38,8 @@ from .errors import (
     DomainMismatch,
     OutOfRange,
     StallRateExceeded,
-    UnsupportedMap,
 )
-from .histograms import ArcHistogram, bin_angles, new_histograms, tv_distance
+from .histograms import ArcHistogram, bin_angles, count_arcs, tv_distance
 from .rng import CHUNK, derive_seed, stream_keys, uniform01
 
 TWO_PI = 2.0 * math.pi
@@ -162,14 +162,14 @@ def annulus_outer_mass(rho: float, r_in: float, r_out: float) -> float:
 class WalkResult:
     """Exit histogram of one Walk-on-Spheres run."""
 
-    hits: tuple  # ArcHistogram per boundary component
+    hist: ArcHistogram  # row c counts the exits through component c
     walks: int
     stalled: int
     seed: int
     epsilon_shell: float
 
     def component_masses(self) -> list:
-        return [h.mass() for h in self.hits]
+        return self.hist.component_masses()
 
     def summary(self) -> dict:
         return {
@@ -182,13 +182,14 @@ class WalkResult:
 
 
 def _walk_chunk(domain, base, seed, first, end, epsilon_shell, step_cap,
-                centers, counts):
-    """Run walks ``first .. end - 1`` and add their exits to ``counts``.
+                centers, shape):
+    """Run walks ``first .. end - 1``; return their exit counts, a ``shape``
+    (components, bins) matrix, and the number of stalled walks.
 
     The state ``(z, d, key)`` of the live walks is compacted only on steps
-    where some walk exits.  Returns the number of stalled walks.
+    where some walk exits.
     """
-    n_bins = counts.shape[1]
+    counts = np.zeros(shape, dtype=np.int64)
     z = np.full(end - first, base, dtype=np.complex128)
     key = stream_keys(seed, np.arange(first, end, dtype=np.uint64))
     step = 0
@@ -199,7 +200,7 @@ def _walk_chunk(domain, base, seed, first, end, epsilon_shell, step_cap,
             exits = z[done]
             cids = domain.component(exits)
             ang = np.angle(exits - centers[cids]) % TWO_PI
-            np.add.at(counts, (cids, bin_angles(ang, n_bins)), 1)
+            counts += count_arcs(cids, bin_angles(ang, shape[1]), shape)
             live = ~done
             z, d, key = z[live], d[live], key[live]
         if z.size:
@@ -207,7 +208,7 @@ def _walk_chunk(domain, base, seed, first, end, epsilon_shell, step_cap,
             np.multiply(d, jump, out=jump)
             z += jump
         step += 1
-    return int(z.size)
+    return counts, int(z.size)
 
 
 def walk_on_spheres(domain: DomainOracle, base: complex, walks: int,
@@ -239,21 +240,22 @@ def walk_on_spheres(domain: DomainOracle, base: complex, walks: int,
         )
 
     centers = domain.component_centers()
-    hists = new_histograms(domain.n_components, n_bins, walks)
-    counts = np.stack([h.counts for h in hists])
+    shape = (domain.n_components, n_bins)
+    counts = np.zeros(shape, dtype=np.int64)
     stalled = 0
     end = walk_offset + walks
     for first in range(walk_offset, end, CHUNK):
-        stalled += _walk_chunk(domain, base, seed, first, min(first + CHUNK, end),
-                               epsilon_shell, step_cap, centers, counts)
+        chunk_counts, chunk_stalled = _walk_chunk(
+            domain, base, seed, first, min(first + CHUNK, end), epsilon_shell,
+            step_cap, centers, shape)
+        counts += chunk_counts
+        stalled += chunk_stalled
 
     if stalled / walks >= STALL_GATE:
         raise StallRateExceeded(
             f"{stalled} of {walks} walks exceeded the step cap {step_cap}"
         )
-    for cid in range(domain.n_components):
-        hists[cid].counts[:] = counts[cid]
-    return WalkResult(hits=tuple(hists), walks=walks, stalled=stalled,
+    return WalkResult(hist=ArcHistogram(counts, walks), walks=walks, stalled=stalled,
                       seed=seed, epsilon_shell=epsilon_shell)
 
 
@@ -281,18 +283,14 @@ class SupportReport:
 
 def support_test(result: WalkResult, min_bin_mass: float) -> SupportReport:
     """Check that every arc of every boundary component received mass."""
-    deficient = []
-    smallest = math.inf
-    for h in result.hits:
-        masses = h.masses()
-        smallest = min(smallest, float(masses.min()))
-        for j in np.nonzero(masses < min_bin_mass)[0]:
-            deficient.append((h.component_id, int(j), float(masses[j])))
+    masses = result.hist.masses()
+    deficient = tuple((int(cid), int(j), float(masses[cid, j]))
+                      for cid, j in zip(*np.nonzero(masses < min_bin_mass)))
     return SupportReport(
         passed=not deficient,
         min_bin_mass=min_bin_mass,
-        deficient=tuple(deficient),
-        smallest_mass=smallest,
+        deficient=deficient,
+        smallest_mass=float(masses.min()),
     )
 
 
@@ -335,7 +333,7 @@ def cross_validate(domain: DomainOracle, model: CoveringModel, walks: int,
     wos = walk_on_spheres(domain, base, walks, seed=derive_seed(seed, 1),
                           n_bins=n_bins)
     push = pushforward_measure(model, walks, n_bins, derive_seed(seed, 2))
-    tv = tv_distance(list(wos.hits), push)
+    tv = tv_distance(wos.hist, push)
     threshold = 10.0 / math.sqrt(walks)
     return CrossValidation(tv_distance=tv, threshold=threshold,
                            passed=tv < threshold, walks=walks)

@@ -16,40 +16,22 @@ CSV_HEADER = "component_id,bin_index,bin_start_angle_rad,count"
 
 @dataclass
 class ArcHistogram:
-    """Bin counts over equal arcs of one boundary circle.
+    """Bin counts over equal arcs of the boundary circles of one run.
 
-    ``total_samples`` is the denominator shared by all components of a run,
-    so masses across components sum to (hits / total_samples).
+    ``counts`` is an int64 (components, bins) matrix whose row c counts the
+    samples that landed on component c.  ``total_samples`` is the denominator
+    shared by all components, so a component's mass is (row sum /
+    total_samples).  Counts of disjoint sample ranges merge by addition.
     """
 
-    component_id: int
     counts: np.ndarray = field(repr=False)
     total_samples: int
-
-    def __post_init__(self):
-        self.counts = np.asarray(self.counts, dtype=np.int64)
-
-    @property
-    def n_bins(self) -> int:
-        return int(self.counts.size)
-
-    @property
-    def hits(self) -> int:
-        return int(self.counts.sum())
 
     def masses(self) -> np.ndarray:
         return self.counts / float(self.total_samples)
 
-    def mass(self) -> float:
-        return self.hits / float(self.total_samples)
-
-    def bin_start_angles(self) -> np.ndarray:
-        return TWO_PI * np.arange(self.n_bins) / self.n_bins
-
-
-def new_histograms(n_components, n_bins, total_samples):
-    return [ArcHistogram(cid, np.zeros(n_bins, dtype=np.int64), total_samples)
-            for cid in range(n_components)]
+    def component_masses(self) -> list:
+        return [int(row.sum()) / float(self.total_samples) for row in self.counts]
 
 
 def bin_angles(angles, n_bins):
@@ -59,28 +41,32 @@ def bin_angles(angles, n_bins):
     return np.minimum(idx, n_bins - 1)
 
 
-def accumulate(hist: ArcHistogram, angles):
-    """Add one count per angle into the matching bin of ``hist``."""
-    idx = bin_angles(angles, hist.n_bins)
-    np.add.at(hist.counts, idx, 1)
+def count_arcs(component, bins, shape):
+    """(components, bins) matrix counting each (component[i], bins[i]) pair.
+
+    ``component`` may be one id for every sample; ``bins`` are bin indices
+    as ``bin_angles`` gives them.
+    """
+    cells = np.asarray(component, dtype=np.intp) * shape[1] + bins
+    return np.bincount(cells, minlength=shape[0] * shape[1]).reshape(shape)
 
 
-def tv_distance(hists_a, hists_b):
+def tv_distance(a: ArcHistogram, b: ArcHistogram) -> float:
     """Total-variation distance between two runs over (component, bin) cells."""
-    if len(hists_a) != len(hists_b):
-        raise EmptyInput("histogram lists have different component counts")
+    if a.counts.shape != b.counts.shape:
+        raise EmptyInput(f"histogram shapes differ: {a.counts.shape} and {b.counts.shape}")
     acc = 0.0
-    for ha, hb in zip(hists_a, hists_b):
-        if ha.n_bins != hb.n_bins:
-            raise EmptyInput("histogram bin counts differ")
-        acc += float(np.abs(ha.masses() - hb.masses()).sum())
+    # one sum per component, added in component order
+    for row_a, row_b in zip(a.masses(), b.masses()):
+        acc += float(np.abs(row_a - row_b).sum())
     return 0.5 * acc
 
 
-def to_csv_text(hists) -> str:
+def to_csv_text(hist: ArcHistogram) -> str:
+    n_bins = hist.counts.shape[1]
+    starts = TWO_PI * np.arange(n_bins) / n_bins
     lines = [CSV_HEADER]
-    for h in hists:
-        starts = h.bin_start_angles()
-        for j in range(h.n_bins):
-            lines.append(f"{h.component_id},{j},{starts[j]:.17g},{int(h.counts[j])}")
+    for cid, row in enumerate(hist.counts):
+        for j in range(n_bins):
+            lines.append(f"{cid},{j},{starts[j]:.17g},{int(row[j])}")
     return "\n".join(lines) + "\n"

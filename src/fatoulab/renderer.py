@@ -70,14 +70,17 @@ _PALETTE = {
 }
 
 
-def _check_orbit_contract(max_iter, tol, escape_radius) -> None:
-    """Refuse an iteration budget below 1, a tol that is not finite and > 0
-    and an escape radius that is not finite and > 1."""
+def _check_orbit_contract(max_iter, tol, escape_radius, target) -> None:
+    """Refuse an iteration budget below 1, a tol that is not finite and > 0,
+    an escape radius that is not finite and > 1 and a target point that is
+    not finite (no orbit could ever be attracted to it)."""
     if not max_iter >= 1:
         raise OutOfRange(f"orbits need max_iter >= 1, got {max_iter}")
     if not (0 < tol < math.inf and 1 < escape_radius < math.inf):
         raise OutOfRange(f"orbits need finite tol > 0 and escape_radius > 1, "
                          f"got {tol}, {escape_radius}")
+    if target not in (None, "default") and not cmath.isfinite(target):
+        raise OutOfRange(f"orbits need a finite target, got {target}")
 
 
 @dataclass(frozen=True)
@@ -100,7 +103,7 @@ class GridSpec:
         if not (cmath.isfinite(self.center) and 0 < self.width < math.inf
                 and 0 < self.height < math.inf):
             raise OutOfRange("grid needs a finite center, width and height > 0")
-        _check_orbit_contract(self.max_iter, self.tol, self.escape_radius)
+        _check_orbit_contract(self.max_iter, self.tol, self.escape_radius, self.target)
 
     def pixel_size(self) -> tuple:
         return self.width / self.nx, self.height / self.ny
@@ -332,7 +335,7 @@ def classify_points(spec: map_zoo.MapSpec, points, max_iter: int,
     do not depend on the points classified with it.  Every point is
     iterated: nothing is mirrored.
     """
-    _check_orbit_contract(max_iter, tol, escape_radius)
+    _check_orbit_contract(max_iter, tol, escape_radius, target)
     pts = np.asarray(points, dtype=np.complex128).ravel()
     recips = (None if reciprocals is None
               else np.asarray(reciprocals, dtype=np.complex128).ravel())

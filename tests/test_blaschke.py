@@ -197,7 +197,7 @@ def _per_term_loop(B, th):
     n = int(np.max(bl.required_terms(B, z, bl.DEFAULT_TARGET_ERR)))
     z2 = z * z
     out = z.copy()
-    for an in B.zeros_upto(n):
+    for an in B.zeros[:n]:
         a2 = an * an
         out *= (a2 - z2) / (1.0 - a2 * z2)
     return out[0], (np.angle(out) % (2.0 * math.pi))[0]

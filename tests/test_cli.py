@@ -257,7 +257,7 @@ def test_render_rejects_bad_loops_and_grids(tmp_path, capsys):
     # each is an argument error (exit 1) with a one-line message: a loop
     # with a non-finite center or radius, or far outside the grid (refused
     # before its samples are drawn), and a grid with a non-finite extent,
-    # tol or escape radius
+    # tol, escape radius or target
     grid = {"center": [0.0, 0.0], "width": 8.0, "height": 8.0,
             "nx": 21, "ny": 21, "max_iter": 20}
     baker = '{"kind": "exp_baker", "alpha": 0.4}'
@@ -267,7 +267,8 @@ def test_render_rejects_bad_loops_and_grids(tmp_path, capsys):
               (baker, {**grid, "center": [math.inf, 0.0]}, None),
               (baker, {**grid, "tol": 0.0}, None),
               (sine, {**grid, "escape_radius": -5.0}, None),
-              (baker, {**grid, "escape_radius": 0.0}, None)]
+              (baker, {**grid, "escape_radius": 0.0}, None),
+              (baker, {**grid, "target": [math.nan, 0.0]}, None)]
     for kind, config, loop in cases:
         path = tmp_path / "grid.json"
         path.write_text(json.dumps(config))

@@ -51,8 +51,8 @@ def test_wos_single_bubble_closed_form():
 def test_wos_bookkeeping():
     domain = hm.annulus(0.5, 2.0)
     res = hm.walk_on_spheres(domain, 1.0, 5_000, seed=2)
-    assert sum(h.hits for h in res.hits) + res.stalled == res.walks
-    total_mass = sum(h.masses().sum() for h in res.hits)
+    assert int(res.hist.counts.sum()) + res.stalled == res.walks
+    total_mass = res.hist.masses().sum()
     assert total_mass == pytest.approx((res.walks - res.stalled) / res.walks)
 
 
@@ -60,13 +60,11 @@ def test_wos_deterministic_and_mergeable():
     domain = hm.annulus(0.5, 2.0)
     full = hm.walk_on_spheres(domain, 1.0, 2_000, seed=9)
     again = hm.walk_on_spheres(domain, 1.0, 2_000, seed=9)
-    for ha, hb in zip(full.hits, again.hits):
-        assert np.array_equal(ha.counts, hb.counts)
+    assert np.array_equal(full.hist.counts, again.hist.counts)
     # sharding by walk_offset reproduces the full run exactly
     first = hm.walk_on_spheres(domain, 1.0, 1_000, seed=9)
     second = hm.walk_on_spheres(domain, 1.0, 1_000, seed=9, walk_offset=1_000)
-    for hf, h1, h2 in zip(full.hits, first.hits, second.hits):
-        assert np.array_equal(hf.counts, h1.counts + h2.counts)
+    assert np.array_equal(full.hist.counts, first.hist.counts + second.hist.counts)
 
 
 def test_wos_base_point_validation():
@@ -124,9 +122,8 @@ def test_rotation_equivariance():
     rot_domain = hm.champagne_disk([(rot * c, r) for c, r in PENTAGON])
     res_rot = hm.walk_on_spheres(rot_domain, base * rot, walks, seed=2718,
                                  n_bins=n_bins)
-    shifted = [ArcHistogram(h.component_id, np.roll(h.counts, 3), h.total_samples)
-               for h in res.hits]
-    assert tv_distance(shifted, list(res_rot.hits)) < 10.0 / math.sqrt(walks)
+    shifted = ArcHistogram(np.roll(res.hist.counts, 3, axis=1), res.hist.total_samples)
+    assert tv_distance(shifted, res_rot.hist) < 10.0 / math.sqrt(walks)
 
 
 def test_support_test_pass_and_fail():
@@ -166,10 +163,6 @@ def test_cross_validate_domain_mismatch():
         hm.cross_validate(hm.champagne_disk([(0.0j, 0.2)]), model, 1_000, seed=1)
 
 
-def _counts(hists):
-    return np.stack([h.counts for h in hists])
-
-
 def _sha(arrays, stalled=None):
     m = hashlib.sha256()
     for a in arrays:
@@ -184,13 +177,13 @@ def test_golden_wos_and_pushforward_counts():
     # loop ran in chunks; 100k annulus walks and 200k samples span several
     # chunks
     ann = hm.walk_on_spheres(hm.annulus(1.0 / R_E, R_E), 1.0 + 0.0j, 100_000, seed=2024)
-    assert _sha([h.counts for h in ann.hits], ann.stalled) == (
+    assert _sha(ann.hist.counts, ann.stalled) == (
         "811f0f99a60035906cb764b0e77be78deef04e05b9c1f1b960f0232bfab35662")
     champ = hm.walk_on_spheres(hm.champagne_disk(FOUR), 0.05 + 0.02j, 30_000, seed=77)
-    assert _sha([h.counts for h in champ.hits], champ.stalled) == (
+    assert _sha(champ.hist.counts, champ.stalled) == (
         "08c45e5285fe4c270d0171327ea43b560084cf15dba1c581eba22e063483c93d")
     push = cov.pushforward_measure(cov.annulus_model(R_E), 200_000, 64, seed=5)
-    assert _sha([h.counts for h in push]) == (
+    assert _sha(push.counts) == (
         "e635087bf5075514165cd782d6304512693c8a05a01952b05cfaceba6f3076e6")
 
 
@@ -209,14 +202,14 @@ def test_wos_chunk_invariance(monkeypatch, domain, base):
     monkeypatch.setattr(hm, "CHUNK", 37)  # divides neither walks nor the shards
     for cap, ref in runs.items():
         res = hm.walk_on_spheres(domain, base, walks, seed=seed, step_cap=cap)
-        assert np.array_equal(_counts(res.hits), _counts(ref.hits))
+        assert np.array_equal(res.hist.counts, ref.hist.counts)
         assert res.stalled == ref.stalled
         # shards whose offsets straddle chunk boundaries merge exactly
         bounds = [0, 50, 111, 700, walks]
         shards = [hm.walk_on_spheres(domain, base, hi - lo, seed=seed, step_cap=cap,
                                      walk_offset=lo)
                   for lo, hi in zip(bounds, bounds[1:])]
-        assert np.array_equal(sum(_counts(s.hits) for s in shards), _counts(ref.hits))
+        assert np.array_equal(sum(s.hist.counts for s in shards), ref.hist.counts)
         assert sum(s.stalled for s in shards) == ref.stalled
 
 
@@ -229,8 +222,8 @@ def test_pushforward_chunk_invariance(monkeypatch):
         shards = [cov.pushforward_measure(model, hi - lo, 16, seed=8, sample_offset=lo)
                   for lo, hi in zip(bounds, bounds[1:])]
         monkeypatch.undo()
-        assert np.array_equal(_counts(res), _counts(ref))
-        assert np.array_equal(sum(_counts(s) for s in shards), _counts(ref))
+        assert np.array_equal(res.counts, ref.counts)
+        assert np.array_equal(sum(s.counts for s in shards), ref.counts)
 
 
 def _peak_bytes(fn):

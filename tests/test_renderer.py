@@ -360,7 +360,8 @@ def test_grid_spec_validation():
            dict(width=nan), dict(width=inf), dict(height=nan), dict(height=inf),
            dict(tol=0.0), dict(tol=-1e-6), dict(tol=nan), dict(tol=inf),
            dict(escape_radius=1.0), dict(escape_radius=0.0),
-           dict(escape_radius=-5.0), dict(escape_radius=nan), dict(escape_radius=inf)]
+           dict(escape_radius=-5.0), dict(escape_radius=nan), dict(escape_radius=inf),
+           dict(target=complex(nan, 0.0)), dict(target=complex(0.0, inf))]
     for kw in bad:
         args = dict(center=0.0j, width=1.0, height=1.0, nx=4, ny=4, max_iter=10)
         with pytest.raises(OutOfRange):
@@ -370,11 +371,13 @@ def test_grid_spec_validation():
 def test_classify_points_validation():
     # the orbit contract of GridSpec holds for arbitrary start points too:
     # unchecked, escape_radius 0 dies in math.log, and tol nan or max_iter
-    # -3 report every point undecided
+    # -3 report every point undecided, and so does a target that is not
+    # finite, even for the attracting fixed point itself
     nan, inf = math.nan, math.inf
     bad = [dict(escape_radius=0.0), dict(escape_radius=-5.0), dict(escape_radius=1.0),
            dict(escape_radius=nan), dict(escape_radius=inf), dict(tol=nan), dict(tol=-1.0),
-           dict(tol=0.0), dict(tol=inf), dict(max_iter=-3), dict(max_iter=0)]
+           dict(tol=0.0), dict(tol=inf), dict(max_iter=-3), dict(max_iter=0),
+           dict(target=nan), dict(target=complex(inf, 0.0)), dict(target=complex(0.0, nan))]
     for spec in (mz.exp_baker(0.4), mz.sine_model(0.4), mz.mcmullen(2, 2, 1e-4)):
         for kw in bad:
             with pytest.raises(OutOfRange):
