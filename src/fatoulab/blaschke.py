@@ -238,23 +238,29 @@ _OUTSIDE_DISK = "eval_blaschke requires |z| <= 1"
 
 
 def eval_blaschke(B: BlaschkeProduct, z, target_err: float = 1e-12,
-                  exclusion: float = DEFAULT_EXCLUSION):
+                  exclusion: float = DEFAULT_EXCLUSION, terms=None):
     """Partial product with certified truncation error below target_err.
 
     Accepts a scalar or an array of points with |z| <= 1.  The factors tend
     to 1 geometrically, so the partial product is accumulated directly; a log
     sum would be ill-defined at the zeros +-a_n and gains nothing here.
+
+    An array multiplies every point by the largest ``required_terms`` of any
+    of its points.  ``terms`` gives that count instead, unchecked: a caller
+    that evaluates one sample in blocks passes the maximum over all of its
+    blocks, so that each block gets the bits of the whole array.
     """
     z_arr = np.asarray(z, dtype=np.complex128)
-    if z_arr.size == 1:
+    if z_arr.size == 1 and terms is None:
         out = _eval_one(B, z_arr.reshape(1), target_err, exclusion)
         return complex(out[0]) if z_arr.ndim == 0 else out.reshape(z_arr.shape)
     if np.any(np.abs(z_arr) > 1.0 + 1e-12):
         raise OutOfRange(_OUTSIDE_DISK)
-    n = int(np.max(required_terms(B, z_arr, target_err, exclusion), initial=0))
+    if terms is None:
+        terms = np.max(required_terms(B, z_arr, target_err, exclusion), initial=0)
     z2 = z_arr * z_arr
     out = z_arr.copy()
-    for a2 in B.zeros_squared[:n]:
+    for a2 in B.zeros_squared[:int(terms)]:
         out *= (a2 - z2) / (1.0 - a2 * z2)
     return out
 
@@ -300,11 +306,14 @@ def circle_eval(B: BlaschkeProduct, theta: float,
 
 def circle_eval_many(B: BlaschkeProduct, thetas,
                      target_err: float = DEFAULT_TARGET_ERR,
-                     exclusion: float = DEFAULT_EXCLUSION) -> np.ndarray:
-    """Vectorized circle_eval over an array of angles, 0-d included."""
+                     exclusion: float = DEFAULT_EXCLUSION, terms=None) -> np.ndarray:
+    """Vectorized circle_eval over an array of angles, 0-d included.
+
+    ``terms`` is passed to eval_blaschke.
+    """
     th = np.asarray(thetas, dtype=np.float64)
     # eval_blaschke answers a 0-d point with a Python complex
-    vals = np.asarray(eval_blaschke(B, np.exp(1j * th), target_err, exclusion))
+    vals = np.asarray(eval_blaschke(B, np.exp(1j * th), target_err, exclusion, terms))
     if vals.size == 1:  # an orbit step: skip np.max's per-call overhead
         worst = abs(abs(vals.item()) - 1.0)
     else:

@@ -1,14 +1,17 @@
 """Iteration and ergodic statistics of boundary maps on the unit circle.
 
-Covers rotations, power maps theta -> d*theta, Mobius boundary maps,
+Covers rotations, power maps theta -> d*theta, Mobius boundary maps, and
 boundary restrictions of Blaschke products (finite ones and the infinite
-product of :mod:`fatoulab.blaschke`), and non-autonomous compositions.
+product of :mod:`fatoulab.blaschke`).
 
 Measure-theoretic notions (exactness, ergodicity) are not computable from
 finite data; this module provides the standard observable proxies instead:
 star discrepancy of orbits, arc-spreading under forward iteration, invariance
 of Lebesgue measure through a Kolmogorov-Smirnov statistic, and the
 divergence of sum_n (1 - |g_n'(0)|) for composition sequences.
+
+The statistics work in blocks of ``BLOCK`` samples: besides its input and
+one n-sized array of its own, each holds a fixed amount of memory.
 """
 
 from __future__ import annotations
@@ -36,6 +39,10 @@ BLASCHKE = "blaschke"  # JSON kind of the infinite Blaschke product's boundary m
 
 DEFAULT_GRID = 2 ** 14 + 1
 DEFAULT_CELLS = 2 ** 14  # reference-grid resolution for cover measurement
+
+# samples per block of invariance_test and discrepancy; blocks never change
+# a result (see _blocks)
+BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -209,18 +216,6 @@ def iterate(cmap: CircleMap, theta0: float, n: int) -> np.ndarray:
     return out
 
 
-def compose_sequence(maps: Sequence[CircleMap], theta0: float) -> np.ndarray:
-    """Non-autonomous orbit G_n(theta0) = g_n(...g_1(g_0(theta0)))."""
-    if not maps:
-        raise EmptyInput("compose_sequence needs at least one map")
-    out = np.empty(len(maps), dtype=np.float64)
-    th = float(theta0)
-    for i, g in enumerate(maps):
-        th = apply_map(g, th)
-        out[i] = th
-    return out
-
-
 def pommerenke_sum(maps: Sequence[CircleMap]) -> float:
     """sum over the list of (1 - |g'(0)|); all maps must fix the origin."""
     if not maps:
@@ -232,20 +227,48 @@ def pommerenke_sum(maps: Sequence[CircleMap]) -> float:
 # Equidistribution statistics
 
 
+def _blocks(n: int) -> list:
+    """[lo, hi) bounds of consecutive blocks of BLOCK samples covering range(n).
+
+    A last block of one sample joins the block before it: numpy's in-place
+    complex product rounds differently on a one-element array (it does not
+    fuse multiply-adds), and the Blaschke and finite Blaschke maps multiply
+    in place.
+    """
+    bounds = list(range(0, n, BLOCK)) + [n]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    return list(zip(bounds, bounds[1:]))
+
+
 def discrepancy(samples) -> float:
     """Star discrepancy of circle samples against normalized arc length.
 
     Exact sorted-sample formula on x_i = theta_i / (2 pi):
     D* = max_i max(i/N - x_(i), x_(i) - (i-1)/N).  This is also the
-    Kolmogorov-Smirnov distance from the uniform law.
+    Kolmogorov-Smirnov distance from the uniform law.  Holds one sorted copy
+    of the samples.
     """
-    th = np.asarray(samples, dtype=np.float64)
+    th = np.array(samples, dtype=np.float64)
     if th.size == 0:
         raise EmptyInput("discrepancy of an empty sample is undefined")
-    x = np.sort(th % TWO_PI) / TWO_PI
+    return _discrepancy_in_place(th)
+
+
+def _discrepancy_in_place(x: np.ndarray) -> float:
+    """discrepancy of the angles in x, which it reduces, sorts and scales in
+    place; the two maxima are taken block by block, which is exact."""
+    np.remainder(x, TWO_PI, out=x)
+    x.sort()
+    x /= TWO_PI
     n = x.size
-    i = np.arange(1, n + 1)
-    return float(max(np.max(i / n - x), np.max(x - (i - 1) / n)))
+    above = below = -np.inf
+    for lo in range(0, n, BLOCK):
+        xb = x[lo:lo + BLOCK]
+        i = np.arange(lo + 1, lo + 1 + xb.size)
+        above = np.max(i / n - xb, initial=above)
+        below = np.max(xb - (i - 1) / n, initial=below)
+    return float(max(above, below))
 
 
 def ks_critical(n: int, level: float = 0.01) -> float:
@@ -256,6 +279,17 @@ def ks_critical(n: int, level: float = 0.01) -> float:
     return coeff / math.sqrt(n)
 
 
+def _redraw_zones(cmap: CircleMap, th: np.ndarray, seed: int, streams: np.ndarray):
+    """Redraw in place the samples th (of the given streams) that fall within
+    the exclusion zones, at the next step of their streams."""
+    for attempt in range(1, 64):
+        bad = _blaschke_gap(th, cmap.exclusion * (1.0 + 1e-9))
+        if not bad.any():
+            return
+        th[bad] = TWO_PI * uniform01(seed, streams[bad], attempt)
+    raise SingularityApproach("rejection sampling failed to clear the zones")
+
+
 def invariance_test(cmap: CircleMap, n_samples: int, seed: int) -> float:
     """KS distance between uniform and the one-step image of uniform samples.
 
@@ -264,36 +298,42 @@ def invariance_test(cmap: CircleMap, n_samples: int, seed: int) -> float:
     per-index counter streams; Blaschke boundary maps redraw the few samples
     falling inside the exclusion zones (total mass ~ exclusion/pi, far below
     the statistic's resolution).
+
+    The samples are drawn, mapped and sorted in one float64 array, block by
+    block; the result does not depend on ``BLOCK``.
     """
     if not fixes_origin(cmap):
         raise OriginNotFixed(f"{cmap.kind} map does not fix the disk origin")
     if n_samples < 1:
         raise OutOfRange(f"n_samples must be >= 1, got {n_samples}")
-    streams = np.arange(n_samples, dtype=np.uint64)
-    th = TWO_PI * uniform01(seed, streams, 0)
+    return _discrepancy_in_place(_uniform_image(cmap, n_samples, seed))
+
+
+def _uniform_image(cmap: CircleMap, n_samples: int, seed: int) -> np.ndarray:
+    """The one-step image of invariance_test's samples, mapped block by block
+    into the array that held them."""
+    th = np.empty(n_samples)
+    blocks = _blocks(n_samples)
+    for lo, hi in blocks:
+        streams = np.arange(lo, hi, dtype=np.uint64)
+        th[lo:hi] = TWO_PI * uniform01(seed, streams, 0)
+        if cmap.kind == BLASCHKE:
+            _redraw_zones(cmap, th[lo:hi], seed, streams)
     if cmap.kind == BLASCHKE:
-        exclusion = cmap.exclusion
-        for attempt in range(1, 64):
-            bad = _blaschke_gap(th, exclusion * (1.0 + 1e-9))
-            if not bad.any():
-                break
-            th[bad] = TWO_PI * uniform01(seed, streams[bad], attempt)
-        else:
-            raise SingularityApproach("rejection sampling failed to clear the zones")
-    return discrepancy(apply_map(cmap, th))
-
-
-def birkhoff_average(cmap: CircleMap, theta0: float, n: int,
-                     observable=np.cos) -> float:
-    """Time average (1/n) sum_{k<n} observable(g^k(theta0))."""
-    if n < 1:
-        raise OutOfRange(f"birkhoff_average requires n >= 1, got {n}")
-    th = float(theta0)
-    acc = float(observable(th))
-    for _ in range(n - 1):
-        th = apply_map(cmap, th)
-        acc += float(observable(th))
-    return acc / n
+        # the vector path multiplies every point by the term count of its
+        # worst point, so every block uses the whole sample's count.  The
+        # samples lie in [0, 2 pi) and clear of the zones, so apply_map's
+        # reduction and zone check would change nothing here
+        terms = max(np.max(_bl.required_terms(cmap.map, np.exp(1j * th[lo:hi]),
+                                              cmap.target_err, cmap.exclusion))
+                    for lo, hi in blocks)
+        for lo, hi in blocks:
+            th[lo:hi] = _bl.circle_eval_many(cmap.map, th[lo:hi], cmap.target_err,
+                                             cmap.exclusion, terms)
+    else:
+        for lo, hi in blocks:
+            th[lo:hi] = apply_map(cmap, th[lo:hi])
+    return th
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +390,10 @@ def arc_spread(maps: Union[CircleMap, Sequence[CircleMap]], arc: tuple,
     order.  Stops early at the first full cover.
     """
     start, length = float(arc[0]), float(arc[1])
-    if length <= 0:
-        raise OutOfRange(f"arc length must be > 0, got {length}")
+    if not math.isfinite(start):
+        raise OutOfRange(f"arc start must be finite, got {start}")
+    if not 0.0 < length < math.inf:
+        raise OutOfRange(f"arc length must be finite and > 0, got {length}")
     if grid < 2 ** 10:
         raise OutOfRange(f"grid must be >= 2^10, got {grid}")
     if n_max < 1:

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__, blaschke, circle_dynamics, covering, harmonic, map_zoo, renderer
 from .errors import FatouLabError, OutOfRange, SingularityApproach
-from .histograms import ArcHistogram, bin_angles, count_arcs, to_csv_text
+from .histograms import ArcHistogram, bin_angles, count_arcs, csv_chunks, to_csv_text
 from .rng import CHUNK, uniform01
 
 EXIT_OK = 0
@@ -44,8 +44,21 @@ def _json_text(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _write_text(path: Path, text: str):
-    path.write_text(text, encoding="ascii")
+def _write(path: Path, content):
+    """Write str or bytes content, or an iterable of str/bytes chunks as they
+    arrive; str is ASCII."""
+    if isinstance(content, (str, bytes, bytearray)):
+        content = (content,)
+    with open(path, "wb") as fh:
+        for chunk in content:
+            fh.write(chunk.encode("ascii") if isinstance(chunk, str) else chunk)
+
+
+def _require_finite(**angles):
+    """Refuse a non-finite angle argument before any work is done."""
+    for name, value in angles.items():
+        if not math.isfinite(value):
+            raise OutOfRange(f"{name} must be finite, got {value}")
 
 
 def _make_seed(args) -> int:
@@ -76,22 +89,22 @@ def _manifest(args, subcommand: str, seed, outputs) -> dict:
 
 
 def _finish(args, subcommand: str, seed, summary: dict, files: dict) -> int:
-    """Write output files plus the manifest, and echo the summary."""
+    """Write output files plus the manifest, and echo the summary.
+
+    Each file's content is what ``_write`` takes: whole, or chunks.
+    """
     out = _out_dir(args)
     prefix = args.prefix or subcommand
     written = []
     for suffix, content in files.items():
         path = out / f"{prefix}-{suffix}"
-        if isinstance(content, (bytes, bytearray)):
-            path.write_bytes(content)
-        else:
-            _write_text(path, content)
+        _write(path, content)
         written.append(path.name)
     summary_path = out / f"{prefix}-summary.json"
-    _write_text(summary_path, _json_text(summary))
+    _write(summary_path, _json_text(summary))
     written.append(summary_path.name)
     man = _manifest(args, subcommand, seed, written + [f"{prefix}-manifest.json"])
-    _write_text(out / f"{prefix}-manifest.json", _json_text(man))
+    _write(out / f"{prefix}-manifest.json", _json_text(man))
     sys.stdout.write(_json_text(summary))
     return EXIT_OK
 
@@ -137,6 +150,7 @@ def _cmd_verify_semiconj(args) -> int:
 
 
 def _cmd_blaschke_eval(args) -> int:
+    _require_finite(theta=args.theta)
     B = blaschke.BlaschkeProduct.from_alpha(args.alpha)
     z = complex(np.exp(1j * args.theta))
     n = blaschke.required_terms(B, z, args.target_err)
@@ -218,6 +232,7 @@ def _cmd_harmonic(args) -> int:
 
 
 def _cmd_classify_radial(args) -> int:
+    _require_finite(xi=args.xi)
     if args.domain == "annulus":
         model = covering.annulus_model(args.R)
     elif args.domain == "disk":
@@ -239,48 +254,53 @@ def _circle_map(args) -> circle_dynamics.CircleMap:
 
 
 def _cmd_circle_stats(args) -> int:
+    # memory: the orbit, and one n-sized array at a time in the statistics
+    # (16 B a point); everything else works in blocks
+    _require_finite(theta0=args.theta0)
+    if args.n < 1:
+        raise OutOfRange(f"orbit length must be >= 1, got {args.n}")
     seed = _make_seed(args)
     cmap = _circle_map(args)
     # collect the orbit step by step: boundary maps with singularities refuse
     # to iterate through their exclusion zones, and a measure-preserving
     # orbit of this length may well visit them; truncate and say so
-    if args.n < 1:
-        raise OutOfRange(f"orbit length must be >= 1, got {args.n}")
-    angles = []
+    orbit = np.empty(args.n)
     stopped_by = None
     theta = args.theta0
-    for _ in range(args.n):
+    for i in range(args.n):
         try:
             theta = circle_dynamics.apply_map(cmap, theta)
         except SingularityApproach as exc:
-            stopped_by = str(exc)
+            orbit, stopped_by = orbit[:i], str(exc)
             break
-        angles.append(theta)
-    if not angles:
+        orbit[i] = theta
+    if orbit.size == 0:
         raise OutOfRange("the start angle lies inside an exclusion zone")
-    orbit = np.asarray(angles)
     disc = circle_dynamics.discrepancy(orbit)
     summary = {
         "map": json.loads(args.map), "theta0": args.theta0, "n": args.n,
-        "orbit_points": len(angles), "seed": seed, "orbit_discrepancy": disc,
+        "orbit_points": orbit.size, "seed": seed, "orbit_discrepancy": disc,
     }
     if stopped_by is not None:
         summary["orbit_truncated"] = stopped_by
-    files = {"orbit.csv": "iteration,angle\n" + "".join(
-        f"{i + 1},{float(a)!r}\n" for i, a in enumerate(orbit))}
+    files = {"orbit.csv": csv_chunks("iteration,angle", "%d,%r",
+                                     range(1, orbit.size + 1), orbit)}
     if circle_dynamics.fixes_origin(cmap):
         ks = circle_dynamics.invariance_test(cmap, args.n, seed)
         summary["invariance_ks"] = ks
         summary["ks_critical_1pct"] = circle_dynamics.ks_critical(args.n)
         # one-step pushforward of the orbit as an arc histogram
-        hist = ArcHistogram(count_arcs(0, bin_angles(orbit, 64), (1, 64)), orbit.size)
-        files["pushforward.csv"] = to_csv_text(hist)
+        block = circle_dynamics.BLOCK
+        counts = sum(count_arcs(0, bin_angles(orbit[lo:lo + block], 64), (1, 64))
+                     for lo in range(0, orbit.size, block))
+        files["pushforward.csv"] = to_csv_text(ArcHistogram(counts, orbit.size))
     return _finish(args, "circle-stats", seed, summary, files)
 
 
 def _cmd_spread(args) -> int:
-    cmap = _circle_map(args)
     start, length = (float(x) for x in args.arc.split(","))
+    _require_finite(arc_start=start, arc_length=length)
+    cmap = _circle_map(args)
     report = circle_dynamics.arc_spread(cmap, (start, length), args.n_max,
                                         grid=args.grid)
     summary = {
@@ -290,8 +310,8 @@ def _cmd_spread(args) -> int:
         "first_full_cover": report.first_full_cover,
         "final_covered_fraction": report.covered_fraction[-1],
     }
-    csv = "iteration,covered_fraction\n" + "".join(
-        f"{i},{float(f)!r}\n" for i, f in enumerate(report.covered_fraction))
+    fractions = report.covered_fraction
+    csv = csv_chunks("iteration,covered_fraction", "%d,%r", range(len(fractions)), fractions)
     return _finish(args, "spread", None, summary, {"spread.csv": csv})
 
 

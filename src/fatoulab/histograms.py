@@ -1,4 +1,7 @@
-"""Empirical measures on boundary circles: equal-arc bin counts per component."""
+"""Empirical measures on boundary circles: equal-arc bin counts per component.
+
+Also the one CSV writer of the command-line outputs.
+"""
 
 from __future__ import annotations
 
@@ -12,6 +15,7 @@ from .errors import EmptyInput
 TWO_PI = 2.0 * math.pi
 
 CSV_HEADER = "component_id,bin_index,bin_start_angle_rad,count"
+CSV_ROWS = 1 << 12  # rows per chunk of csv_chunks
 
 
 @dataclass
@@ -62,11 +66,27 @@ def tv_distance(a: ArcHistogram, b: ArcHistogram) -> float:
     return 0.5 * acc
 
 
+def csv_chunks(header: str, row: str, *columns):
+    """A CSV file as str chunks of at most CSV_ROWS rows, made as they are read.
+
+    ``header`` is the first line.  Row i is ``row % values``, with values[k]
+    the i-th entry of ``columns[k]``: a sequence, a range or a 1-d array,
+    all of one length.  Array entries become Python numbers first, so ``%r``
+    writes a float's shortest round-trip repr.
+    """
+    yield header + "\n"
+    line = row + "\n"
+    for lo in range(0, len(columns[0]), CSV_ROWS):
+        parts = [c[lo:lo + CSV_ROWS] for c in columns]
+        parts = [p.tolist() if isinstance(p, np.ndarray) else p for p in parts]
+        yield "".join([line % values for values in zip(*parts)])
+
+
 def to_csv_text(hist: ArcHistogram) -> str:
-    n_bins = hist.counts.shape[1]
+    """The histogram as CSV text, one row per (component, bin) cell."""
+    n_components, n_bins = hist.counts.shape
     starts = TWO_PI * np.arange(n_bins) / n_bins
-    lines = [CSV_HEADER]
-    for cid, row in enumerate(hist.counts):
-        for j in range(n_bins):
-            lines.append(f"{cid},{j},{starts[j]:.17g},{int(row[j])}")
-    return "\n".join(lines) + "\n"
+    return "".join(csv_chunks(
+        CSV_HEADER, "%d,%d,%.17g,%d",
+        np.repeat(np.arange(n_components), n_bins), np.tile(np.arange(n_bins), n_components),
+        np.tile(starts, n_components), hist.counts.ravel()))

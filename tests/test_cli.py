@@ -1,10 +1,11 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import pytest
 
-from fatoulab import cli
+from fatoulab import circle_dynamics, cli, histograms
 
 
 def run(argv, capsys):
@@ -326,6 +327,61 @@ def test_validation_rejects_before_compute(tmp_path, capsys):
              "--out-dir", str(tmp_path)], capsys)
         assert code == 1, where
         assert "outside the domain" in err, where
+
+
+POWER = '{"kind": "power", "d": 2}'
+BLASCHKE = '{"kind": "blaschke", "alpha": 0.4}'
+
+
+@pytest.mark.parametrize("argv", [
+    ["circle-stats", "--map", POWER, "--theta0", "nan"],
+    ["circle-stats", "--map", POWER, "--theta0", "inf"],
+    ["circle-stats", "--map", BLASCHKE, "--theta0", "nan"],
+    ["spread", "--map", POWER, "--arc", "nan,0.1"],
+    ["spread", "--map", POWER, "--arc", "0.1,inf"],
+    ["spread", "--map", POWER, "--arc", "0.1,nan"],
+    ["blaschke-eval", "--alpha", "0.4", "--theta", "nan"],
+    ["classify-radial", "--xi", "nan"],
+], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
+def test_non_finite_angles_are_refused(tmp_path, capsys, argv):
+    # refused before any work: no orbit, no RuntimeWarning, no NaN in JSON
+    code, out, err = run(argv + ["--out-dir", str(tmp_path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+    assert "finite" in err
+    assert not list(tmp_path.iterdir())
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("cmap, theta0", [(POWER, "0.9"), (BLASCHKE, repr(5 * math.pi / 8))],
+                         ids=["power", "blaschke"])
+def test_circle_stats_memory_bounded_by_block(tmp_path, monkeypatch, capsys, cmap, theta0):
+    # beyond the orbit and one n-sized array of the statistics (16 B a
+    # requested point), circle-stats holds a fixed number of blocks; a small
+    # block keeps the test fast.  The Blaschke orbit stops at the +-1 zone
+    # after 1,235 points, and its invariance test still draws n samples.
+    block = 2_048
+    monkeypatch.setattr(circle_dynamics, "BLOCK", block)
+    monkeypatch.setattr(histograms, "CSV_ROWS", block)
+
+    def beyond_arrays(n):
+        argv = ["circle-stats", "--map", cmap, "--n", str(n), "--theta0", theta0,
+                "--seed", "3", "--out-dir", str(tmp_path / str(n))]
+        peak = _peak_bytes(lambda: cli.main(argv))
+        assert "invariance_ks" in json.loads(capsys.readouterr().out)
+        return peak - 16 * n
+
+    two, sixteen = beyond_arrays(2 * block), beyond_arrays(16 * block)
+    assert sixteen <= 1.5 * two, (two, sixteen)
 
 
 def test_render_bad_config_path(tmp_path, capsys):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fatoulab import histograms as hg
 from fatoulab.errors import EmptyInput
 from fatoulab.histograms import ArcHistogram, bin_angles, count_arcs, tv_distance
 
@@ -45,3 +46,49 @@ def test_tv_distance_refuses_different_shapes():
     for shape in ((2, 16), (1, 8), (3, 8)):
         with pytest.raises(EmptyInput):
             tv_distance(a, ArcHistogram(np.ones(shape, dtype=np.int64), 16))
+
+
+# the string builders the CSV outputs had before one writer replaced them
+def _orbit_csv_reference(orbit):
+    return "iteration,angle\n" + "".join(
+        f"{i + 1},{float(a)!r}\n" for i, a in enumerate(orbit))
+
+
+def _spread_csv_reference(fractions):
+    return "iteration,covered_fraction\n" + "".join(
+        f"{i},{float(f)!r}\n" for i, f in enumerate(fractions))
+
+
+def _histogram_csv_reference(hist):
+    n_bins = hist.counts.shape[1]
+    starts = TWO_PI * np.arange(n_bins) / n_bins
+    lines = [hg.CSV_HEADER]
+    for cid, row in enumerate(hist.counts):
+        for j in range(n_bins):
+            lines.append(f"{cid},{j},{starts[j]:.17g},{int(row[j])}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("rows", [hg.CSV_ROWS, 7, 1])
+def test_csv_writer_matches_the_old_builders(monkeypatch, rows):
+    monkeypatch.setattr(hg, "CSV_ROWS", rows)
+    rng = np.random.default_rng(11)
+    below = np.nextafter(TWO_PI, 0.0)
+    edges = [0.0, 0.1, 1.0 / 3.0, below, np.nextafter(below, 0.0), 5e-324, 2.0 ** -30]
+    orbits = [np.concatenate([edges, rng.uniform(0.0, TWO_PI, 500)]), np.zeros(0),
+              np.array([below])]
+    assert any(len(repr(float(a))) >= 19 for a in orbits[0])  # 17 significant digits
+    for orbit in orbits:
+        got = "".join(hg.csv_chunks("iteration,angle", "%d,%r",
+                                    range(1, orbit.size + 1), orbit))
+        assert got == _orbit_csv_reference(orbit)
+    for fractions in ((rng.random(40) / 3.0).tolist() + [1.0], (0.0,), ()):
+        fractions = tuple(fractions)
+        got = "".join(hg.csv_chunks("iteration,covered_fraction", "%d,%r",
+                                    range(len(fractions)), fractions))
+        assert got == _spread_csv_reference(fractions)
+    counts = rng.integers(0, 10 ** 12, (4, 64))
+    counts[2] = 0  # a component no sample reached
+    for c in (counts, counts[:, :5], counts[:0], np.zeros((1, 3), dtype=np.int64)):
+        hist = ArcHistogram(c, 1_000)
+        assert hg.to_csv_text(hist) == _histogram_csv_reference(hist)
