@@ -78,7 +78,7 @@ def solve_tau(alpha: float, tol: float = 1e-12,
     alpha = float(alpha)
     if not 0.0 < alpha < 0.5:
         raise OutOfRange(f"solve_tau requires alpha in (0, 1/2), got {alpha}")
-    if tol <= 0:
+    if not tol > 0:
         raise OutOfRange(f"solve_tau requires tol > 0, got {tol}")
     target = math.log(2.0 * alpha)
 

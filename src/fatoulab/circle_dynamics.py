@@ -81,7 +81,7 @@ def mobius_boundary_map(a, b, c, d) -> CircleMap:
     spec = map_zoo.mobius(a, b, c, d)
     for probe in (1.0, 1j, -1.0, np.exp(0.7j)):
         try:
-            val = map_zoo.evaluate(spec, probe).to_complex()
+            val = map_zoo.evaluate(spec, probe)
         except ZeroDivisionError:
             raise OutOfRange(f"Mobius map has its pole at the probe {probe}") from None
         if abs(abs(val) - 1.0) > 1e-9:
@@ -138,7 +138,7 @@ def derivative_at_zero_modulus(cmap: CircleMap) -> float:
         raise OriginNotFixed(f"{cmap.kind} map does not fix the disk origin")
     if cmap.kind == BLASCHKE:
         return _bl.derivative_at_zero(cmap.map)
-    return abs(map_zoo.derivative(cmap.map, 0j).to_complex())
+    return abs(map_zoo.derivative(cmap.map, 0j))
 
 
 def _blaschke_gap(thetas, exclusion):

@@ -54,11 +54,13 @@ def _write(path: Path, content):
             fh.write(chunk.encode("ascii") if isinstance(chunk, str) else chunk)
 
 
-def _require_finite(**angles):
-    """Refuse a non-finite angle argument before any work is done."""
-    for name, value in angles.items():
-        if not math.isfinite(value):
-            raise OutOfRange(f"{name} must be finite, got {value}")
+def _require_finite(**numbers):
+    """Refuse a non-finite float argument, alone or in a tuple, before any
+    work is done; other values pass."""
+    for name, value in numbers.items():
+        for x in value if isinstance(value, tuple) else (value,):
+            if isinstance(x, float) and not math.isfinite(x):
+                raise OutOfRange(f"{name} must be finite, got {value}")
 
 
 def _make_seed(args) -> int:
@@ -150,7 +152,6 @@ def _cmd_verify_semiconj(args) -> int:
 
 
 def _cmd_blaschke_eval(args) -> int:
-    _require_finite(theta=args.theta)
     B = blaschke.BlaschkeProduct.from_alpha(args.alpha)
     z = complex(np.exp(1j * args.theta))
     n = blaschke.required_terms(B, z, args.target_err)
@@ -232,7 +233,6 @@ def _cmd_harmonic(args) -> int:
 
 
 def _cmd_classify_radial(args) -> int:
-    _require_finite(xi=args.xi)
     if args.domain == "annulus":
         model = covering.annulus_model(args.R)
     elif args.domain == "disk":
@@ -256,7 +256,6 @@ def _circle_map(args) -> circle_dynamics.CircleMap:
 def _cmd_circle_stats(args) -> int:
     # memory: the orbit, and one n-sized array at a time in the statistics
     # (16 B a point); everything else works in blocks
-    _require_finite(theta0=args.theta0)
     if args.n < 1:
         raise OutOfRange(f"orbit length must be >= 1, got {args.n}")
     seed = _make_seed(args)
@@ -442,6 +441,7 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
     try:
+        _require_finite(**vars(args))
         return args.func(args)
     except (OutOfRange, _UsageError, json.JSONDecodeError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")

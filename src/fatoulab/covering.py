@@ -192,7 +192,7 @@ def mobius_boundary_fixed_points(spec: map_zoo.MapSpec):
     out = []
     for r in roots:
         if abs(abs(r) - 1.0) < 1e-9:
-            der = map_zoo.derivative(spec, r).to_complex()
+            der = map_zoo.derivative(spec, r)
             out.append((complex(r), der))
     return out
 

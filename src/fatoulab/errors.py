@@ -5,10 +5,6 @@ class FatouLabError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class SingularityHit(FatouLabError):
-    """An evaluation point coincides with a listed essential singularity."""
-
-
 class ExponentOverflow(FatouLabError):
     """The exponent of an exponential-type map left the safe range."""
 

@@ -232,7 +232,7 @@ def walk_on_spheres(domain: DomainOracle, base: complex, walks: int,
         epsilon_shell = 1e-6 * domain.diameter
     base = complex(base)
     d0 = domain.distance(np.asarray([base]))[0]
-    if d0 < 0:
+    if not d0 >= 0:
         raise OutOfRange(f"base point {base} lies outside the domain")
     if d0 <= epsilon_shell:
         raise BasePointOnBoundary(

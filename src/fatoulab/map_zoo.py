@@ -1,10 +1,12 @@
 """Catalogue of the concrete holomorphic maps used across the package.
 
 Provides map specs with their one JSON parser, complex evaluation (one
-formula per kind, for arrays and single points), closed-form derivatives and
-a deterministic scalar bisection root-finder.  Orbits of the plane maps are
-classified by ``renderer.classify_points``.  The star of the zoo is the
-punctured-plane map
+formula per kind in ``evaluate_many``, for arrays and Python complex
+numbers; ``evaluate`` is the one-point form of ``evaluate_many``, with the
+exponent-cap check), closed-form derivatives and a deterministic scalar
+bisection root-finder.  Orbits of the plane maps are classified by
+``renderer.classify_points``.  The star of the zoo is the punctured-plane
+map
 
     f(z) = exp(alpha * (z - 1/z)),    alpha in (0, 1/2),
 
@@ -19,7 +21,6 @@ module draws random numbers or mutates shared state.
 from __future__ import annotations
 
 import cmath
-import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -30,7 +31,6 @@ from .errors import (
     ExponentOverflow,
     NoSignChange,
     OutOfRange,
-    SingularityHit,
     UnsupportedMap,
 )
 
@@ -38,38 +38,6 @@ from .errors import (
 # silently producing inf/0; near the double overflow threshold exp(709.78).
 EXP_CAP = 700.0
 
-
-@dataclass(frozen=True)
-class ComplexPoint:
-    """A point of the extended plane: finite coordinates or a flagged infinity."""
-
-    re: float
-    im: float
-    at_infinity: bool = False
-
-    def __post_init__(self):
-        if not self.at_infinity:
-            if not (math.isfinite(self.re) and math.isfinite(self.im)):
-                raise OutOfRange("finite ComplexPoint requires finite coordinates")
-
-    @classmethod
-    def from_complex(cls, z: complex) -> "ComplexPoint":
-        return cls(float(z.real), float(z.imag))
-
-    @classmethod
-    def infinity(cls) -> "ComplexPoint":
-        return cls(math.inf, 0.0, True)
-
-    def to_complex(self) -> complex:
-        if self.at_infinity:
-            raise OutOfRange("the point at infinity has no finite complex value")
-        return complex(self.re, self.im)
-
-    def __complex__(self) -> complex:
-        return self.to_complex()
-
-
-INFINITY = ComplexPoint.infinity()
 
 # Map kinds, with their JSON names.
 EXP_BAKER = "exp_baker"
@@ -81,20 +49,13 @@ FINITE_BLASCHKE = "finite_blaschke"
 KEEN = "keen"
 MCMULLEN = "mcmullen"
 
-# Self-maps of the punctured plane; for these both 0 and infinity are escape
-# ends and essential singularities.
-_CSTAR_KINDS = frozenset({EXP_BAKER, KEEN})
-# Kinds allowed to produce or consume the point at infinity.
-_PROJECTIVE_KINDS = frozenset({POWER, MCMULLEN})
-
 
 @dataclass(frozen=True)
 class MapSpec:
-    """Tagged description of one map: kind, parameters and singularities."""
+    """Tagged description of one map: kind and parameters."""
 
     kind: str
     params: tuple  # kind-specific parameter tuple, see factory functions
-    singularities: tuple = ()
 
 
 def exp_baker(alpha: float) -> MapSpec:
@@ -102,11 +63,7 @@ def exp_baker(alpha: float) -> MapSpec:
     alpha = float(alpha)
     if not 0.0 < alpha < 0.5:
         raise OutOfRange(f"exp_baker requires alpha in (0, 1/2), got {alpha}")
-    return MapSpec(
-        EXP_BAKER,
-        (alpha,),
-        singularities=(ComplexPoint(0.0, 0.0), INFINITY),
-    )
+    return MapSpec(EXP_BAKER, (alpha,))
 
 
 def sine_model(alpha: float) -> MapSpec:
@@ -114,11 +71,7 @@ def sine_model(alpha: float) -> MapSpec:
     alpha = float(alpha)
     if not 0.0 < alpha < 0.5:
         raise OutOfRange(f"sine_model requires alpha in (0, 1/2), got {alpha}")
-    return MapSpec(
-        SINE_MODEL,
-        (alpha,),
-        singularities=(INFINITY,),
-    )
+    return MapSpec(SINE_MODEL, (alpha,))
 
 
 def power_map(d: int) -> MapSpec:
@@ -160,11 +113,7 @@ def finite_blaschke(zeros: Sequence[complex], rotation_factor: complex = 1.0) ->
 
 def keen(alpha: float, lam: float) -> MapSpec:
     """f(z) = z * exp(alpha*(z + 1/z) + lambda) on the punctured plane."""
-    return MapSpec(
-        KEEN,
-        (float(alpha), float(lam)),
-        singularities=(ComplexPoint(0.0, 0.0), INFINITY),
-    )
+    return MapSpec(KEEN, (float(alpha), float(lam)))
 
 
 def mcmullen(m: int, l: int, c: complex) -> MapSpec:
@@ -234,23 +183,6 @@ def _cval(v) -> complex:
 # Evaluation
 
 
-def _coerce(z) -> ComplexPoint:
-    if isinstance(z, ComplexPoint):
-        return z
-    return ComplexPoint.from_complex(complex(z))
-
-
-def _check_singularities(spec: MapSpec, p: ComplexPoint):
-    for s in spec.singularities:
-        if s.at_infinity:
-            if p.at_infinity:
-                raise SingularityHit(f"{spec.kind}: evaluation at infinity")
-        elif not p.at_infinity:
-            if p.re == s.re and p.im == s.im:
-                raise SingularityHit(
-                    f"{spec.kind}: evaluation at singularity {complex(s.re, s.im)}")
-
-
 def _exponent(spec: MapSpec, z):
     """The exponent of the exponential-type kinds (exp_baker, keen)."""
     if spec.kind == EXP_BAKER:
@@ -271,11 +203,11 @@ def _check_exponent(w: complex, what: str) -> complex:
 def evaluate_many(spec: MapSpec, z):
     """The map's formula at z, elementwise; z is a complex array or a Python complex.
 
-    No singularity, infinity or exponent-cap checks: arrays follow numpy's
-    inf/nan rules, and ``evaluate`` adds the checks for one point.  Only
-    operators and ufuncs are used, so a Python complex keeps CPython's
-    complex arithmetic, which rounds some quotients and products differently
-    from numpy's array kernels.
+    No exponent-cap check: arrays follow numpy's inf/nan rules, and
+    ``evaluate`` adds the check for one point.  Only operators and ufuncs
+    are used, so a Python complex keeps CPython's complex arithmetic, which
+    rounds some quotients and products differently from numpy's array
+    kernels.
     """
     k = spec.kind
     if k == EXP_BAKER:
@@ -310,64 +242,46 @@ def evaluate_many(spec: MapSpec, z):
     raise UnsupportedMap(f"unknown map kind {k!r}")
 
 
-def evaluate(spec: MapSpec, z) -> ComplexPoint:
-    """Apply the map at z.  z may be complex or ComplexPoint.
+def evaluate(spec: MapSpec, z) -> complex:
+    """The one-point form of ``evaluate_many``, with the exponent-cap check.
 
-    Raises SingularityHit on listed essential singularities and
-    ExponentOverflow when an exponential-type map leaves the safe exponent
-    range.  Only the projective kinds (power, mcmullen) produce or consume
-    the point at infinity.
+    Raises ExponentOverflow when an exponential-type map (exp_baker, keen,
+    sine_model) leaves the safe exponent range.  At a pole or at the
+    essential singularity 0 of exp_baker and keen, CPython's complex
+    division raises ZeroDivisionError.
     """
-    p = _coerce(z)
-    _check_singularities(spec, p)
+    v = complex(z)
     k = spec.kind
-
-    if p.at_infinity:
-        if k in _PROJECTIVE_KINDS:
-            return INFINITY  # both kinds fix infinity for the allowed exponents
-        raise UnsupportedMap(f"{k}: evaluation at infinity is not defined")
-
-    v = p.to_complex()
-    if k in _CSTAR_KINDS:
+    if k in (EXP_BAKER, KEEN):
         _check_exponent(_exponent(spec, v), k)
     elif k == SINE_MODEL and abs(v.imag) > EXP_CAP:
         raise ExponentOverflow(f"{k}: |Im z| = {abs(v.imag):.3g} above cap")
-    elif k == MCMULLEN and v == 0:
-        return INFINITY  # pole of order l
-    try:
-        return ComplexPoint.from_complex(evaluate_many(spec, v))
-    except OverflowError:  # CPython's complex power overflowed
-        return INFINITY
+    return complex(evaluate_many(spec, v))
 
 
-def derivative(spec: MapSpec, z) -> ComplexPoint:
+def derivative(spec: MapSpec, z) -> complex:
     """Analytic derivative at a finite point, in closed form."""
-    p = _coerce(z)
-    _check_singularities(spec, p)
-    if p.at_infinity:
-        raise UnsupportedMap(f"{spec.kind}: derivative at infinity is not defined")
-    v = p.to_complex()
+    v = complex(z)
     k = spec.kind
 
     if k == EXP_BAKER:
         (alpha,) = spec.params
-        f = evaluate(spec, p).to_complex()
-        return ComplexPoint.from_complex(f * alpha * (1.0 + 1.0 / (v * v)))
+        return evaluate(spec, v) * alpha * (1.0 + 1.0 / (v * v))
     if k == SINE_MODEL:
         (alpha,) = spec.params
         if abs(v.imag) > EXP_CAP:
             raise ExponentOverflow(f"{k}: |Im z| above cap")
-        return ComplexPoint.from_complex(2.0 * alpha * cmath.cos(v))
+        return 2.0 * alpha * cmath.cos(v)
     if k == POWER:
         (d,) = spec.params
-        return ComplexPoint.from_complex(d * v ** (d - 1))
+        return d * v ** (d - 1)
     if k == ROTATION:
         (theta,) = spec.params
-        return ComplexPoint.from_complex(cmath.exp(1j * theta))
+        return cmath.exp(1j * theta)
     if k == MOBIUS:
         a, b, c, d = spec.params
         den = c * v + d
-        return ComplexPoint.from_complex((a * d - b * c) / (den * den))
+        return (a * d - b * c) / (den * den)
     if k == FINITE_BLASCHKE:
         zs, rot = spec.params
         # product rule; each factor's derivative is (1-|a|^2)/(1-conj(a) z)^2
@@ -382,16 +296,14 @@ def derivative(spec: MapSpec, z) -> ComplexPoint:
                 if j != i:
                     term *= facs[j]
             total += term
-        return ComplexPoint.from_complex(rot * total)
+        return rot * total
     if k == KEEN:
         alpha, _lam = spec.params
         e = cmath.exp(_check_exponent(_exponent(spec, v), k))
-        return ComplexPoint.from_complex(e * (1.0 + alpha * v - alpha / v))
+        return e * (1.0 + alpha * v - alpha / v)
     if k == MCMULLEN:
         m, l, c = spec.params
-        if v == 0:
-            raise SingularityHit(f"{k}: derivative at the pole 0")
-        return ComplexPoint.from_complex(m * v ** (m - 1) - l * c / v ** (l + 1))
+        return m * v ** (m - 1) - l * c / v ** (l + 1)
     raise UnsupportedMap(f"unknown map kind {k!r}")
 
 
@@ -406,7 +318,7 @@ def bisect(f: Callable[[float], float], a: float, b: float, tol: float) -> float
     """
     if not b > a:
         raise OutOfRange(f"bisect requires b > a, got [{a}, {b}]")
-    if tol <= 0:
+    if not tol > 0:
         raise OutOfRange(f"bisect requires tol > 0, got {tol}")
     fa, fb = f(a), f(b)
     if not (fa < 0 < fb or fb < 0 < fa):

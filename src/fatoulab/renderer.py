@@ -456,11 +456,6 @@ def ppm_bytes(grid: ClassifiedGrid) -> bytearray:
     return buf
 
 
-def write_image(grid: ClassifiedGrid, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(ppm_bytes(grid))
-
-
 # ---------------------------------------------------------------------------
 # Non-contractibility probe
 

@@ -62,6 +62,9 @@ def test_solve_tau_validation():
     for bad in (-0.1, 0.0, 0.5, 0.7):
         with pytest.raises(OutOfRange):
             bl.solve_tau(bad)
+    for tol in (0.0, math.nan):
+        with pytest.raises(OutOfRange, match="tol > 0"):
+            bl.solve_tau(0.4, tol=tol)
 
 
 def test_log_product_small_s_no_underflow():

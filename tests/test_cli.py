@@ -342,6 +342,14 @@ BLASCHKE = '{"kind": "blaschke", "alpha": 0.4}'
     ["spread", "--map", POWER, "--arc", "0.1,nan"],
     ["blaschke-eval", "--alpha", "0.4", "--theta", "nan"],
     ["classify-radial", "--xi", "nan"],
+    ["tau", "--alpha", "0.4", "--tol", "nan"],
+    ["classify-radial", "--xi", "0.3", "--eps-escape", "nan"],
+    ["classify-radial", "--xi", "0.3", "--delta-bounded", "nan"],
+    ["harmonic", "--domain", "annulus", "--method", "wos", "--walks", "10", "--rho", "nan"],
+    ["harmonic", "--domain", "champagne", "--method", "wos", "--bubbles", "[[0.4, 0.0, 0.1]]",
+     "--walks", "10", "--base", "nan,0"],
+    ["harmonic", "--domain", "annulus", "--method", "pushforward", "--walks", "10",
+     "--R", "inf"],
 ], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
 def test_non_finite_angles_are_refused(tmp_path, capsys, argv):
     # refused before any work: no orbit, no RuntimeWarning, no NaN in JSON
@@ -391,6 +399,20 @@ def test_render_bad_config_path(tmp_path, capsys):
          "--out-dir", str(tmp_path)], capsys)
     assert code == 2
     assert "missing.json" in err
+
+
+def test_render_unwritable_out_dir(tmp_path, capsys):
+    # an output directory under a regular file is a runtime error naming it
+    config = tmp_path / "grid.json"
+    config.write_text(json.dumps({"center": [1.0, 0.0], "width": 1e-9, "height": 1e-9,
+                                  "nx": 1, "ny": 1, "max_iter": 10}))
+    out_dir = config / "out"
+    code, out, err = run(
+        ["render", "--map", '{"kind": "exp_baker", "alpha": 0.4}',
+         "--config", str(config), "--out-dir", str(out_dir)], capsys)
+    assert code == 2
+    assert out == ""
+    assert str(out_dir) in err
 
 
 def test_map_json_both_spellings(tmp_path, capsys):

@@ -71,12 +71,13 @@ def test_wos_base_point_validation():
     domain = hm.annulus(0.5, 2.0)
     with pytest.raises(BasePointOnBoundary):
         hm.walk_on_spheres(domain, 2.0, 10, seed=1)
-    for outside in (2.5, 0.25, -3j):
+    for outside in (2.5, 0.25, -3j, complex(math.nan, 0.0)):
         with pytest.raises(OutOfRange, match="outside the domain"):
             hm.walk_on_spheres(domain, outside, 10, seed=1)
     bubble = hm.champagne_disk([(0.4 + 0.0j, 0.1)])
-    with pytest.raises(OutOfRange, match="outside the domain"):
-        hm.walk_on_spheres(bubble, 0.4, 10, seed=1)
+    for outside in (0.4, complex(0.0, math.nan)):
+        with pytest.raises(OutOfRange, match="outside the domain"):
+            hm.walk_on_spheres(bubble, outside, 10, seed=1)
     with pytest.raises(OutOfRange):
         hm.walk_on_spheres(domain, 1.0, 0, seed=1)
 

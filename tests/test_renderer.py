@@ -44,28 +44,15 @@ def test_unsupported_kind():
         rd.classify_grid(mz.rotation(0.3), _grid(0.0j, 1.0, 4))
 
 
-def test_write_image_single_pixel(tmp_path):
+def test_write_image_single_pixel():
     grid = rd.classify_grid(mz.exp_baker(0.4), _grid(1.0 + 0.0j, 1e-9, 1))
-    path = tmp_path / "one.ppm"
-    rd.write_image(grid, path)
-    data = path.read_bytes()
     # header plus exactly one attracted-palette pixel at full brightness
-    assert data == b"P6\n1 1\n255\n" + bytes([70, 110, 235])
+    assert rd.ppm_bytes(grid) == b"P6\n1 1\n255\n" + bytes([70, 110, 235])
 
 
-def test_write_image_deterministic(tmp_path):
+def test_write_image_deterministic():
     grid = rd.classify_grid(mz.exp_baker(0.4), _grid(0.5 + 0.5j, 2.0, 16, max_iter=60))
-    p1, p2 = tmp_path / "a.ppm", tmp_path / "b.ppm"
-    rd.write_image(grid, p1)
-    rd.write_image(grid, p2)
-    assert p1.read_bytes() == p2.read_bytes()
-
-
-def test_write_image_bad_path():
-    grid = rd.classify_grid(mz.exp_baker(0.4), _grid(1.0 + 0.0j, 1e-9, 1))
-    with pytest.raises(OSError) as exc:
-        rd.write_image(grid, "/nonexistent-dir/out.ppm")
-    assert "/nonexistent-dir/out.ppm" in str(exc.value)
+    assert rd.ppm_bytes(grid) == rd.ppm_bytes(grid)
 
 
 @pytest.fixture(scope="module")
