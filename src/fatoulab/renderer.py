@@ -12,21 +12,28 @@ retire pixels with step k.  Below max_iter its ``ahead`` tests, which read
 what the next step is built from, retire pixels with step k + 1, and its
 step writes step k + 1 into the state arrays in place.  The order of each
 list is part of the contract: mcmullen tests escape before attraction, the
-other kinds attraction first.  Live pixels are compacted only when a test
-fires, and only the arrays read after that test are.
+other kinds attraction first.  Live orbits are compacted only when a test
+retires one, and only the arrays read after that test are.
 
 For the punctured-plane map exp(alpha*(z - 1/z)) the iteration carries the
 pair (z, 1/z) and tests escape on the exponent's real part.  Under the
 symmetry f(1/z) = 1/f(z) the paired exponent sequence negates exactly in
 floating point, so swapping a pair start (z0, u0) -> (u0, z0) provably swaps
-the zero/infinity escape verdicts bit-for-bit.
+the zero/infinity escape verdicts bit-for-bit.  The start (-z0, -u0) negates
+the first exponent exactly too, since alpha*(-z) - alpha*(-u) is
+-(alpha*z - alpha*u) in IEEE arithmetic, so from step 1 on the pair of -z0
+is (u, z): one orbit classifies z0 and -z0, the two escape ends swapped.
 
 Every kind's arithmetic (complex add and fused multiply-add, Smith
 division, ``exp``, ``sin``, ``square``, ``abs``) commutes with conjugation,
 so a map with real parameters and a real target gives conj(z0) the verdict
-and step of z0.  A grid centered on the real axis has its rows at exact
-negatives of each other, so ``classify_grid`` classifies only the rows on
-and above the axis and mirrors them into the rows below.
+and step of z0.  It also commutes with negation, round to nearest being
+symmetric: sine_model is odd, and mcmullen with m and l of equal parity is
+even or odd, so with the target 0 or none -z0 gets the verdict and step of
+z0.  A grid centered on the real axis has its rows at exact negatives of
+each other, and one centered at 0 its columns too, so ``classify_grid``
+iterates only the rows on and above the axis, and then only the columns
+left of and on the imaginary axis, and fills in the rest.
 """
 
 from __future__ import annotations
@@ -120,23 +127,7 @@ class GridSpec:
         result, so that block after block allocates nothing; the next call
         overwrites the result.
         """
-        n = stop - start
-        ramp, col, row, t, z = (a[:n] for a in scratch or _point_scratch(n))
-        dx, dy = self.pixel_size()
-        np.add(ramp, start, out=col)  # j
-        np.floor_divide(col, self.nx, out=row)
-        np.subtract(self.ny / 2.0 - 0.5, row, out=t)
-        t *= dy
-        t += self.center.imag
-        np.multiply(1j, t, out=z)
-        row *= self.nx
-        col -= row  # j - (j // nx) * nx, which is j % nx and cheaper
-        np.add(col, 0.5, out=t)
-        t -= self.nx / 2.0
-        t *= dx
-        t += self.center.real
-        z += t
-        return z
+        return _centers(self, self.nx, start, stop, scratch)
 
     def points(self) -> np.ndarray:
         """Pixel centers of the whole grid, shape (ny, nx); see block_points."""
@@ -185,6 +176,29 @@ class ClassifiedGrid:
 BLOCK = 1 << 15
 
 
+def _centers(grid: GridSpec, width: int, start: int, stop: int, scratch=None) -> np.ndarray:
+    """Centers of the pixels start..stop-1 of the grid's leftmost ``width``
+    columns, row-major: pixel j sits in column j % width and row j // width,
+    and its center has the bits ``GridSpec.block_points`` gives it."""
+    n = stop - start
+    ramp, col, row, t, z = (a[:n] for a in scratch or _point_scratch(n))
+    dx, dy = grid.pixel_size()
+    np.add(ramp, start, out=col)  # j
+    np.floor_divide(col, width, out=row)
+    np.subtract(grid.ny / 2.0 - 0.5, row, out=t)
+    t *= dy
+    t += grid.center.imag
+    np.multiply(1j, t, out=z)
+    row *= width
+    col -= row  # j - (j // width) * width, which is j % width and cheaper
+    np.add(col, 0.5, out=t)
+    t -= grid.nx / 2.0
+    t *= dx
+    t += grid.center.real
+    z += t
+    return z
+
+
 def _point_scratch(n: int) -> tuple:
     """Work arrays for ``GridSpec.block_points`` over blocks of up to n
     pixels: a ramp 0..n-1, column and row indices, one real coordinate and
@@ -196,12 +210,16 @@ def _point_scratch(n: int) -> tuple:
 @dataclass(frozen=True)
 class _Orbits:
     """One kind's escape-time kernel over one block (see the module
-    docstring).  ``start()`` gives the per-pixel state and scratch arrays
-    and the pixels retired as singular at step 0, so that the loop holds
-    no start array it has compacted; a test is ``(mask_of(*arrays),
-    verdict)``; ``advance`` computes what the ``ahead`` tests read; a
-    retire compacts the arrays with indices in ``now_reads`` or
-    ``ahead_reads`` and cuts the others, dead until the step, to size."""
+    docstring).  An orbit classifies one pixel, or ``slots`` pixels that
+    share its iteration.  ``start()`` gives the per-orbit state and
+    scratch arrays, which the loop may write, and the orbits retired as
+    singular at step 0, so that the loop holds no start array it has
+    compacted; a test is ``(mask_of(*arrays), codes)``, ``codes`` holding
+    the verdict it gives each slot, or None for a slot it leaves open;
+    ``first``, when given, replaces ``now`` at step 0; ``advance``
+    computes what the ``ahead`` tests read; a retire compacts the arrays
+    with indices in ``now_reads`` or ``ahead_reads`` and cuts the others,
+    dead until the step, to size."""
 
     start: Callable
     now: list
@@ -210,61 +228,84 @@ class _Orbits:
     advance: Optional[Callable] = None
     now_reads: tuple = (0,)
     ahead_reads: tuple = (0,)
+    first: Optional[list] = None
+    slots: int = 1
 
 
 def _escape_time(orbits: _Orbits, max_iter: int) -> tuple:
-    """Verdicts and steps of one block: the one compaction loop."""
+    """Verdicts and steps of one block, one row per slot: the one
+    compaction loop.  An orbit leaves it once every slot has retired."""
     arrays, singular = orbits.start()
-    n = singular.size
-    verdict, steps, idx = np.zeros(n, np.uint8), np.zeros(n, np.int32), np.arange(n)
+    shape = (orbits.slots, singular.size)
+    verdict, steps = np.zeros(shape, np.uint8), np.zeros(shape, np.int32)
+    idx = np.arange(singular.size)
+    # with two slots, which slots of each live orbit are still open
+    open_ = None if orbits.slots == 1 else [np.ones(singular.size, bool)] * orbits.slots
 
-    def retire(hit, code, k, reads):
-        nonlocal idx, arrays
-        done = idx[hit]
-        verdict[done] = code
-        steps[done] = k
+    def retire(hit, codes, k, reads):
+        nonlocal idx, open_, arrays
+        for slot, code in enumerate(codes):
+            if code is not None:
+                done = idx[hit if open_ is None else hit & open_[slot]]
+                verdict[slot, done] = code
+                steps[slot, done] = k
         keep = ~hit
+        if open_ is not None:  # an orbit stays while one of its slots is open
+            open_ = [o if code is None else o & keep for o, code in zip(open_, codes)]
+            keep = np.logical_or.reduce(open_)
+        if keep.all():
+            return
         idx = idx[keep]
+        if open_ is not None:
+            open_ = [o[keep] for o in open_]
         arrays = tuple(a[keep] if i in reads else a[:idx.size]
                        for i, a in enumerate(arrays))
 
-    # boolean indexing copies, so no step writes to the caller's points
-    retire(singular, SINGULAR, 0, orbits.now_reads)
+    retire(singular, (SINGULAR,) * orbits.slots, 0, orbits.now_reads)
     for k in range(max_iter + 1):
-        for test, code in orbits.now:
+        for test, codes in orbits.first if k == 0 and orbits.first else orbits.now:
             hit = test(*arrays)
             if hit.any():
-                retire(hit, code, k, orbits.now_reads)
+                retire(hit, codes, k, orbits.now_reads)
         if k == max_iter or not idx.size:
             break
         if orbits.advance is not None:
             orbits.advance(*arrays)
-        for test, code in orbits.ahead:
+        for test, codes in orbits.ahead:
             hit = test(*arrays)
             if hit.any():
-                retire(hit, code, k + 1, orbits.ahead_reads)
+                retire(hit, codes, k + 1, orbits.ahead_reads)
         orbits.step(*arrays)
     return verdict, steps
 
 
-def _attraction(target, default, tol) -> list:
-    """The attraction test on z = arrays[0], or none without a target;
-    ``"default"`` picks the kind's own."""
+def _attraction(target, default, tol, point=lambda z, *_: z, codes=(ATTRACTED,)) -> list:
+    """The attraction test on ``point(*arrays)``, z = arrays[0] unless
+    given, or none without a target; ``"default"`` picks the kind's own."""
     target = default if target == "default" else target
-    return [] if target is None else [(lambda z, *_: np.abs(z - target) < tol, ATTRACTED)]
+    return [] if target is None else [
+        (lambda *arrays: np.abs(point(*arrays) - target) < tol, codes)]
 
 
-def _exp_baker(alpha, z, u, tol, escape_radius, target) -> _Orbits:
+def _exp_baker(alpha, z, u, tol, escape_radius, target, paired) -> _Orbits:
     """Pair iteration for exp(alpha*(z - 1/z)); u tracks 1/z.  The escape
     tests read the next exponent w = alpha*z - alpha*u, so only w is
-    compacted with them, and the step rewrites z and u from w."""
+    compacted with them, and the step rewrites z and u from w.
+
+    Paired, each orbit also classifies -z0 in a second slot.  From step 1
+    on the pair of -z0 is exactly (u, z) (see the module docstring), so
+    that slot tests attraction on -z0 at step 0 and on u after it, and
+    takes the escape tests with zero and infinity swapped."""
     log_r = math.log(escape_radius)
+    slots = 2 if paired else 1
 
     def start(u=u):
         if u is None:
             with np.errstate(divide="ignore", invalid="ignore"):
                 u = np.where(z != 0, 1.0 / z, np.inf)
-        return ((z, u, np.empty_like(z)),
+        else:
+            u = u.copy()
+        return ((z.copy(), u, np.empty_like(z)),
                 (z == 0) | (u == 0) | ~np.isfinite(z) | ~np.isfinite(u))
 
     def advance(z, u, w):
@@ -275,14 +316,21 @@ def _exp_baker(alpha, z, u, tol, escape_radius, target) -> _Orbits:
         np.exp(w, out=z)
         np.exp(np.negative(w, out=w), out=u)
 
+    def attraction(point, codes):
+        return _attraction(target, 1.0 + 0.0j, tol, point, codes)
+
+    now = first = attraction(lambda z, *_: z, (ATTRACTED, None)[:slots])
+    if paired:
+        first = first + attraction(lambda z, *_: np.negative(z), (None, ATTRACTED))
+        now = now + attraction(lambda z, u, w: u, (None, ATTRACTED))
     return _Orbits(
-        start=start, now=_attraction(target, 1.0 + 0.0j, tol), step=step, advance=advance,
-        ahead=[(lambda z, u, w: w.real > log_r, ESCAPED_INFINITY),
-               (lambda z, u, w: w.real < -log_r, ESCAPED_ZERO)],
+        start=start, now=now, first=first, step=step, advance=advance, slots=slots,
+        ahead=[(lambda z, u, w: w.real > log_r, (ESCAPED_INFINITY, ESCAPED_ZERO)[:slots]),
+               (lambda z, u, w: w.real < -log_r, (ESCAPED_ZERO, ESCAPED_INFINITY)[:slots])],
         now_reads=(0, 1), ahead_reads=(2,))
 
 
-def _sine(alpha, z, _u, tol, escape_radius, target) -> _Orbits:
+def _sine(alpha, z, _u, tol, escape_radius, target, _paired) -> _Orbits:
     """2*alpha*sin(z); ``np.sin`` and a real scale are bit-safe in place."""
     def escaped(z):
         return (np.abs(z) > escape_radius) | (np.abs(z.imag) > map_zoo.EXP_CAP)
@@ -291,11 +339,11 @@ def _sine(alpha, z, _u, tol, escape_radius, target) -> _Orbits:
         np.sin(z, out=z)
         z *= 2.0 * alpha
 
-    return _Orbits(start=lambda: ((z,), ~np.isfinite(z)), step=step,
-                   now=_attraction(target, 0.0j, tol) + [(escaped, ESCAPED_INFINITY)])
+    return _Orbits(start=lambda: ((z.copy(),), ~np.isfinite(z)), step=step,
+                   now=_attraction(target, 0.0j, tol) + [(escaped, (ESCAPED_INFINITY,))])
 
 
-def _mcmullen(m, l, c, z, _u, tol, escape_radius, target) -> _Orbits:
+def _mcmullen(m, l, c, z, _u, tol, escape_radius, target, _paired) -> _Orbits:
     """z**m + c / z**l, testing escape before attraction; the pole maps to
     infinity.  ``z ** 2`` is ``np.square``, and each ufunc writes apart from
     its input: aliased, np.square rounds a one-element array differently."""
@@ -310,11 +358,11 @@ def _mcmullen(m, l, c, z, _u, tol, escape_radius, target) -> _Orbits:
             np.add(a, b, out=z)
 
     return _Orbits(
-        start=lambda: ((z, np.empty_like(z), np.empty_like(z)), np.zeros(z.shape, bool)),
+        start=lambda: ((z.copy(), np.empty_like(z), np.empty_like(z)), np.zeros(z.shape, bool)),
         step=step,
         now=[(lambda z, *_: (np.abs(z) > escape_radius) | ~np.isfinite(z),
-              ESCAPED_INFINITY)] + _attraction(target, None, tol),
-        ahead=[(lambda z, *_: z == 0, ESCAPED_INFINITY)])
+              (ESCAPED_INFINITY,))] + _attraction(target, None, tol),
+        ahead=[(lambda z, *_: z == 0, (ESCAPED_INFINITY,))])
 
 
 _KINDS = {map_zoo.EXP_BAKER: _exp_baker, map_zoo.SINE_MODEL: _sine,
@@ -333,47 +381,78 @@ def classify_points(spec: map_zoo.MapSpec, points, max_iter: int,
 
     Every operation is elementwise per pixel, so a point's verdict and step
     do not depend on the points classified with it.  Every point is
-    iterated: nothing is mirrored.
+    iterated: nothing is mirrored or reflected.
     """
     _check_orbit_contract(max_iter, tol, escape_radius, target)
     pts = np.asarray(points, dtype=np.complex128).ravel()
     recips = (None if reciprocals is None
               else np.asarray(reciprocals, dtype=np.complex128).ravel())
     verdict, steps = np.empty(pts.size, np.uint8), np.empty(pts.size, np.int32)
-    _classify_blocks(spec, verdict, steps, lambda start, stop, _: pts[start:stop],
-                     max_iter, tol, escape_radius, target, recips, 1)
+
+    def store(start, stop, v, s):
+        verdict[start:stop], steps[start:stop] = v[0], s[0]
+
+    _classify_blocks(spec, pts.size, lambda start, stop, _: pts[start:stop], store,
+                     max_iter, tol, escape_radius, target, recips, False, 1)
     return verdict, steps
 
 
-def _classify_blocks(spec, verdict, steps, points_of, max_iter, tol, escape_radius,
-                     target, recips, threads):
-    """Classify pixels 0..n-1 into the 1-D arrays ``verdict`` and ``steps``
-    of size n, in contiguous blocks of ``BLOCK`` shared out over up to
-    ``threads`` workers.  ``points_of(start, stop, scratch)`` gives a
-    block's start points, possibly in the worker's own ``_point_scratch``;
-    the loop copies them before its first step."""
+def _classify_blocks(spec, n, points_of, store, max_iter, tol, escape_radius,
+                     target, recips, paired, threads):
+    """Classify pixels 0..n-1 in contiguous blocks of ``BLOCK`` shared out
+    over up to ``threads`` workers.  ``points_of(start, stop, scratch)``
+    gives a block's start points, possibly in the worker's own
+    ``_point_scratch``; ``store(start, stop, verdict, steps)`` takes the
+    block's results, one row per slot: ``paired`` exp_baker orbits give a
+    second row, for the start points negated."""
     orbits = _KINDS.get(spec.kind)
     if orbits is None:
         raise UnsupportedMap(f"classify supports exp_baker, sine_model, "
                              f"mcmullen; got {spec.kind!r}")
-    n = verdict.size
     starts = range(0, n, BLOCK)
     workers = max(1, min(threads, len(starts)))
 
     def work(first):
         scratch = _point_scratch(min(BLOCK, n))
         for start in starts[first::workers]:
-            block = slice(start, min(start + BLOCK, n))
-            z0 = points_of(block.start, block.stop, scratch)
-            u0 = None if recips is None else recips[block]
-            verdict[block], steps[block] = _escape_time(
-                orbits(*spec.params, z0, u0, tol, escape_radius, target), max_iter)
+            stop = min(start + BLOCK, n)
+            z0 = points_of(start, stop, scratch)
+            u0 = None if recips is None else recips[start:stop]
+            store(start, stop, *_escape_time(
+                orbits(*spec.params, z0, u0, tol, escape_radius, target, paired), max_iter))
 
     if workers == 1:
         work(0)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(work, range(workers)))
+
+
+def _symmetries(spec: map_zoo.MapSpec, grid: GridSpec) -> tuple:
+    """Whether the grid is mirrored (its rows below the real axis are
+    conjugates of rows above) and reflected (its right columns are the
+    point reflections of its left ones); see classify_grid."""
+    # a kind without a kernel goes on to _classify_blocks' UnsupportedMap
+    if spec.kind not in _KINDS:
+        return False, False
+    mirrored = (grid.center.imag == 0
+                and all(complex(v).imag == 0 for v in spec.params + (grid.target or 0,)))
+    # sine_model is odd; mcmullen is even or odd when m and l share parity
+    reflected = grid.center == 0 and (
+        spec.kind == map_zoo.EXP_BAKER
+        or (not grid.target and (spec.kind == map_zoo.SINE_MODEL
+                                 or (spec.params[0] - spec.params[1]) % 2 == 0)))
+    return mirrored, reflected
+
+
+def _rectangles(start: int, stop: int, width: int) -> list:
+    """Pixels start..stop-1 of a row-major region ``width`` columns wide as
+    rectangles (r0, r1, c0, c1), some maybe empty: the rest of the first
+    row, whole rows and the start of the last row."""
+    (r0, c0), (r1, c1) = divmod(start, width), divmod(stop, width)
+    if r0 == r1:
+        return [(r0, r0 + 1, c0, c1)]
+    return [(r0, r0 + 1, c0, width), (r0 + 1, r1, 0, width), (r1, r1 + 1, 0, c1)]
 
 
 def classify_grid(spec: map_zoo.MapSpec, grid: GridSpec,
@@ -383,24 +462,53 @@ def classify_grid(spec: map_zoo.MapSpec, grid: GridSpec,
     its blocks' pixel centers in its own scratch arrays, so memory is the
     outputs plus a fixed amount per worker.
 
-    When the grid's center is on the real axis, every map parameter is real
-    and the target is the kind's default or real, the rows below the axis
-    are the conjugates of the rows above it and get their verdicts and
-    steps bit for bit (see the module docstring): only the top
-    ``ny - ny // 2`` rows, the middle row of an odd grid included, are
-    classified, and the rest are their mirror image.
+    Two symmetries of the module docstring cut the pixels iterated, each
+    exact bit for bit.  When the grid's center is on the real axis, every
+    map parameter is real and the target is the kind's default or real,
+    the grid is mirrored: the rows below the axis are the conjugates of
+    the rows above it, so only the top ``ny - ny // 2`` rows, the middle
+    row of an odd grid included, are iterated.  When the center is 0, the
+    grid is reflected: pixel z0 of the left columns has -z0 among the right
+    ones, so only the left ``nx - nx // 2`` columns of those rows, the
+    middle column of an odd grid included, are iterated.  That holds for
+    exp_baker, whose orbits then classify z0 and -z0 together, and for
+    sine_model and mcmullen with m and l of equal parity, whose -z0 gets
+    the verdict and step of z0, when the target is the default or 0.
+    Each block's results are written with their images under both
+    symmetries as the block finishes.
     """
     target = grid.target if grid.target is not None else "default"
-    verdict = np.empty((grid.ny, grid.nx), dtype=np.uint8)
-    steps = np.empty((grid.ny, grid.nx), dtype=np.int32)
-    # a kind without a kernel goes on to _classify_blocks' UnsupportedMap
-    mirrored = (spec.kind in _KINDS and grid.center.imag == 0
-                and all(complex(v).imag == 0 for v in spec.params + (grid.target or 0,)))
-    top = grid.ny - grid.ny // 2 if mirrored else grid.ny
-    _classify_blocks(spec, verdict[:top].ravel(), steps[:top].ravel(), grid.block_points,
-                     grid.max_iter, grid.tol, grid.escape_radius, target, None, threads)
-    verdict[top:] = verdict[:grid.ny - top][::-1]
-    steps[top:] = steps[:grid.ny - top][::-1]
+    ny, nx = grid.ny, grid.nx
+    verdict = np.empty((ny, nx), dtype=np.uint8)
+    steps = np.empty((ny, nx), dtype=np.int32)
+    mirrored, reflected = _symmetries(spec, grid)
+    top = ny - ny // 2 if mirrored else ny
+    left = nx - nx // 2 if reflected else nx
+    # the iterated rows whose conjugates, and columns whose reflections,
+    # are not iterated: the first ny - top and nx - left
+    conj, twins = ny - top, nx - left
+
+    def store(start, stop, v, s):
+        for r0, r1, c0, c1 in _rectangles(start, stop, left):
+            o, shape = r0 * left + c0 - start, (r1 - r0, c1 - c0)
+            m, t = max(0, min(r1, conj) - r0), max(0, min(c1, twins) - c0)
+            conj_rows, cols = slice(ny - r0 - m, ny - r0), slice(nx - c0 - t, nx - c0)
+            for out, got in ((verdict, v), (steps, s)):
+                got = got[:, o:o + shape[0] * shape[1]].reshape(len(got), *shape)
+                # the last slot is -z0's, here flipped to run left to right
+                mine, twin = got[0], got[-1, :, :t][:, ::-1]
+                out[r0:r1, c0:c1] = mine
+                if mirrored:
+                    out[r0:r1, cols] = twin
+                else:
+                    out[ny - r1:ny - r0, cols] = twin[::-1]
+                out[conj_rows, c0:c1] = mine[:m][::-1]
+                out[conj_rows, cols] = twin[:m][::-1]
+
+    _classify_blocks(spec, top * left,
+                     lambda start, stop, scratch: _centers(grid, left, start, stop, scratch),
+                     store, grid.max_iter, grid.tol, grid.escape_radius, target, None,
+                     spec.kind == map_zoo.EXP_BAKER and twins > 0, threads)
     return ClassifiedGrid(grid, verdict, steps)
 
 

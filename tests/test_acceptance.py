@@ -297,6 +297,12 @@ def test_criterion_12_symmetry_suite(baker_grid_1000):
                and np.array_equal(s, grid.steps.ravel()[lower:])
                and np.array_equal(grid.verdict, grid.verdict[::-1, :])
                and np.array_equal(grid.steps, grid.steps[::-1, :]))
+    # centered at 0, its right columns are filled from the orbits of the
+    # left ones: the upper rows' right columns are iterated alone too
+    top, left = g.ny - g.ny // 2, g.nx - g.nx // 2
+    v, s = rd.classify_points(mz.exp_baker(0.4), g.points()[:top, left:], g.max_iter)
+    conj_ok &= (np.array_equal(v, grid.verdict[:top, left:].ravel())
+                and np.array_equal(s, grid.steps[:top, left:].ravel()))
 
     pts = grid.spec.points().ravel()[::499]
     pts = pts[pts != 0]

@@ -64,7 +64,7 @@ def baker_grid():
 def test_conjugation_symmetry_exact(baker_grid):
     # classify_grid mirrors the lower rows of this axis-centered grid, so
     # they are held against the same pixels iterated by classify_points,
-    # which never mirrors
+    # which never mirrors or reflects
     g, v, s = baker_grid.spec, baker_grid.verdict, baker_grid.steps
     assert np.array_equal(v, v[::-1, :])
     assert np.array_equal(s, s[::-1, :])
@@ -73,6 +73,14 @@ def test_conjugation_symmetry_exact(baker_grid):
                                           g.block_points(lower, g.ny * g.nx), g.max_iter)
     assert np.array_equal(v_alone, v.ravel()[lower:])
     assert np.array_equal(s_alone, s.ravel()[lower:])
+    # the grid is centered at 0, so its right columns are the point
+    # reflections of the left ones, filled from the same orbits: the upper
+    # rows' right columns, the rest of what is not iterated, too
+    top, left = g.ny - g.ny // 2, g.nx - g.nx // 2
+    v_alone, s_alone = rd.classify_points(mz.exp_baker(0.4), g.points()[:top, left:],
+                                          g.max_iter)
+    assert np.array_equal(v_alone, v[:top, left:].ravel())
+    assert np.array_equal(s_alone, s[:top, left:].ravel())
 
 
 def _assert_reciprocal_swap(grid):
@@ -147,6 +155,9 @@ _KERNEL_GRIDS = [
     (mz.mcmullen(2, 2, 1e-4), _grid(0.05j, 4.0, 96, max_iter=120), (0.0j, 1.0)),
     # centered on the real axis, so only the top 41 rows are classified
     (mz.exp_baker(0.4), rd.GridSpec(0.0j, 6.0, 5.0, 96, 81, 120), (0.0j, 1.0)),
+    # centered at 0 with odd nx and ny: the top-left 41 x 48 pixels are
+    # iterated, in blocks that straddle the rows of that quadrant
+    (mz.exp_baker(0.4), rd.GridSpec(0.0j, 6.0, 5.0, 95, 81, 120), (0.0j, 1.0)),
 ]
 
 
@@ -188,9 +199,24 @@ _UNMIRRORED_AXIS_GRIDS = [
                  id="exp_baker-complex-target"),
 ]
 
+# zero-centered grids that classify_grid must not reflect: off 0 by a
+# little, a sine_model target that is not 0 (with a tol that reaches 0)
+# and mcmullen with m and l of mixed parity
+_UNREFLECTED_GRIDS = [
+    pytest.param(mz.exp_baker(0.4), rd.GridSpec(1e-3 + 0.0j, 2.0, 2.0, 23, 23, 60),
+                 id="exp_baker-off-zero"),
+    pytest.param(mz.sine_model(0.4),
+                 rd.GridSpec(0.0j, 8.0, 8.0, 23, 23, 60, tol=0.6, target=0.5 + 0.0j),
+                 id="sine_model-target"),
+    pytest.param(mz.mcmullen(2, 3, 1e-4), rd.GridSpec(0.0j, 4.0, 4.0, 23, 23, 60),
+                 id="mcmullen-mixed-parity"),
+]
+
 # one grid per kernel, small enough to classify pixel by pixel; the first
 # three are off the axis, the axis-centered ones are mirrored, with odd
-# and even ny, and the last are not
+# and even ny, and the last are not; every grid centered at 0 is also
+# reflected but the unreflected ones, nx odd putting a column on the
+# imaginary axis
 _ALONE_GRIDS = [
     pytest.param(mz.exp_baker(0.4), _grid(0.2 + 0.1j, 6.0, 31, max_iter=60), id="exp_baker"),
     pytest.param(mz.sine_model(0.4), _grid(0.1 + 0.2j, 8.0, 31, max_iter=60), id="sine_model"),
@@ -201,7 +227,23 @@ _ALONE_GRIDS = [
     for spec, extent in [(mz.exp_baker(0.4), 6.0), (mz.sine_model(0.4), 8.0),
                          (mz.mcmullen(2, 2, 1e-4), 4.0)]
     for ny in (23, 24)
-] + _UNMIRRORED_AXIS_GRIDS
+] + _UNMIRRORED_AXIS_GRIDS + [
+    pytest.param(spec, rd.GridSpec(0.0j, extent, extent, 23, ny, 60),
+                 id=f"{name}-zero-odd-nx-{'odd' if ny % 2 else 'even'}-ny")
+    for spec, extent, name in [(mz.exp_baker(0.4), 6.0, "exp_baker"),
+                               (mz.sine_model(0.4), 8.0, "sine_model"),
+                               (mz.mcmullen(2, 2, 1e-4), 4.0, "mcmullen"),
+                               (mz.mcmullen(3, 3, 0.1), 2.0, "mcmullen-odd")]
+    for ny in (23, 24)
+] + [
+    # reflected, not mirrored: -z0 is not conj(z0) of a mirrored row
+    pytest.param(mz.MapSpec(mz.EXP_BAKER, (0.4 + 0.05j,)), rd.GridSpec(0.0j, 2.0, 2.0, 23, 23, 60),
+                 id="exp_baker-complex-alpha"),
+    # tol 0.2 attracts pixels near 1 and, reflected, near -1 at step 0
+    pytest.param(mz.exp_baker(0.4),
+                 rd.GridSpec(0.0j, 2.0, 2.0, 24, 23, 60, tol=0.2, target=1.0 + 0.03j),
+                 id="exp_baker-complex-target-even-nx"),
+] + _UNREFLECTED_GRIDS
 
 
 @pytest.mark.parametrize("spec, grid", _ALONE_GRIDS)
@@ -226,6 +268,48 @@ def test_asymmetric_axis_grids_are_not_mirrored(spec, grid):
     ref = rd.classify_grid(spec, grid)
     assert not (np.array_equal(ref.verdict, ref.verdict[::-1])
                 and np.array_equal(ref.steps, ref.steps[::-1]))
+
+
+@pytest.mark.parametrize("spec, grid", _UNREFLECTED_GRIDS)
+def test_unsymmetric_zero_grids_are_not_reflected(spec, grid):
+    # a reflection would fill each pixel right of the middle column from
+    # the orbit of the pixel z0 it mirrors through 0: exp_baker with the
+    # results of -z0, the other kinds with those of z0, which on these
+    # mirrored grids would make them column-symmetric.  The grids differ
+    # from that, so a reflection would fail the pixel-alone test on them
+    ref = rd.classify_grid(spec, grid)
+    left = grid.nx - grid.nx // 2
+    z0 = grid.points()[::-1, ::-1][:, left:]
+    target = "default" if grid.target is None else grid.target
+    v, s = rd.classify_points(spec, -z0 if spec.kind == mz.EXP_BAKER else z0, grid.max_iter,
+                              tol=grid.tol, target=target)
+    assert not (np.array_equal(v, ref.verdict[:, left:].ravel())
+                and np.array_equal(s, ref.steps[:, left:].ravel()))
+    if spec.kind != mz.EXP_BAKER:
+        assert not (np.array_equal(ref.verdict, ref.verdict[:, ::-1])
+                    and np.array_equal(ref.steps, ref.steps[:, ::-1]))
+
+
+def test_start_points_iterated(monkeypatch):
+    # the kernels see the top-left quadrant of a zero-centered golden
+    # grid, the middle row and column included, and every pixel off the
+    # real axis
+    seen = []
+
+    def counting(factory):
+        def kernel(*args):
+            seen.append(args[-6].size)  # the start points z0
+            return factory(*args)
+        return kernel
+
+    monkeypatch.setattr(rd, "_KINDS", {k: counting(f) for k, f in rd._KINDS.items()})
+    for spec, extent, *_ in _GOLDEN_RENDERS:
+        seen.clear()
+        rd.classify_grid(spec, _grid(0.0j, extent, 119, max_iter=64))
+        assert sum(seen) == 60 * 60, spec.kind
+        seen.clear()
+        rd.classify_grid(spec, _grid(0.01 + 0.01j, extent, 119, max_iter=64))
+        assert sum(seen) == 119 * 119, spec.kind
 
 
 def _peak_bytes(fn):
