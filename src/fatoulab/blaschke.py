@@ -20,6 +20,11 @@ Truncation is certified: factor_n(z) - 1 = (a_n^2 - 1)(1 + z^2)/(1 - a_n^2 z^2)
 and 1 - a_n^2 <= 4 tau^-n, so on the closed disk minus neighbourhoods of +-1
 the factor deviations are geometrically summable and the partial product can
 be driven below any target error with an explicit term count.
+
+This module alone decides "too close to +-1".  ``required_terms``, which
+every evaluation runs, refuses points within the fixed chordal distance
+``EXCLUSION`` of a singularity.  ``in_exclusion_zone`` is the same test as
+a mask: points it clears are never refused for the zone.
 """
 
 from __future__ import annotations
@@ -35,7 +40,10 @@ from .errors import FatouLabError, NoSignChange, OutOfRange, TooCloseToSingulari
 
 TWO_PI = 2.0 * math.pi
 
-DEFAULT_EXCLUSION = 1e-3
+BLASCHKE = "blaschke"  # JSON kind of the product's boundary map
+
+# radius of the zones around +-1 in which evaluation is refused
+EXCLUSION = 1e-3
 DEFAULT_TARGET_ERR = 1e-9
 
 @dataclass(frozen=True)
@@ -105,7 +113,7 @@ def _saturation_horizon(s: float) -> int:
     """Largest n with tanh(n s / 2) < 1 in double precision.
 
     Beyond it the factors are numerically indistinguishable from 1 (the tail
-    bound at the horizon is ~1e-14 even at the default exclusion radius), so
+    bound at the horizon is ~1e-14 even at the exclusion radius), so
     nothing representable is lost by stopping there.
     """
     n = max(1, int(math.floor(38.0 / s)) + 2)
@@ -123,7 +131,12 @@ class BlaschkeProduct:
     ``zeros`` holds a_n = tanh(n s / 2) for n = 1..horizon, where the
     saturation horizon is the last n with a_n < 1 in double precision: the
     factors past it are exactly 1, so no evaluation uses more terms.
+
+    A product is also the circle map of kind ``BLASCHKE``: circle_dynamics
+    iterates it beside the map_zoo MapSpecs of the circle kinds.
     """
+
+    kind = BLASCHKE  # a class attribute, not a field
 
     alpha: float
     tau: float
@@ -150,25 +163,22 @@ class BlaschkeProduct:
         return self.zeros * self.zeros
 
 
-def _chordal_gap(z):
-    """min(|z - 1|, |z + 1|), elementwise."""
+def in_exclusion_zone(z):
+    """Whether min(|z - 1|, |z + 1|) <= EXCLUSION, elementwise: the points
+    that every evaluation refuses."""
     z = np.asarray(z, dtype=np.complex128)
-    return np.minimum(np.abs(z - 1.0), np.abs(z + 1.0))
+    return np.minimum(np.abs(z - 1.0), np.abs(z + 1.0)) <= EXCLUSION
 
 
-def _excluded(exclusion: float) -> TooCloseToSingularity:
+def _excluded() -> TooCloseToSingularity:
     return TooCloseToSingularity(
-        f"evaluation within {exclusion:.3g} of a singularity at +-1",
-        min_usable_radius=exclusion,
-    )
+        f"evaluation within {EXCLUSION:.3g} of a singularity at +-1")
 
 
-def _past_horizon(target_err: float, exclusion: float) -> TooCloseToSingularity:
+def _past_horizon(target_err: float) -> TooCloseToSingularity:
     return TooCloseToSingularity(
         f"double precision cannot certify target_err={target_err:.3g} "
-        "this close to the singularities",
-        min_usable_radius=exclusion,
-    )
+        "this close to the singularities")
 
 
 def _tail_at_horizon(B: BlaschkeProduct, u, w):
@@ -176,25 +186,23 @@ def _tail_at_horizon(B: BlaschkeProduct, u, w):
     return (16.0 * u / (w * (1.0 - 1.0 / B.tau))) * B.tau ** -(B.horizon + 1.0)
 
 
-def required_terms(B: BlaschkeProduct, z, target_err: float = DEFAULT_TARGET_ERR,
-                   exclusion: float = DEFAULT_EXCLUSION):
+def required_terms(B: BlaschkeProduct, z, target_err: float = DEFAULT_TARGET_ERR):
     """Product terms needed to bound the truncation error below target_err at z.
 
     Scalar z gives an int; an array gives an int array.  Raises
-    TooCloseToSingularity if z violates the exclusion radius around +-1 or if
+    TooCloseToSingularity if z lies in the exclusion zone around +-1 or if
     the factors up to the saturation horizon cannot certify target_err.
     """
     if not target_err > 0:
         raise OutOfRange(f"target_err must be > 0, got {target_err}")
     if isinstance(z, (int, float, complex)):
         try:
-            return _required_terms_one(B, complex(z), target_err, exclusion)
+            return _required_terms_one(B, complex(z), target_err)
         except (ArithmeticError, ValueError):
             pass  # a bound at zero or infinity: numpy's IEEE arithmetic copes
     z_arr = np.asarray(z, dtype=np.complex128)
-    gap = _chordal_gap(z_arr)
-    if np.any(gap <= exclusion):
-        raise _excluded(exclusion)
+    if np.any(in_exclusion_zone(z_arr)):
+        raise _excluded()
     w = np.abs(1.0 - z_arr * z_arr)
     u = np.maximum(np.abs(1.0 + z_arr * z_arr), 1e-300)
     log_tau = B.s
@@ -209,17 +217,16 @@ def required_terms(B: BlaschkeProduct, z, target_err: float = DEFAULT_TARGET_ERR
     clipped = n > B.horizon
     if np.any(clipped):
         if np.any(_tail_at_horizon(B, u, w)[clipped] > target_err):
-            raise _past_horizon(target_err, exclusion)
+            raise _past_horizon(target_err)
         n = np.minimum(n, B.horizon)
     n = n.astype(np.int64)
     return n if z_arr.ndim else int(n)
 
 
-def _required_terms_one(B: BlaschkeProduct, z: complex, target_err: float,
-                        exclusion: float) -> int:
+def _required_terms_one(B: BlaschkeProduct, z: complex, target_err: float) -> int:
     """required_terms at one point: the same formula and refusals in math."""
-    if min(abs(z - 1.0), abs(z + 1.0)) <= exclusion:
-        raise _excluded(exclusion)
+    if min(abs(z - 1.0), abs(z + 1.0)) <= EXCLUSION:
+        raise _excluded()
     zz = z * z
     w = abs(1.0 - zz)
     u = max(abs(1.0 + zz), 1e-300)
@@ -229,7 +236,7 @@ def _required_terms_one(B: BlaschkeProduct, z: complex, target_err: float,
     n = math.ceil(bound)
     if n > B.horizon:
         if _tail_at_horizon(B, u, w) > target_err:
-            raise _past_horizon(target_err, exclusion)
+            raise _past_horizon(target_err)
         n = B.horizon
     return n
 
@@ -237,8 +244,7 @@ def _required_terms_one(B: BlaschkeProduct, z: complex, target_err: float,
 _OUTSIDE_DISK = "eval_blaschke requires |z| <= 1"
 
 
-def eval_blaschke(B: BlaschkeProduct, z, target_err: float = 1e-12,
-                  exclusion: float = DEFAULT_EXCLUSION, terms=None):
+def eval_blaschke(B: BlaschkeProduct, z, target_err: float = 1e-12, terms=None):
     """Partial product with certified truncation error below target_err.
 
     Accepts a scalar or an array of points with |z| <= 1.  The factors tend
@@ -252,12 +258,12 @@ def eval_blaschke(B: BlaschkeProduct, z, target_err: float = 1e-12,
     """
     z_arr = np.asarray(z, dtype=np.complex128)
     if z_arr.size == 1 and terms is None:
-        out = _eval_one(B, z_arr.reshape(1), target_err, exclusion)
+        out = _eval_one(B, z_arr.reshape(1), target_err)
         return complex(out[0]) if z_arr.ndim == 0 else out.reshape(z_arr.shape)
     if np.any(np.abs(z_arr) > 1.0 + 1e-12):
         raise OutOfRange(_OUTSIDE_DISK)
     if terms is None:
-        terms = np.max(required_terms(B, z_arr, target_err, exclusion), initial=0)
+        terms = np.max(required_terms(B, z_arr, target_err), initial=0)
     z2 = z_arr * z_arr
     out = z_arr.copy()
     for a2 in B.zeros_squared[:int(terms)]:
@@ -265,8 +271,7 @@ def eval_blaschke(B: BlaschkeProduct, z, target_err: float = 1e-12,
     return out
 
 
-def _eval_one(B: BlaschkeProduct, z1: np.ndarray, target_err: float,
-              exclusion: float) -> np.ndarray:
+def _eval_one(B: BlaschkeProduct, z1: np.ndarray, target_err: float) -> np.ndarray:
     """eval_blaschke at the point of the one-element array z1.
 
     All factors are built in one broadcast and multiplied in order by one
@@ -278,7 +283,7 @@ def _eval_one(B: BlaschkeProduct, z1: np.ndarray, target_err: float,
     z = complex(z1[0])
     if abs(z) > 1.0 + 1e-12:
         raise OutOfRange(_OUTSIDE_DISK)
-    a2 = B.zeros_squared[:required_terms(B, z, target_err, exclusion)]
+    a2 = B.zeros_squared[:required_terms(B, z, target_err)]
     z2 = z1 * z1
     return np.multiply.reduce(np.concatenate((z1, (a2 - z2) / (1.0 - a2 * z2))),
                               keepdims=True)
@@ -293,27 +298,18 @@ def derivative_at_zero(B: BlaschkeProduct) -> float:
     return float(math.exp(2.0 * np.log(B.zeros).sum()))
 
 
-def circle_eval(B: BlaschkeProduct, theta: float,
-                target_err: float = DEFAULT_TARGET_ERR,
-                exclusion: float = DEFAULT_EXCLUSION) -> float:
-    """Boundary map angle: arg B(e^(i theta)), reduced to [0, 2*pi).
-
-    theta must keep e^(i theta) outside the exclusion radius around +-1.
-    The result's modulus is checked against 1 before the argument is taken.
-    """
-    return float(circle_eval_many(B, np.asarray([theta]), target_err, exclusion)[0])
-
-
 def circle_eval_many(B: BlaschkeProduct, thetas,
-                     target_err: float = DEFAULT_TARGET_ERR,
-                     exclusion: float = DEFAULT_EXCLUSION, terms=None) -> np.ndarray:
-    """Vectorized circle_eval over an array of angles, 0-d included.
+                     target_err: float = DEFAULT_TARGET_ERR, terms=None) -> np.ndarray:
+    """Boundary map angles arg B(e^(i theta)), reduced to [0, 2*pi), for an
+    array of angles, 0-d included.
 
+    Every e^(i theta) must lie outside the exclusion zone around +-1.  The
+    values' moduli are checked against 1 before the arguments are taken.
     ``terms`` is passed to eval_blaschke.
     """
     th = np.asarray(thetas, dtype=np.float64)
     # eval_blaschke answers a 0-d point with a Python complex
-    vals = np.asarray(eval_blaschke(B, np.exp(1j * th), target_err, exclusion, terms))
+    vals = np.asarray(eval_blaschke(B, np.exp(1j * th), target_err, terms))
     if vals.size == 1:  # an orbit step: skip np.max's per-call overhead
         worst = abs(abs(vals.item()) - 1.0)
     else:

@@ -2,7 +2,11 @@
 
 Covers rotations, power maps theta -> d*theta, Mobius boundary maps, and
 boundary restrictions of Blaschke products (finite ones and the infinite
-product of :mod:`fatoulab.blaschke`).
+product of :mod:`fatoulab.blaschke`).  A circle map is a map_zoo MapSpec of
+one of the circle kinds or a ``blaschke.BlaschkeProduct``; both carry a
+``kind``.  The product is evaluated to ``blaschke.DEFAULT_TARGET_ERR``, and
+its refusal near the singularities +-1 (``TooCloseToSingularity``) is
+decided in :mod:`fatoulab.blaschke` alone.
 
 Measure-theoretic notions (exactness, ergodicity) are not computable from
 finite data; this module provides the standard observable proxies instead:
@@ -18,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -29,13 +32,11 @@ from .errors import (
     EmptyInput,
     OriginNotFixed,
     OutOfRange,
-    SingularityApproach,
+    TooCloseToSingularity,
 )
 from .rng import uniform01
 
 TWO_PI = 2.0 * math.pi
-
-BLASCHKE = "blaschke"  # JSON kind of the infinite Blaschke product's boundary map
 
 DEFAULT_GRID = 2 ** 14 + 1
 DEFAULT_CELLS = 2 ** 14  # reference-grid resolution for cover measurement
@@ -44,39 +45,16 @@ DEFAULT_CELLS = 2 ** 14  # reference-grid resolution for cover measurement
 # a result (see _blocks)
 BLOCK = 1 << 15
 
-
-@dataclass(frozen=True)
-class CircleMap:
-    """The boundary restriction of a holomorphic self-map of the disk.
-
-    ``map`` is a map_zoo MapSpec (rotation, power, mobius, finite_blaschke)
-    or the infinite BlaschkeProduct; the latter is evaluated to
-    ``target_err`` and refused within ``exclusion`` of its singularities +-1.
-    """
-
-    map: Union[map_zoo.MapSpec, _bl.BlaschkeProduct]
-    target_err: float = _bl.DEFAULT_TARGET_ERR
-    exclusion: float = _bl.DEFAULT_EXCLUSION
-
-    @cached_property  # apply_map reads it once per orbit step
-    def kind(self) -> str:
-        if isinstance(self.map, _bl.BlaschkeProduct):
-            return BLASCHKE
-        return self.map.kind
-
-    def __repr__(self):  # a BlaschkeProduct carries a bulky zero array
-        return f"CircleMap({self.kind})"
+# a circle map: a MapSpec of one of _CIRCLE_KINDS, or the infinite product
+BoundaryMap = Union[map_zoo.MapSpec, _bl.BlaschkeProduct]
 
 
-def rotation_map(theta: float) -> CircleMap:
-    return CircleMap(map_zoo.rotation(float(theta) % TWO_PI))
+def rotation_map(theta: float) -> map_zoo.MapSpec:
+    """Rotation by theta, reduced to [0, 2*pi)."""
+    return map_zoo.rotation(float(theta) % TWO_PI)
 
 
-def power_circle_map(d: int) -> CircleMap:
-    return CircleMap(map_zoo.power_map(d))
-
-
-def mobius_boundary_map(a, b, c, d) -> CircleMap:
+def mobius_boundary_map(a, b, c, d) -> map_zoo.MapSpec:
     """Boundary restriction of a Mobius disk automorphism."""
     spec = map_zoo.mobius(a, b, c, d)
     for probe in (1.0, 1j, -1.0, np.exp(0.7j)):
@@ -86,85 +64,61 @@ def mobius_boundary_map(a, b, c, d) -> CircleMap:
             raise OutOfRange(f"Mobius map has its pole at the probe {probe}") from None
         if abs(abs(val) - 1.0) > 1e-9:
             raise OutOfRange("Mobius coefficients do not preserve the unit circle")
-    return CircleMap(spec)
+    return spec
 
 
-def blaschke_boundary_map(product: _bl.BlaschkeProduct,
-                          target_err: float = _bl.DEFAULT_TARGET_ERR,
-                          exclusion: float = _bl.DEFAULT_EXCLUSION) -> CircleMap:
-    return CircleMap(product, float(target_err), float(exclusion))
+# map_zoo kinds that restrict to maps of the circle
+_CIRCLE_KINDS = frozenset((map_zoo.ROTATION, map_zoo.POWER, map_zoo.MOBIUS,
+                           map_zoo.FINITE_BLASCHKE))
 
 
-def finite_blaschke_boundary_map(zeros, rotation_factor=1.0) -> CircleMap:
-    return CircleMap(map_zoo.finite_blaschke(zeros, rotation_factor))
-
-
-# constructors of the map_zoo kinds that restrict to maps of the circle,
-# taking the MapSpec's parameter tuple
-_FROM_SPEC = {
-    map_zoo.ROTATION: rotation_map,
-    map_zoo.POWER: power_circle_map,
-    map_zoo.MOBIUS: mobius_boundary_map,
-    map_zoo.FINITE_BLASCHKE: finite_blaschke_boundary_map,
-}
-
-
-def circle_map_from_dict(obj: dict) -> CircleMap:
-    """CircleMap from JSON: a map of a circle kind in either spelling that
+def circle_map_from_dict(obj: dict) -> BoundaryMap:
+    """Circle map from JSON: a map of a circle kind in either spelling that
     ``map_zoo.spec_from_dict`` reads, or ``{"kind": "blaschke", "alpha": a}``."""
     with map_zoo.malformed_json("map JSON"):
         kind = obj["kind"]
-        if kind == BLASCHKE:
-            alpha = float(obj.get("params", obj)["alpha"])
-            return blaschke_boundary_map(_bl.BlaschkeProduct.from_alpha(alpha))
-        if kind not in _FROM_SPEC:
+        if kind == _bl.BLASCHKE:
+            return _bl.BlaschkeProduct.from_alpha(float(obj.get("params", obj)["alpha"]))
+        if kind not in _CIRCLE_KINDS:
             raise OutOfRange(f"unknown circle map kind {kind!r}")
-        return _FROM_SPEC[kind](*map_zoo.spec_from_dict(obj).params)
+        spec = map_zoo.spec_from_dict(obj)
+        if kind == map_zoo.ROTATION:
+            return rotation_map(*spec.params)
+        if kind == map_zoo.MOBIUS:
+            return mobius_boundary_map(*spec.params)
+        return spec
 
 
-def fixes_origin(cmap: CircleMap) -> bool:
+def fixes_origin(cmap: BoundaryMap) -> bool:
     """Whether the disk extension of the boundary map fixes 0."""
-    if cmap.kind == BLASCHKE:
+    if cmap.kind == _bl.BLASCHKE:
         return True
     origin = np.zeros(1, dtype=np.complex128)
     # a Mobius map with its pole at 0 gives inf or nan here, not 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        return bool(map_zoo.evaluate_many(cmap.map, origin)[0] == 0)
+        return bool(map_zoo.evaluate_many(cmap, origin)[0] == 0)
 
 
-def derivative_at_zero_modulus(cmap: CircleMap) -> float:
+def derivative_at_zero_modulus(cmap: BoundaryMap) -> float:
     """|g'(0)| of the disk extension, for maps fixing the origin."""
     if not fixes_origin(cmap):
         raise OriginNotFixed(f"{cmap.kind} map does not fix the disk origin")
-    if cmap.kind == BLASCHKE:
-        return _bl.derivative_at_zero(cmap.map)
-    return abs(map_zoo.derivative(cmap.map, 0j))
-
-
-def _blaschke_gap(thetas, exclusion):
-    th = np.asarray(thetas, dtype=np.float64)
-    gap = np.minimum(2.0 * np.abs(np.sin(th / 2.0)),
-                     2.0 * np.abs(np.cos(th / 2.0)))
-    return gap <= exclusion
-
-
-def _entered_exclusion_zone(cmap: CircleMap) -> SingularityApproach:
-    return SingularityApproach(
-        f"orbit entered the exclusion zone (radius {cmap.exclusion:.3g}) "
-        "around the boundary singularities at +-1"
-    )
+    if cmap.kind == _bl.BLASCHKE:
+        return _bl.derivative_at_zero(cmap)
+    return abs(map_zoo.derivative(cmap, 0j))
 
 
 # kinds whose scalar step (_step) keeps the bits of the array path; Mobius
 # and finite Blaschke maps would need CPython's complex division, which
 # rounds differently from numpy's
-_SCALAR_KINDS = frozenset((map_zoo.ROTATION, map_zoo.POWER, BLASCHKE))
+_SCALAR_KINDS = frozenset((map_zoo.ROTATION, map_zoo.POWER, _bl.BLASCHKE))
 
 
-def apply_map(cmap: CircleMap, thetas):
+def apply_map(cmap: BoundaryMap, thetas):
     """One application of the boundary map; angles reduced mod 2*pi.
 
-    Scalar in, scalar out; array in, array out.
+    Scalar in, scalar out; array in, array out.  The Blaschke product raises
+    TooCloseToSingularity for an angle in its exclusion zone.
     """
     k = cmap.kind
     if isinstance(thetas, float) and k in _SCALAR_KINDS:
@@ -173,21 +127,19 @@ def apply_map(cmap: CircleMap, thetas):
     scalar = th.ndim == 0
     th = np.atleast_1d(th) % TWO_PI
     if k == map_zoo.ROTATION:
-        out = np.fmod(th + cmap.map.params[0], TWO_PI)
+        out = np.fmod(th + cmap.params[0], TWO_PI)
     elif k == map_zoo.POWER:
         # d*theta is exact for d = 2 and fmod is exact, so doubling orbits
         # agree bit-for-bit with fmod(2^n theta, 2 pi)
-        out = np.fmod(cmap.map.params[0] * th, TWO_PI)
-    elif k == BLASCHKE:
-        if np.any(_blaschke_gap(th, cmap.exclusion)):
-            raise _entered_exclusion_zone(cmap)
-        out = _bl.circle_eval_many(cmap.map, th, cmap.target_err, cmap.exclusion)
+        out = np.fmod(cmap.params[0] * th, TWO_PI)
+    elif k == _bl.BLASCHKE:
+        out = _bl.circle_eval_many(cmap, th)
     else:
-        out = np.angle(map_zoo.evaluate_many(cmap.map, np.exp(1j * th))) % TWO_PI
+        out = np.angle(map_zoo.evaluate_many(cmap, np.exp(1j * th))) % TWO_PI
     return float(out[0]) if scalar else out
 
 
-def _step(cmap: CircleMap, th: float) -> float:
+def _step(cmap: BoundaryMap, th: float) -> float:
     """apply_map of one angle in [0, 2*pi) with the array path's bits, minus
     numpy's per-call overhead where it can be skipped.
 
@@ -196,15 +148,13 @@ def _step(cmap: CircleMap, th: float) -> float:
     """
     k = cmap.kind
     if k == map_zoo.ROTATION:
-        return math.fmod(th + cmap.map.params[0], TWO_PI)
+        return math.fmod(th + cmap.params[0], TWO_PI)
     if k == map_zoo.POWER:
-        return math.fmod(cmap.map.params[0] * th, TWO_PI)
-    if min(2.0 * abs(math.sin(th / 2.0)), 2.0 * abs(math.cos(th / 2.0))) <= cmap.exclusion:
-        raise _entered_exclusion_zone(cmap)
-    return float(_bl.circle_eval_many(cmap.map, (th,), cmap.target_err, cmap.exclusion)[0])
+        return math.fmod(cmap.params[0] * th, TWO_PI)
+    return float(_bl.circle_eval_many(cmap, (th,))[0])
 
 
-def iterate(cmap: CircleMap, theta0: float, n: int) -> np.ndarray:
+def iterate(cmap: BoundaryMap, theta0: float, n: int) -> np.ndarray:
     """Orbit [g(theta0), g^2(theta0), ..., g^n(theta0)]."""
     if n < 1:
         raise OutOfRange(f"iterate requires n >= 1, got {n}")
@@ -216,7 +166,7 @@ def iterate(cmap: CircleMap, theta0: float, n: int) -> np.ndarray:
     return out
 
 
-def pommerenke_sum(maps: Sequence[CircleMap]) -> float:
+def pommerenke_sum(maps: Sequence[BoundaryMap]) -> float:
     """sum over the list of (1 - |g'(0)|); all maps must fix the origin."""
     if not maps:
         raise EmptyInput("pommerenke_sum needs at least one map")
@@ -279,25 +229,25 @@ def ks_critical(n: int, level: float = 0.01) -> float:
     return coeff / math.sqrt(n)
 
 
-def _redraw_zones(cmap: CircleMap, th: np.ndarray, seed: int, streams: np.ndarray):
-    """Redraw in place the samples th (of the given streams) that fall within
-    the exclusion zones, at the next step of their streams."""
+def _redraw_zones(th: np.ndarray, seed: int, streams: np.ndarray):
+    """Redraw in place the samples th (of the given streams) whose points
+    e^(i th) the Blaschke product refuses, at the next step of their streams."""
     for attempt in range(1, 64):
-        bad = _blaschke_gap(th, cmap.exclusion * (1.0 + 1e-9))
+        bad = _bl.in_exclusion_zone(np.exp(1j * th))
         if not bad.any():
             return
         th[bad] = TWO_PI * uniform01(seed, streams[bad], attempt)
-    raise SingularityApproach("rejection sampling failed to clear the zones")
+    raise TooCloseToSingularity("rejection sampling failed to clear the zones")
 
 
-def invariance_test(cmap: CircleMap, n_samples: int, seed: int) -> float:
+def invariance_test(cmap: BoundaryMap, n_samples: int, seed: int) -> float:
     """KS distance between uniform and the one-step image of uniform samples.
 
     For maps whose disk extension fixes 0 and preserves Lebesgue measure the
     statistic sits at the 1/sqrt(n) noise floor.  Samples are drawn from
     per-index counter streams; Blaschke boundary maps redraw the few samples
-    falling inside the exclusion zones (total mass ~ exclusion/pi, far below
-    the statistic's resolution).
+    falling inside the exclusion zones (total mass ~ 2 blaschke.EXCLUSION/pi,
+    far below the statistic's resolution).
 
     The samples are drawn, mapped and sorted in one float64 array, block by
     block; the result does not depend on ``BLOCK``.
@@ -309,7 +259,7 @@ def invariance_test(cmap: CircleMap, n_samples: int, seed: int) -> float:
     return _discrepancy_in_place(_uniform_image(cmap, n_samples, seed))
 
 
-def _uniform_image(cmap: CircleMap, n_samples: int, seed: int) -> np.ndarray:
+def _uniform_image(cmap: BoundaryMap, n_samples: int, seed: int) -> np.ndarray:
     """The one-step image of invariance_test's samples, mapped block by block
     into the array that held them."""
     th = np.empty(n_samples)
@@ -317,19 +267,17 @@ def _uniform_image(cmap: CircleMap, n_samples: int, seed: int) -> np.ndarray:
     for lo, hi in blocks:
         streams = np.arange(lo, hi, dtype=np.uint64)
         th[lo:hi] = TWO_PI * uniform01(seed, streams, 0)
-        if cmap.kind == BLASCHKE:
-            _redraw_zones(cmap, th[lo:hi], seed, streams)
-    if cmap.kind == BLASCHKE:
+        if cmap.kind == _bl.BLASCHKE:
+            _redraw_zones(th[lo:hi], seed, streams)
+    if cmap.kind == _bl.BLASCHKE:
         # the vector path multiplies every point by the term count of its
         # worst point, so every block uses the whole sample's count.  The
         # samples lie in [0, 2 pi) and clear of the zones, so apply_map's
-        # reduction and zone check would change nothing here
-        terms = max(np.max(_bl.required_terms(cmap.map, np.exp(1j * th[lo:hi]),
-                                              cmap.target_err, cmap.exclusion))
+        # reduction would change nothing here
+        terms = max(np.max(_bl.required_terms(cmap, np.exp(1j * th[lo:hi])))
                     for lo, hi in blocks)
         for lo, hi in blocks:
-            th[lo:hi] = _bl.circle_eval_many(cmap.map, th[lo:hi], cmap.target_err,
-                                             cmap.exclusion, terms)
+            th[lo:hi] = _bl.circle_eval_many(cmap, th[lo:hi], terms=terms)
     else:
         for lo, hi in blocks:
             th[lo:hi] = apply_map(cmap, th[lo:hi])
@@ -381,7 +329,7 @@ def _covered_cell_count(thetas: np.ndarray, n_cells: int) -> int:
     return int((np.cumsum(diff[:-1]) > 0).sum())
 
 
-def arc_spread(maps: Union[CircleMap, Sequence[CircleMap]], arc: tuple,
+def arc_spread(maps: Union[BoundaryMap, Sequence[BoundaryMap]], arc: tuple,
                n_max: int, grid: int = DEFAULT_GRID,
                n_cells: int = DEFAULT_CELLS) -> SpreadReport:
     """Push a dense arc sample forward and measure reference-grid coverage.
@@ -398,7 +346,7 @@ def arc_spread(maps: Union[CircleMap, Sequence[CircleMap]], arc: tuple,
         raise OutOfRange(f"grid must be >= 2^10, got {grid}")
     if n_max < 1:
         raise OutOfRange(f"n_max must be >= 1, got {n_max}")
-    single = isinstance(maps, CircleMap)
+    single = isinstance(maps, (map_zoo.MapSpec, _bl.BlaschkeProduct))
     seq = None if single else list(maps)
     limit = n_max if single else min(n_max, len(seq))
 

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, blaschke, circle_dynamics, covering, harmonic, map_zoo, renderer
-from .errors import FatouLabError, OutOfRange, SingularityApproach
+from .errors import FatouLabError, OutOfRange, TooCloseToSingularity
 from .histograms import ArcHistogram, bin_angles, count_arcs, csv_chunks, to_csv_text
 from .rng import CHUNK, uniform01
 
@@ -155,7 +155,7 @@ def _cmd_blaschke_eval(args) -> int:
     B = blaschke.BlaschkeProduct.from_alpha(args.alpha)
     z = complex(np.exp(1j * args.theta))
     n = blaschke.required_terms(B, z, args.target_err)
-    angle = blaschke.circle_eval(B, args.theta, args.target_err)
+    angle = float(blaschke.circle_eval_many(B, args.theta, args.target_err))
     val = blaschke.eval_blaschke(B, z, args.target_err)
     summary = {
         "alpha": args.alpha, "theta": args.theta,
@@ -249,8 +249,12 @@ def _cmd_classify_radial(args) -> int:
     return _finish(args, "classify-radial", None, summary, {})
 
 
-def _circle_map(args) -> circle_dynamics.CircleMap:
+def _circle_map(args) -> circle_dynamics.BoundaryMap:
     return circle_dynamics.circle_map_from_dict(json.loads(args.map))
+
+
+_ZONE_ENTERED = (f"orbit entered the exclusion zone (radius {blaschke.EXCLUSION:.3g}) "
+                 "around the boundary singularities at +-1")
 
 
 def _cmd_circle_stats(args) -> int:
@@ -260,17 +264,19 @@ def _cmd_circle_stats(args) -> int:
         raise OutOfRange(f"orbit length must be >= 1, got {args.n}")
     seed = _make_seed(args)
     cmap = _circle_map(args)
-    # collect the orbit step by step: boundary maps with singularities refuse
-    # to iterate through their exclusion zones, and a measure-preserving
-    # orbit of this length may well visit them; truncate and say so
+    # collect the orbit step by step: the Blaschke product refuses to iterate
+    # through its exclusion zones, and a measure-preserving orbit of this
+    # length may well visit them; truncate and say so.  At the circle maps'
+    # target_err no point outside the zones is refused as uncertifiable, so
+    # every refusal here is the zone
     orbit = np.empty(args.n)
     stopped_by = None
     theta = args.theta0
     for i in range(args.n):
         try:
             theta = circle_dynamics.apply_map(cmap, theta)
-        except SingularityApproach as exc:
-            orbit, stopped_by = orbit[:i], str(exc)
+        except TooCloseToSingularity:
+            orbit, stopped_by = orbit[:i], _ZONE_ENTERED
             break
         orbit[i] = theta
     if orbit.size == 0:

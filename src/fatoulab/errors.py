@@ -26,19 +26,12 @@ class OutOfRange(FatouLabError):
 
 
 class TooCloseToSingularity(FatouLabError):
-    """Evaluation requested inside the exclusion zone around a boundary singularity.
+    """A Blaschke product evaluation too close to its singularities at +-1.
 
-    ``min_usable_radius`` is the smallest distance from the singularities at
-    which the requested accuracy is attainable.
+    Raised inside the exclusion zone of fixed radius ``blaschke.EXCLUSION``,
+    by an orbit step or a sample as much as by a direct evaluation, and where
+    double precision cannot certify the requested accuracy.
     """
-
-    def __init__(self, message, min_usable_radius):
-        super().__init__(message)
-        self.min_usable_radius = min_usable_radius
-
-
-class SingularityApproach(FatouLabError):
-    """A circle orbit entered the exclusion zone of a boundary singularity."""
 
 
 class OriginNotFixed(FatouLabError):

@@ -135,24 +135,23 @@ def test_derivative_at_zero_finite_difference():
 def test_circle_eval_odd_symmetry():
     B = bl.BlaschkeProduct.from_alpha(0.4)
     for theta in (0.3, 1.2, 2.8):
-        plus = bl.circle_eval(B, theta)
-        minus = bl.circle_eval(B, -theta)
+        plus = float(bl.circle_eval_many(B, theta))
+        minus = float(bl.circle_eval_many(B, -theta))
         assert abs((plus + minus) % (2.0 * math.pi)) < 1e-9 or \
             abs((plus + minus) % (2.0 * math.pi) - 2.0 * math.pi) < 1e-9
 
 
 def test_circle_eval_quarter_turn():
     B = bl.BlaschkeProduct.from_alpha(0.4)
-    assert abs(bl.circle_eval(B, math.pi / 2) - math.pi / 2) < 1e-12
+    assert abs(float(bl.circle_eval_many(B, math.pi / 2)) - math.pi / 2) < 1e-12
 
 
 def test_circle_eval_exclusion_zone():
     B = bl.BlaschkeProduct.from_alpha(0.4)
-    with pytest.raises(TooCloseToSingularity) as exc:
-        bl.circle_eval(B, 1e-4)
-    assert exc.value.min_usable_radius >= 1e-4
     with pytest.raises(TooCloseToSingularity):
-        bl.circle_eval(B, math.pi + 1e-4)
+        bl.circle_eval_many(B, 1e-4)
+    with pytest.raises(TooCloseToSingularity):
+        bl.circle_eval_many(B, math.pi + 1e-4)
 
 
 def test_required_terms_diverges_toward_singularity():
@@ -227,8 +226,8 @@ def test_scalar_required_terms_matches_array(alpha):
                          2e-3 * 1.01 ** np.arange(300)])
     z = np.exp(1j * th)
     for target_err in (1e-9, 1e-12):
-        many = bl.required_terms(B, z, target_err, exclusion=1e-3)
-        one = [bl.required_terms(B, complex(p), target_err, exclusion=1e-3) for p in z]
+        many = bl.required_terms(B, z, target_err)
+        one = [bl.required_terms(B, complex(p), target_err) for p in z]
         assert one == many.tolist()
 
 
@@ -244,19 +243,53 @@ def test_required_terms_degenerate_bounds():
             bl.required_terms(B, 1j, bad)
 
 
-@pytest.mark.parametrize("theta, target_err, exclusion, message", [
-    (1e-3, 1e-13, 1e-7, "cannot certify"),
-    (1e-4, bl.DEFAULT_TARGET_ERR, bl.DEFAULT_EXCLUSION, "within"),
-    (math.pi + 1e-4, bl.DEFAULT_TARGET_ERR, bl.DEFAULT_EXCLUSION, "within"),
+@pytest.mark.parametrize("theta, target_err, message", [
+    (2e-3, 1e-13, "cannot certify"),
+    (1e-4, bl.DEFAULT_TARGET_ERR, "within"),
+    (math.pi + 1e-4, bl.DEFAULT_TARGET_ERR, "within"),
 ])
-def test_one_point_and_vector_paths_refuse_alike(theta, target_err, exclusion, message):
+def test_one_point_and_vector_paths_refuse_alike(theta, target_err, message):
     B = bl.BlaschkeProduct.from_alpha(0.4)
     with pytest.raises(TooCloseToSingularity, match=message) as one:
-        bl.circle_eval_many(B, np.array([theta]), target_err, exclusion)
+        bl.circle_eval_many(B, np.array([theta]), target_err)
     with pytest.raises(TooCloseToSingularity) as many:
-        bl.circle_eval_many(B, np.array([1.0, theta]), target_err, exclusion)
+        bl.circle_eval_many(B, np.array([1.0, theta]), target_err)
     assert str(one.value) == str(many.value)
-    assert one.value.min_usable_radius == many.value.min_usable_radius
+
+
+def _first_angle_outside(inside: float, outside: float) -> float:
+    """The float between the two angles, on the outside's side, closest to
+    the zone's edge: bisection on the zone mask itself."""
+    while True:
+        mid = 0.5 * (inside + outside)
+        if mid in (inside, outside):
+            return outside
+        if bl.in_exclusion_zone(np.exp(1j * mid)):
+            inside = mid
+        else:
+            outside = mid
+
+
+@pytest.mark.parametrize("alpha", [1e-300, 1e-6, 0.1, 0.25, 0.4, 0.499])
+def test_circle_target_certifies_every_angle_outside_the_zone(alpha):
+    # circle maps evaluate the product to DEFAULT_TARGET_ERR, and circle-stats
+    # reads every refusal of an orbit step as the exclusion zone: no angle
+    # just outside the zone may be refused as uncertifiable
+    B = bl.BlaschkeProduct.from_alpha(alpha)
+    eps = np.geomspace(1e-7, 1e-1, 25)
+    th = []
+    for centre, side in ((0.0, 1.0), (math.pi, -1.0), (math.pi, 1.0),
+                         (2.0 * math.pi, -1.0)):
+        t = _first_angle_outside(centre + side * 1e-3, centre + side * 2e-3)
+        for _ in range(4):  # the four floats nearest the edge
+            th.append(t)
+            t = np.nextafter(t, centre + side)
+        th += list(centre + side * 1e-3 * (1.0 + eps))
+    th = np.array(th)
+    assert not bl.in_exclusion_zone(np.exp(1j * th)).any()
+    for t in th:  # an orbit step evaluates one angle
+        bl.circle_eval_many(B, t)
+    bl.circle_eval_many(B, th)
 
 
 def test_eval_empty_input():
@@ -278,7 +311,7 @@ def test_circle_eval_many_takes_a_0d_angle():
     B = bl.BlaschkeProduct.from_alpha(0.4)
     out = bl.circle_eval_many(B, 1.0)
     assert np.ndim(out) == 0
-    assert float(out) == bl.circle_eval(B, 1.0)
+    assert float(out) == bl.circle_eval_many(B, np.array([1.0]))[0]
     assert float(bl.circle_eval_many(B, np.float64(1.0))) == float(out)
     with pytest.raises(TooCloseToSingularity):
         bl.circle_eval_many(B, 1e-5)

@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 
 from fatoulab import blaschke as bl
 from fatoulab import circle_dynamics as cd
+from fatoulab import map_zoo as mz
 from fatoulab.errors import (
     EmptyInput,
     OriginNotFixed,
     OutOfRange,
-    SingularityApproach,
+    TooCloseToSingularity,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -25,7 +26,7 @@ def test_iterate_rotation():
 
 
 def test_iterate_power_period_two():
-    orbit = cd.iterate(cd.power_circle_map(2), TWO_PI / 3.0, 4)
+    orbit = cd.iterate(mz.power_map(2), TWO_PI / 3.0, 4)
     want = [2 * TWO_PI / 3, TWO_PI / 3, 2 * TWO_PI / 3, TWO_PI / 3]
     assert orbit == pytest.approx(want, abs=1e-12)
 
@@ -34,7 +35,7 @@ def test_iterate_power_exact_angle_arithmetic():
     # doubling and fmod are both exact, so the iterated orbit equals
     # fmod(2^n theta0, 2 pi) bit-for-bit
     theta0 = 0.7305194381
-    orbit = cd.iterate(cd.power_circle_map(2), theta0, 12)
+    orbit = cd.iterate(mz.power_map(2), theta0, 12)
     for n, got in enumerate(orbit, start=1):
         assert got == math.fmod((2.0 ** n) * theta0, TWO_PI)
 
@@ -64,11 +65,11 @@ _GOLDEN_CIRCLE_MAPS = [
      "cab2da3f564b42ac47a78d3adee341a2c6a862cc9e655eae0ff93651ad252ee3",
      "054e64aa53bfa28dc8318883d73442fa94beef907931fea4e0fb84a2b56ffec8"),
     ("finite_blaschke_zero_at_origin",
-     lambda: cd.finite_blaschke_boundary_map([0.0, 0.5 + 0.2j]),
+     lambda: mz.finite_blaschke([0.0, 0.5 + 0.2j]),
      "bf6ded658a4146708304e47711c4c9e78933b033c16acd66d6a03d15e88e53b7",
      "ed5d0351e6132d27fd3d17b84a98db00c9322375156926a76d46f19cf4f55b26",
      "491b4fe55ee4fd8adc3ecdf6acf401c5ad267aa2b197a49a70bbe065f0dda861"),
-    ("finite_blaschke_rotated", lambda: cd.finite_blaschke_boundary_map(
+    ("finite_blaschke_rotated", lambda: mz.finite_blaschke(
         [0.3 - 0.4j, -0.2 + 0.1j, 0.0], 0.6 + 0.8j),
      "dad74f80c460a095a324890e779e4eed0bffcbad5e367a96062cf1af494e6b5d",
      "1439f9cd03e04172ac5f83818c50f6b31b8bd2982a2166f636b6a5cabae98488",
@@ -101,9 +102,9 @@ _GOLDEN_BLASCHKE_ORBITS = [
     (1470, "eb9047a37c9c3bf0a0b469767ac9157706e07991c6e6ec75ef7cba6d5f552f3c"),
 ]
 _GOLDEN_ANGLE_ORBITS = [
-    ("power2", lambda: cd.power_circle_map(2),
+    ("power2", lambda: mz.power_map(2),
      "a80a827b89053d3201bc62920a48b0f0d28a272a485c3044ffda2a150d737556"),
-    ("power3", lambda: cd.power_circle_map(3),
+    ("power3", lambda: mz.power_map(3),
      "435478db95b79f902a8163ffc565bc99b1777c9166baddd8fa5937f9100de225"),
     ("rotation", lambda: cd.rotation_map(0.7),
      "348269c8506a4b54ed377eafb7a7c0a7731bf853dd0be1d01592483432e07d6c"),
@@ -112,11 +113,11 @@ _GOLDEN_ANGLE_ORBITS = [
 
 @pytest.mark.parametrize("k", range(4))
 def test_golden_blaschke_orbit_bytes(k):
-    cmap = cd.blaschke_boundary_map(bl.BlaschkeProduct.from_alpha(0.4))
+    cmap = bl.BlaschkeProduct.from_alpha(0.4)
     points, sha = _GOLDEN_BLASCHKE_ORBITS[k]
     orbit = []
     th = math.pi / 8 + k * math.pi / 2
-    with pytest.raises(SingularityApproach):
+    with pytest.raises(TooCloseToSingularity):
         for _ in range(10 * points):
             th = cd.apply_map(cmap, th)
             orbit.append(th)
@@ -133,10 +134,10 @@ def test_golden_angle_orbit_bytes(make, sha):
 
 _ONE_OF_EACH_CIRCLE_KIND = [
     ("rotation", lambda: cd.rotation_map(0.7)),
-    ("power", lambda: cd.power_circle_map(2)),
+    ("power", lambda: mz.power_map(2)),
     ("mobius", lambda: cd.mobius_boundary_map(1.0, 0.3, 0.3, 1.0)),
-    ("finite_blaschke", lambda: cd.finite_blaschke_boundary_map([0.0, 0.5 + 0.2j])),
-    ("blaschke", lambda: cd.blaschke_boundary_map(bl.BlaschkeProduct.from_alpha(0.4))),
+    ("finite_blaschke", lambda: mz.finite_blaschke([0.0, 0.5 + 0.2j])),
+    ("blaschke", lambda: bl.BlaschkeProduct.from_alpha(0.4)),
 ]
 
 
@@ -161,11 +162,11 @@ def test_scalar_step_matches_array_step(make):
 
 
 def test_scalar_step_refuses_the_exclusion_zone_like_the_array_step():
-    cmap = cd.blaschke_boundary_map(bl.BlaschkeProduct.from_alpha(0.4))
+    cmap = bl.BlaschkeProduct.from_alpha(0.4)
     for th in (1e-4, math.pi - 1e-4, TWO_PI - 1e-4):
-        with pytest.raises(SingularityApproach) as one:
+        with pytest.raises(TooCloseToSingularity) as one:
             cd.apply_map(cmap, th)
-        with pytest.raises(SingularityApproach) as many:
+        with pytest.raises(TooCloseToSingularity) as many:
             cd.apply_map(cmap, np.array([1.0, th]))
         assert str(one.value) == str(many.value)
 
@@ -176,10 +177,8 @@ def test_mobius_circle_preservation_enforced():
 
 
 def test_blaschke_boundary_exclusion():
-    B = bl.BlaschkeProduct.from_alpha(0.4)
-    cmap = cd.blaschke_boundary_map(B)
-    with pytest.raises(SingularityApproach):
-        cd.iterate(cmap, 5e-4, 3)
+    with pytest.raises(TooCloseToSingularity):
+        cd.iterate(bl.BlaschkeProduct.from_alpha(0.4), 5e-4, 3)
 
 
 def test_discrepancy_extremes():
@@ -215,7 +214,7 @@ def test_discrepancy_rotation_decays():
 
 
 def test_arc_spread_power_two_exact_cover_count():
-    report = cd.arc_spread(cd.power_circle_map(2), (1.0, TWO_PI * 2.0 ** -10), 20)
+    report = cd.arc_spread(mz.power_map(2), (1.0, TWO_PI * 2.0 ** -10), 20)
     assert report.first_full_cover == 10
     assert report.covered_fraction[10] == 1.0
     assert report.covered_fraction[9] == pytest.approx(0.5, abs=1e-3)
@@ -241,13 +240,13 @@ def test_arc_spread_mobius_contracts():
 
 def test_arc_spread_validation():
     with pytest.raises(OutOfRange):
-        cd.arc_spread(cd.power_circle_map(2), (0.0, 0.0), 5)
+        cd.arc_spread(mz.power_map(2), (0.0, 0.0), 5)
     with pytest.raises(OutOfRange):
-        cd.arc_spread(cd.power_circle_map(2), (0.0, 0.1), 5, grid=512)
+        cd.arc_spread(mz.power_map(2), (0.0, 0.1), 5, grid=512)
 
 
 def test_arc_spread_sequence():
-    maps = [cd.rotation_map(0.3), cd.power_circle_map(2), cd.rotation_map(0.1)]
+    maps = [cd.rotation_map(0.3), mz.power_map(2), cd.rotation_map(0.1)]
     report = cd.arc_spread(maps, (0.0, 0.01), 10)
     assert report.iterations == 3  # sequence exhausted before n_max
     assert report.covered_fraction[2] > report.covered_fraction[1]
@@ -263,13 +262,13 @@ def test_pommerenke_sum_rotations():
 
 
 def test_pommerenke_sum_powers():
-    maps = [cd.power_circle_map(2) for _ in range(7)]
+    maps = [mz.power_map(2) for _ in range(7)]
     assert cd.pommerenke_sum(maps) == 7.0
 
 
 def test_pommerenke_sum_blaschke_factors():
     # z(z+a)/(1+az) fixes 0 with |g'(0)| = a
-    maps = [cd.finite_blaschke_boundary_map([0.0, -(1.0 - 1.0 / (n + 2) ** 2)])
+    maps = [mz.finite_blaschke([0.0, -(1.0 - 1.0 / (n + 2) ** 2)])
             for n in range(50)]
     want = sum(1.0 / (n + 2) ** 2 for n in range(50))
     assert cd.pommerenke_sum(maps) == pytest.approx(want, rel=1e-12)
@@ -279,12 +278,12 @@ def test_pommerenke_requires_origin_fixed():
     with pytest.raises(OriginNotFixed):
         cd.pommerenke_sum([cd.mobius_boundary_map(1.0, 0.5, 0.5, 1.0)])
     with pytest.raises(OriginNotFixed):
-        cd.derivative_at_zero_modulus(cd.finite_blaschke_boundary_map([0.4]))
+        cd.derivative_at_zero_modulus(mz.finite_blaschke([0.4]))
 
 
 def test_compose_sequence_matches_manual():
     # the non-autonomous orbit through the array path, against scalar steps
-    maps = [cd.rotation_map(0.2), cd.power_circle_map(2), cd.rotation_map(0.5)]
+    maps = [cd.rotation_map(0.2), mz.power_map(2), cd.rotation_map(0.5)]
     orbit, point = [], np.array([1.0])
     for g in maps:
         point = cd.apply_map(g, point)
@@ -297,8 +296,7 @@ def test_compose_sequence_matches_manual():
 
 def test_blaschke_boundary_derivative_at_zero():
     B = bl.BlaschkeProduct.from_alpha(0.4)
-    cmap = cd.blaschke_boundary_map(B)
-    assert cd.derivative_at_zero_modulus(cmap) == pytest.approx(0.8, abs=1e-10)
+    assert cd.derivative_at_zero_modulus(B) == pytest.approx(0.8, abs=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -313,20 +311,20 @@ def test_invariance_rotation_noise_level():
 
 def test_invariance_power_three():
     n = 10_000
-    ks = cd.invariance_test(cd.power_circle_map(3), n, seed=32)
+    ks = cd.invariance_test(mz.power_map(3), n, seed=32)
     assert ks < cd.ks_critical(n, 0.01)
 
 
 def test_invariance_blaschke_boundary():
     B = bl.BlaschkeProduct.from_alpha(0.4)
     n = 10_000
-    ks = cd.invariance_test(cd.blaschke_boundary_map(B), n, seed=33)
+    ks = cd.invariance_test(B, n, seed=33)
     assert ks < cd.ks_critical(n, 0.01)
 
 
 def test_invariance_deterministic():
-    a = cd.invariance_test(cd.power_circle_map(2), 5_000, seed=7)
-    b = cd.invariance_test(cd.power_circle_map(2), 5_000, seed=7)
+    a = cd.invariance_test(mz.power_map(2), 5_000, seed=7)
+    b = cd.invariance_test(mz.power_map(2), 5_000, seed=7)
     assert a == b
 
 
@@ -394,7 +392,7 @@ def test_birkhoff_contrast_ergodic_vs_not():
     a2 = _birkhoff_sin(m, math.pi + 0.5, n)
     assert abs(a1 - a2) > 0.5
 
-    p2 = cd.power_circle_map(2)
+    p2 = mz.power_map(2)
     b1 = _birkhoff_sin(p2, 0.7, n)
     b2 = _birkhoff_sin(p2, 2.1, n)
     assert abs(b1 - b2) < 1.0 / math.sqrt(n)

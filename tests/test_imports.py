@@ -1,9 +1,11 @@
-"""Every module of the package uses each name it imports at module level.
+"""Every module of the package uses each name it imports at module level,
+and every module-level private name is used somewhere in the package.
 
 Checked with the standard library's ``ast``, so no linter is needed.
 """
 
 import ast
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -33,3 +35,39 @@ def test_modules_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_its_imports(path):
     assert _unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def _private_definitions(tree):
+    """(name, node) for each private name (one leading underscore) that the
+    module defines or imports at module level."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.asname for alias in node.names if alias.asname]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def test_every_private_name_is_used():
+    # a helper whose last caller is gone stays behind unnoticed otherwise
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"))
+             for p in SRC.glob("*.py")}
+    uses = defaultdict(set)  # name -> ids of the nodes that read it
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                uses[node.id].add(id(node))
+            elif isinstance(node, ast.Attribute):
+                uses[node.attr].add(id(node))
+    unused = [f"{module}: {name} (line {definition.lineno})"
+              for module, tree in sorted(trees.items())
+              for name, definition in _private_definitions(tree)
+              if not uses[name] - {id(n) for n in ast.walk(definition)}]
+    assert unused == []
