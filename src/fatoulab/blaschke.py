@@ -16,20 +16,37 @@ which is forced by conjugacy invariance of fixed-point multipliers.  The left
 side is strictly increasing in s with limits 0 and 1, so the solution is
 unique for every alpha in (0, 1/2).
 
-Truncation is certified: factor_n(z) - 1 = (a_n^2 - 1)(1 + z^2)/(1 - a_n^2 z^2)
-and 1 - a_n^2 <= 4 tau^-n, so on the closed disk minus neighbourhoods of +-1
-the factor deviations are geometrically summable and the partial product can
-be driven below any target error with an explicit term count.
+Two evaluators share the zero data.
 
-This module alone decides "too close to +-1".  ``required_terms``, which
-every evaluation runs, refuses points within the fixed chordal distance
-``EXCLUSION`` of a singularity.  ``in_exclusion_zone`` is the same test as
-a mask: points it clears are never refused for the zone.
+* The disk evaluator ``eval_blaschke`` multiplies the factors.  Truncation is
+  certified: factor_n(z) - 1 = (a_n^2 - 1)(1 + z^2)/(1 - a_n^2 z^2) and
+  1 - a_n^2 <= 4 tau^-n, so on the closed disk minus neighbourhoods of +-1
+  the partial product can be driven below any target error with an explicit
+  term count.  ``required_terms`` refuses points within the fixed chordal
+  distance ``EXCLUSION`` of a singularity; ``in_exclusion_zone`` is the same
+  test as a mask.
+* The circle evaluator (``circle_eval_many``, ``circle_eval_one`` and
+  ``circle_orbit``) is the product as a theta quotient in the Cayley
+  coordinate.  With zeta = (1 + z)/(1 - z), which is i*u with
+  u = cot(theta/2) on the circle, the Jacobi triple product (DLMF 20.5) gives
+
+      B = T(-zeta) / T(zeta),   T(zeta) = sum_m tau^(-m(m-1)/2) zeta^(-m),
+
+  and T(-iu) is the conjugate of T(iu), so arg B = -2 arg T(iu).  The deck
+  half-shift u -> tau*u flips the sign of B, so u is first reduced to
+  |u| in [tau^(-1/2), tau^(1/2)) by a table of powers tau^k, and k*pi is
+  added back.  The series then needs a handful of terms a side, and it has
+  no exclusion zone: the only refusals are exact, at u = 0 or +-inf, that
+  is theta = 0 (mod 2 pi) or an orbit landing on -1 or +1 in floating point.
+  For small s (alpha below ~5e-8) the series cancels; the leading term of
+  its modular transform is then exact to double precision and is used
+  instead.  The tables are certified once against the product when built.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -42,7 +59,7 @@ TWO_PI = 2.0 * math.pi
 
 BLASCHKE = "blaschke"  # JSON kind of the product's boundary map
 
-# radius of the zones around +-1 in which evaluation is refused
+# radius of the zones around +-1 in which the disk evaluator refuses
 EXCLUSION = 1e-3
 DEFAULT_TARGET_ERR = 1e-9
 
@@ -162,10 +179,16 @@ class BlaschkeProduct:
         """a_n^2 for n = 1..horizon, the factor coefficients of evaluation."""
         return self.zeros * self.zeros
 
+    @cached_property
+    def theta(self) -> "_ThetaTables":
+        """The circle evaluator's tables, checked against the product when
+        first used."""
+        return _certified_tables(self)
+
 
 def in_exclusion_zone(z):
     """Whether min(|z - 1|, |z + 1|) <= EXCLUSION, elementwise: the points
-    that every evaluation refuses."""
+    that the disk evaluator refuses."""
     z = np.asarray(z, dtype=np.complex128)
     return np.minimum(np.abs(z - 1.0), np.abs(z + 1.0)) <= EXCLUSION
 
@@ -195,11 +218,6 @@ def required_terms(B: BlaschkeProduct, z, target_err: float = DEFAULT_TARGET_ERR
     """
     if not target_err > 0:
         raise OutOfRange(f"target_err must be > 0, got {target_err}")
-    if isinstance(z, (int, float, complex)):
-        try:
-            return _required_terms_one(B, complex(z), target_err)
-        except (ArithmeticError, ValueError):
-            pass  # a bound at zero or infinity: numpy's IEEE arithmetic copes
     z_arr = np.asarray(z, dtype=np.complex128)
     if np.any(in_exclusion_zone(z_arr)):
         raise _excluded()
@@ -223,50 +241,28 @@ def required_terms(B: BlaschkeProduct, z, target_err: float = DEFAULT_TARGET_ERR
     return n if z_arr.ndim else int(n)
 
 
-def _required_terms_one(B: BlaschkeProduct, z: complex, target_err: float) -> int:
-    """required_terms at one point: the same formula and refusals in math."""
-    if min(abs(z - 1.0), abs(z + 1.0)) <= EXCLUSION:
-        raise _excluded()
-    zz = z * z
-    w = abs(1.0 - zz)
-    u = max(abs(1.0 + zz), 1e-300)
-    bound = max(math.log(8.0 / w) / B.s,
-                math.log(16.0 * u / (w * (1.0 - 1.0 / B.tau) * target_err)) / B.s,
-                1.0)
-    n = math.ceil(bound)
-    if n > B.horizon:
-        if _tail_at_horizon(B, u, w) > target_err:
-            raise _past_horizon(target_err)
-        n = B.horizon
-    return n
-
-
 _OUTSIDE_DISK = "eval_blaschke requires |z| <= 1"
 
 
-def eval_blaschke(B: BlaschkeProduct, z, target_err: float = 1e-12, terms=None):
+def eval_blaschke(B: BlaschkeProduct, z, target_err: float = 1e-12):
     """Partial product with certified truncation error below target_err.
 
     Accepts a scalar or an array of points with |z| <= 1.  The factors tend
     to 1 geometrically, so the partial product is accumulated directly; a log
-    sum would be ill-defined at the zeros +-a_n and gains nothing here.
-
-    An array multiplies every point by the largest ``required_terms`` of any
-    of its points.  ``terms`` gives that count instead, unchecked: a caller
-    that evaluates one sample in blocks passes the maximum over all of its
-    blocks, so that each block gets the bits of the whole array.
+    sum would be ill-defined at the zeros +-a_n and gains nothing here.  An
+    array multiplies every point by the largest ``required_terms`` of any of
+    its points.
     """
     z_arr = np.asarray(z, dtype=np.complex128)
-    if z_arr.size == 1 and terms is None:
+    if z_arr.size == 1:
         out = _eval_one(B, z_arr.reshape(1), target_err)
         return complex(out[0]) if z_arr.ndim == 0 else out.reshape(z_arr.shape)
     if np.any(np.abs(z_arr) > 1.0 + 1e-12):
         raise OutOfRange(_OUTSIDE_DISK)
-    if terms is None:
-        terms = np.max(required_terms(B, z_arr, target_err), initial=0)
+    terms = np.max(required_terms(B, z_arr, target_err), initial=0)
     z2 = z_arr * z_arr
     out = z_arr.copy()
-    for a2 in B.zeros_squared[:int(terms)]:
+    for a2 in B.zeros_squared[:terms]:
         out *= (a2 - z2) / (1.0 - a2 * z2)
     return out
 
@@ -298,24 +294,206 @@ def derivative_at_zero(B: BlaschkeProduct) -> float:
     return float(math.exp(2.0 * np.log(B.zeros).sum()))
 
 
-def circle_eval_many(B: BlaschkeProduct, thetas,
-                     target_err: float = DEFAULT_TARGET_ERR, terms=None) -> np.ndarray:
+
+
+# ---------------------------------------------------------------------------
+# The circle evaluator: the theta quotient in u = cot(theta/2)
+
+# Below this s the series of T cancels by more than two digits, and the
+# first correction to the leading term of its modular transform,
+# exp(-pi^2/s), is below 2^-57: that term alone is then used.
+_MODULAR_S = math.pi ** 2 / 40.0
+# series terms are kept down to this size relative to the leading ones
+_SERIES_CUT = 60.0 * math.log(2.0)
+# |u| outside [_TINY, inf) is exactly 0, inf or nan: the refused points
+_TINY = 5e-324
+# fixed angles, at least 1 from +-1 and where the product certifies 1e-13
+# for every alpha the solver reaches, at which the tables are checked
+_CERTIFY_AT = (1.0, 1.4, 1.8, 2.1, 4.3, 4.7, 5.2)
+_CERTIFY_TOL = 1e-12
+
+
+def _tau_powers(s: float, n) -> np.ndarray:
+    """tau^-n = exp(-n s) for integers n (an array), to a few ulp at any n.
+
+    s is split into a 26-bit head and its tail, so that both products with n
+    are exact and only the two exponentials round.
+    """
+    c = s * 134217729.0  # 2^27 + 1
+    head = c - (c - s)
+    n = np.asarray(n, dtype=np.float64)
+    return np.exp(-n * head) * np.exp(-n * (s - head))
+
+
+class _ThetaTables:
+    """The circle evaluator's tables for one product, built once.
+
+    ``edges`` = [_TINY, tau^(k+1/2) for k = k0..k1, inf]: the index
+    i = searchsorted(edges, |u|, "right") selects the deck power k0 - 1 + i,
+    and i = 0 or len(edges) marks a refused u.  ``pre[i] * post[i]`` is
+    tau^-k; ``pre`` is 1 except near the ends of double range, where tau^-k
+    itself is not representable.  ``half[i]`` is k*pi reduced to 0 or pi.
+
+    T at the reduced point x is, up to one positive factor, P(x^2) + i Q(x^2)/x
+    with real polynomials P and Q (the even and odd powers of the series on
+    both sides).  ``top`` holds their leading coefficients and ``horner`` the
+    rest as (P_j, Q_j) pairs, highest degree first.  For small s,
+    ``modular`` is pi/(2 s), the slope of arg T in log x, and the series is
+    not used.  The lists are the arrays' float copies for one-point steps.
+    """
+
+    def __init__(self, s: float):
+        ks = np.arange(math.floor(-745.2 / s) - 2, math.ceil(709.8 / s) + 3)
+        with np.errstate(over="ignore", under="ignore"):
+            e = np.exp((ks + 0.5) * s)
+        kept = (e > _TINY) & (e < math.inf)
+        self.edges = np.concatenate(([_TINY], e[kept], [math.inf]))
+        k = np.arange(self.edges.size) + (ks[kept][0] - 1)
+        # split tau^-k in two where one power would leave double range
+        k1 = np.where(np.abs(k * s) > 600.0, k // 2, 0)
+        self.pre, self.post = _tau_powers(s, k1), _tau_powers(s, k - k1)
+        self.half = np.where(k % 2 == 1, math.pi, 0.0)
+        self.odd = (k % 2 == 1).tolist()
+        self.modular = math.pi / (2.0 * s) if s < _MODULAR_S else 0.0
+        # term m of T at |x| <= tau^(1/2) is at most tau^(-m(m-2)/2) for
+        # m > 0 and tau^(-m^2/2) for m < 0
+        top = 0
+        while s * (top + 1) * (top - 1) / 2.0 < _SERIES_CUT:
+            top += 1
+        bottom = 0
+        while s * (bottom + 1) ** 2 / 2.0 < _SERIES_CUT:
+            bottom += 1
+        top -= top % 2
+        # P_j is the coefficient of x^(top - 2j) in T, Q_j of x^(top + 1 - 2j),
+        # each with its power of -i
+        even = np.arange(top, -bottom - 1, -2)
+        odd = np.arange(top + 1, -bottom - 1, -2)
+        p = np.where(even // 2 % 2 == 0, 1.0, -1.0) * _tau_powers(s, even * (even - 1) // 2)
+        q = np.where((odd - 1) // 2 % 2 == 0, -1.0, 1.0) * _tau_powers(s, odd * (odd - 1) // 2)
+        size = max(p.size, q.size)  # pad the shorter with zeros at the top
+        p = np.concatenate((p, np.zeros(size - p.size)))[::-1].tolist()
+        q = np.concatenate((q, np.zeros(size - q.size)))[::-1].tolist()
+        self.top = (p[0], q[0])
+        self.horner = tuple(zip(p[1:], q[1:]))
+        self.edge_list, self.pre_list, self.post_list, self.half_list = (
+            a.tolist() for a in (self.edges, self.pre, self.post, self.half))
+
+
+def _singular() -> TooCloseToSingularity:
+    return TooCloseToSingularity(
+        "the boundary map is singular at +-1: theta = 0 (mod 2 pi), or an orbit "
+        "that lands on +-1 in floating point")
+
+
+def _theta_parts(t: _ThetaTables, x):
+    """(Re T, Im T) at the reduced point x, a float or an array, up to one
+    positive factor.  Only IEEE arithmetic (and for small s numpy's log, cos
+    and sin), so a float and an array element get the same bits."""
+    if t.modular:
+        phi = np.sign(x) * (t.modular * np.log(np.abs(x)) - 0.25 * math.pi)
+        return np.cos(phi), np.sin(phi)
+    z = x * x
+    p, q = t.top
+    for a, b in t.horner:
+        p = p * z + a
+        q = q * z + b
+    return p, q / x
+
+
+def _circle_angles(t: _ThetaTables, thetas) -> np.ndarray:
+    th = np.asarray(thetas, dtype=np.float64)
+    h = 0.5 * (th % TWO_PI)
+    with np.errstate(divide="ignore"):
+        u = np.cos(h) / np.sin(h)
+    i = np.searchsorted(t.edges, np.abs(u), side="right")
+    if not np.all((i > 0) & (i < t.edges.size)):
+        raise _singular()
+    re, im = _theta_parts(t, (u * t.pre[i]) * t.post[i])
+    return (-2.0 * np.arctan2(im, re) + t.half[i]) % TWO_PI
+
+
+def _certified_tables(B: BlaschkeProduct) -> _ThetaTables:
+    """The tables of B, checked against the product at _CERTIFY_AT."""
+    t = _ThetaTables(B.s)
+    th = np.array(_CERTIFY_AT)
+    product = np.angle(eval_blaschke(B, np.exp(1j * th), target_err=1e-13))
+    gap = np.abs((_circle_angles(t, th) - product + math.pi) % TWO_PI - math.pi)
+    if not np.all(gap <= _CERTIFY_TOL):
+        raise FatouLabError(
+            f"theta quotient disagrees with the product by {np.max(gap):.3g} "
+            f"at alpha={B.alpha}")
+    return t
+
+
+def circle_eval_many(B: BlaschkeProduct, thetas) -> np.ndarray:
     """Boundary map angles arg B(e^(i theta)), reduced to [0, 2*pi), for an
     array of angles, 0-d included.
 
-    Every e^(i theta) must lie outside the exclusion zone around +-1.  The
-    values' moduli are checked against 1 before the arguments are taken.
-    ``terms`` is passed to eval_blaschke.
+    u = cos(theta/2)/sin(theta/2) is deck-reduced and T is summed there (see
+    the module docstring).  Raises TooCloseToSingularity for theta = 0
+    (mod 2 pi) only.
     """
-    th = np.asarray(thetas, dtype=np.float64)
-    # eval_blaschke answers a 0-d point with a Python complex
-    vals = np.asarray(eval_blaschke(B, np.exp(1j * th), target_err, terms))
-    if vals.size == 1:  # an orbit step: skip np.max's per-call overhead
-        worst = abs(abs(vals.item()) - 1.0)
-    else:
-        worst = float(np.max(np.abs(np.abs(vals) - 1.0), initial=0.0))
-    if worst > max(target_err, 1e-13):
-        raise FatouLabError(
-            f"boundary modulus check failed: | |B| - 1 | = {worst:.3g}"
-        )
-    return np.angle(vals) % TWO_PI
+    return _circle_angles(B.theta, thetas)
+
+
+def circle_eval_one(B: BlaschkeProduct, theta: float) -> float:
+    """circle_eval_many at one angle, a float, with the same bits: the same
+    IEEE operations on floats, math's cos and sin (which match numpy's),
+    bisect for searchsorted, and numpy's arctan2."""
+    t = B.theta
+    h = 0.5 * (theta % TWO_PI)
+    try:
+        u = math.cos(h) / math.sin(h)
+    except ZeroDivisionError:
+        raise _singular() from None
+    i = bisect_right(t.edge_list, abs(u))
+    if not 0 < i < len(t.edge_list):
+        raise _singular()
+    re, im = _theta_parts(t, (u * t.pre_list[i]) * t.post_list[i])
+    return (-2.0 * float(np.arctan2(im, re)) + t.half_list[i]) % TWO_PI
+
+
+def circle_orbit(B: BlaschkeProduct, theta0: float, n: int) -> np.ndarray:
+    """Orbit [B(theta0), ..., B^n(theta0)] of the boundary map, in [0, 2*pi).
+
+    The orbit runs in u = cot(theta/2): after the deck reduction the next u
+    is -Re T / Im T for even k and Im T / Re T for odd k, with no
+    trigonometry, and the angles come at the end from one 2*arctan2(1, u)
+    over the orbit array.  Each step rounds differently from
+    circle_eval_one's, so the orbit is not repeated circle_eval_one bit for
+    bit.  Raises TooCloseToSingularity for theta0 = 0 (mod 2 pi) and when
+    u lands exactly on 0 or +-inf.
+    """
+    t = B.theta
+    edges, pre, post, odd = t.edge_list, t.pre_list, t.post_list, t.odd
+    top, horner, modular = t.top, t.horner, t.modular
+    last = len(edges)
+    out = np.empty(n)
+    h = 0.5 * (theta0 % TWO_PI)
+    try:
+        u = math.cos(h) / math.sin(h)
+        with np.errstate(divide="raise"):  # the modular parts are numpy floats
+            for j in range(n):
+                i = bisect_right(edges, abs(u))
+                if not 0 < i < last:
+                    raise _singular()
+                x = (u * pre[i]) * post[i]
+                if modular:
+                    re, im = _theta_parts(t, x)
+                else:  # _theta_parts inlined: the call would cost a third
+                    z = x * x
+                    re, im = top
+                    for a, b in horner:
+                        re = re * z + a
+                        im = im * z + b
+                    im /= x
+                u = im / re if odd[i] else -re / im
+                out[j] = u
+    except (ZeroDivisionError, FloatingPointError):
+        raise _singular() from None
+    if not 0.0 < abs(u) < math.inf:
+        raise _singular()
+    np.arctan2(1.0, out, out=out)
+    out *= 2.0
+    # a u below about -1e16 doubles to 2 pi itself
+    return np.remainder(out, TWO_PI, out=out)

@@ -4,9 +4,9 @@ Covers rotations, power maps theta -> d*theta, Mobius boundary maps, and
 boundary restrictions of Blaschke products (finite ones and the infinite
 product of :mod:`fatoulab.blaschke`).  A circle map is a map_zoo MapSpec of
 one of the circle kinds or a ``blaschke.BlaschkeProduct``; both carry a
-``kind``.  The product is evaluated to ``blaschke.DEFAULT_TARGET_ERR``, and
-its refusal near the singularities +-1 (``TooCloseToSingularity``) is
-decided in :mod:`fatoulab.blaschke` alone.
+``kind``.  The product's boundary map is the theta quotient of
+:mod:`fatoulab.blaschke`, which refuses only theta = 0 (mod 2 pi) and orbits
+that land exactly on +-1 (``TooCloseToSingularity``).
 
 Measure-theoretic notions (exactness, ergodicity) are not computable from
 finite data; this module provides the standard observable proxies instead:
@@ -32,7 +32,6 @@ from .errors import (
     EmptyInput,
     OriginNotFixed,
     OutOfRange,
-    TooCloseToSingularity,
 )
 from .rng import uniform01
 
@@ -118,11 +117,11 @@ def apply_map(cmap: BoundaryMap, thetas):
     """One application of the boundary map; angles reduced mod 2*pi.
 
     Scalar in, scalar out; array in, array out.  The Blaschke product raises
-    TooCloseToSingularity for an angle in its exclusion zone.
+    TooCloseToSingularity for theta = 0 (mod 2 pi).
     """
     k = cmap.kind
     if isinstance(thetas, float) and k in _SCALAR_KINDS:
-        return _step(cmap, thetas % TWO_PI)
+        return _step(cmap, thetas)
     th = np.asarray(thetas, dtype=np.float64)
     scalar = th.ndim == 0
     th = np.atleast_1d(th) % TWO_PI
@@ -140,28 +139,39 @@ def apply_map(cmap: BoundaryMap, thetas):
 
 
 def _step(cmap: BoundaryMap, th: float) -> float:
-    """apply_map of one angle in [0, 2*pi) with the array path's bits, minus
-    numpy's per-call overhead where it can be skipped.
+    """apply_map of one float angle with the array path's bits, minus
+    numpy's per-call overhead.
 
     math.fmod is the C fmod that np.fmod calls, and float % follows numpy's
-    sign rule.  The Blaschke map still evaluates through a one-element array.
+    sign rule.
     """
     k = cmap.kind
+    th %= TWO_PI
     if k == map_zoo.ROTATION:
         return math.fmod(th + cmap.params[0], TWO_PI)
     if k == map_zoo.POWER:
         return math.fmod(cmap.params[0] * th, TWO_PI)
-    return float(_bl.circle_eval_many(cmap, (th,))[0])
+    return _bl.circle_eval_one(cmap, th)
 
 
 def iterate(cmap: BoundaryMap, theta0: float, n: int) -> np.ndarray:
-    """Orbit [g(theta0), g^2(theta0), ..., g^n(theta0)]."""
+    """Orbit [g(theta0), g^2(theta0), ..., g^n(theta0)].
+
+    For every kind but the Blaschke product the orbit is repeated apply_map,
+    bit for bit.  The Blaschke orbit runs in u = cot(theta/2)
+    (``blaschke.circle_orbit``): its steps round differently from
+    apply_map's, so it agrees with repeated apply_map only to rounding at
+    each step, which the map's expansion then grows.
+    """
     if n < 1:
         raise OutOfRange(f"iterate requires n >= 1, got {n}")
+    if cmap.kind == _bl.BLASCHKE:
+        return _bl.circle_orbit(cmap, float(theta0), n)
+    step = _step if cmap.kind in _SCALAR_KINDS else apply_map
     out = np.empty(n, dtype=np.float64)
     th = float(theta0)
     for i in range(n):
-        th = apply_map(cmap, th)
+        th = step(cmap, th)
         out[i] = th
     return out
 
@@ -182,8 +192,7 @@ def _blocks(n: int) -> list:
 
     A last block of one sample joins the block before it: numpy's in-place
     complex product rounds differently on a one-element array (it does not
-    fuse multiply-adds), and the Blaschke and finite Blaschke maps multiply
-    in place.
+    fuse multiply-adds), and the finite Blaschke maps multiply in place.
     """
     bounds = list(range(0, n, BLOCK)) + [n]
     if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
@@ -229,25 +238,13 @@ def ks_critical(n: int, level: float = 0.01) -> float:
     return coeff / math.sqrt(n)
 
 
-def _redraw_zones(th: np.ndarray, seed: int, streams: np.ndarray):
-    """Redraw in place the samples th (of the given streams) whose points
-    e^(i th) the Blaschke product refuses, at the next step of their streams."""
-    for attempt in range(1, 64):
-        bad = _bl.in_exclusion_zone(np.exp(1j * th))
-        if not bad.any():
-            return
-        th[bad] = TWO_PI * uniform01(seed, streams[bad], attempt)
-    raise TooCloseToSingularity("rejection sampling failed to clear the zones")
-
-
 def invariance_test(cmap: BoundaryMap, n_samples: int, seed: int) -> float:
     """KS distance between uniform and the one-step image of uniform samples.
 
     For maps whose disk extension fixes 0 and preserves Lebesgue measure the
     statistic sits at the 1/sqrt(n) noise floor.  Samples are drawn from
-    per-index counter streams; Blaschke boundary maps redraw the few samples
-    falling inside the exclusion zones (total mass ~ 2 blaschke.EXCLUSION/pi,
-    far below the statistic's resolution).
+    per-index counter streams; a sample of exactly 0, where the Blaschke
+    boundary map is singular, is redrawn for that map.
 
     The samples are drawn, mapped and sorted in one float64 array, block by
     block; the result does not depend on ``BLOCK``.
@@ -263,24 +260,18 @@ def _uniform_image(cmap: BoundaryMap, n_samples: int, seed: int) -> np.ndarray:
     """The one-step image of invariance_test's samples, mapped block by block
     into the array that held them."""
     th = np.empty(n_samples)
-    blocks = _blocks(n_samples)
-    for lo, hi in blocks:
+    for lo, hi in _blocks(n_samples):
         streams = np.arange(lo, hi, dtype=np.uint64)
-        th[lo:hi] = TWO_PI * uniform01(seed, streams, 0)
-        if cmap.kind == _bl.BLASCHKE:
-            _redraw_zones(th[lo:hi], seed, streams)
-    if cmap.kind == _bl.BLASCHKE:
-        # the vector path multiplies every point by the term count of its
-        # worst point, so every block uses the whole sample's count.  The
-        # samples lie in [0, 2 pi) and clear of the zones, so apply_map's
-        # reduction would change nothing here
-        terms = max(np.max(_bl.required_terms(cmap, np.exp(1j * th[lo:hi])))
-                    for lo, hi in blocks)
-        for lo, hi in blocks:
-            th[lo:hi] = _bl.circle_eval_many(cmap, th[lo:hi], terms=terms)
-    else:
-        for lo, hi in blocks:
-            th[lo:hi] = apply_map(cmap, th[lo:hi])
+        block = TWO_PI * uniform01(seed, streams, 0)
+        step = 1
+        while cmap.kind == _bl.BLASCHKE and not block.all():
+            # the product is singular at theta = 0 exactly, which a draw hits
+            # with probability 2^-53 (and seed 0 at index 0): redraw those at
+            # the next step of their streams
+            zero = block == 0.0
+            block[zero] = TWO_PI * uniform01(seed, streams[zero], step)
+            step += 1
+        th[lo:hi] = apply_map(cmap, block)
     return th
 
 

@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 argument/validation error, 2 runtime error.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import math
 import os
@@ -19,10 +20,30 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, blaschke, circle_dynamics, covering, harmonic, map_zoo, renderer
-from .errors import FatouLabError, OutOfRange, TooCloseToSingularity
+from . import __version__, blaschke, circle_dynamics, covering, harmonic, map_zoo
+from .errors import FatouLabError, OutOfRange
 from .histograms import ArcHistogram, bin_angles, count_arcs, csv_chunks, to_csv_text
 from .rng import CHUNK, uniform01
+
+
+def _lazy_import(name: str):
+    """The module ``name``: the one already imported, or else one placed in
+    sys.modules now and executed on first attribute access
+    (importlib.util.LazyLoader)."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+# only render needs the renderer, and a process without cached bytecode
+# would compile all of it at start-up; it is registered at once all the same,
+# so that code wrapping functions after import finds it
+renderer = _lazy_import(f"{__package__}.renderer")
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -155,11 +176,12 @@ def _cmd_blaschke_eval(args) -> int:
     B = blaschke.BlaschkeProduct.from_alpha(args.alpha)
     z = complex(np.exp(1j * args.theta))
     n = blaschke.required_terms(B, z, args.target_err)
-    angle = float(blaschke.circle_eval_many(B, args.theta, args.target_err))
+    # the product, certified to target_err: the angle and the modulus are
+    # those of one value
     val = blaschke.eval_blaschke(B, z, args.target_err)
     summary = {
         "alpha": args.alpha, "theta": args.theta,
-        "angle": angle, "modulus": abs(val),
+        "angle": float(np.angle(val) % blaschke.TWO_PI), "modulus": abs(val),
         "terms_used": int(n), "target_err": args.target_err,
         "derivative_at_zero": blaschke.derivative_at_zero(B),
     }
@@ -253,10 +275,6 @@ def _circle_map(args) -> circle_dynamics.BoundaryMap:
     return circle_dynamics.circle_map_from_dict(json.loads(args.map))
 
 
-_ZONE_ENTERED = (f"orbit entered the exclusion zone (radius {blaschke.EXCLUSION:.3g}) "
-                 "around the boundary singularities at +-1")
-
-
 def _cmd_circle_stats(args) -> int:
     # memory: the orbit, and one n-sized array at a time in the statistics
     # (16 B a point); everything else works in blocks
@@ -264,30 +282,14 @@ def _cmd_circle_stats(args) -> int:
         raise OutOfRange(f"orbit length must be >= 1, got {args.n}")
     seed = _make_seed(args)
     cmap = _circle_map(args)
-    # collect the orbit step by step: the Blaschke product refuses to iterate
-    # through its exclusion zones, and a measure-preserving orbit of this
-    # length may well visit them; truncate and say so.  At the circle maps'
-    # target_err no point outside the zones is refused as uncertifiable, so
-    # every refusal here is the zone
-    orbit = np.empty(args.n)
-    stopped_by = None
-    theta = args.theta0
-    for i in range(args.n):
-        try:
-            theta = circle_dynamics.apply_map(cmap, theta)
-        except TooCloseToSingularity:
-            orbit, stopped_by = orbit[:i], _ZONE_ENTERED
-            break
-        orbit[i] = theta
-    if orbit.size == 0:
-        raise OutOfRange("the start angle lies inside an exclusion zone")
+    if cmap.kind == blaschke.BLASCHKE and args.theta0 % blaschke.TWO_PI == 0.0:
+        raise OutOfRange("the start angle is the Blaschke map's singularity at +1")
+    orbit = circle_dynamics.iterate(cmap, args.theta0, args.n)
     disc = circle_dynamics.discrepancy(orbit)
     summary = {
         "map": json.loads(args.map), "theta0": args.theta0, "n": args.n,
         "orbit_points": orbit.size, "seed": seed, "orbit_discrepancy": disc,
     }
-    if stopped_by is not None:
-        summary["orbit_truncated"] = stopped_by
     files = {"orbit.csv": csv_chunks("iteration,angle", "%d,%r",
                                      range(1, orbit.size + 1), orbit)}
     if circle_dynamics.fixes_origin(cmap):

@@ -28,9 +28,10 @@ class OutOfRange(FatouLabError):
 class TooCloseToSingularity(FatouLabError):
     """A Blaschke product evaluation too close to its singularities at +-1.
 
-    Raised inside the exclusion zone of fixed radius ``blaschke.EXCLUSION``,
-    by an orbit step or a sample as much as by a direct evaluation, and where
-    double precision cannot certify the requested accuracy.
+    The disk evaluator raises it inside the exclusion zone of fixed radius
+    ``blaschke.EXCLUSION`` and where double precision cannot certify the
+    requested accuracy; the circle evaluator only at theta = 0 (mod 2 pi)
+    and where an orbit lands exactly on +-1 in floating point.
     """
 
 

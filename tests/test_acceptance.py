@@ -19,7 +19,9 @@ from fatoulab import covering as cov
 from fatoulab import harmonic as hm
 from fatoulab import map_zoo as mz
 from fatoulab import renderer as rd
+from fatoulab.errors import TooCloseToSingularity
 from fatoulab.histograms import tv_distance
+from test_blaschke import _angle_error, _oracle_angle
 
 R_E = math.e
 ALPHAS = [0.1, 0.25, 0.4]
@@ -315,3 +317,51 @@ def test_criterion_12_symmetry_suite(baker_grid_1000):
     ok = conj_ok and swap_ok
     report(12, "conjugation and reciprocal symmetries of the Baker grid", ok,
            f"conj exact={conj_ok}, swap exact on {pts.size} matched points={swap_ok}")
+
+
+def _certifies(B, z, target_err):
+    try:
+        bl.required_terms(B, z, target_err)
+    except TooCloseToSingularity:
+        return False
+    return True
+
+
+def test_criterion_13_theta_quotient_and_automorphy(products):
+    # the circle map is the theta quotient: it equals the product wherever
+    # the product certifies its truncation at 1e-13, up to the product's own
+    # rounding, which that certificate leaves out: N factors, each rounding
+    # at about eps / |z -+ 1|, reach ~1.5e-13 next to the exclusion zone at
+    # alpha 0.1.  The mpmath oracle decides who is off at the largest
+    # disagreements.  The product is automorphic under the generator of
+    # covering.annulus_model(exp(pi^2 / (2 s))), u -> tau^2 u: the limit set
+    # {+-1} of that covering is the singular set of B.
+    t0 = time.perf_counter()
+    rng = np.random.default_rng(1300)
+    worst_circle = worst_deck = worst_oracle = 0.0
+    for a, B in products.items():
+        th = rng.uniform(0.0, 2.0 * math.pi, 4000)
+        z = np.exp(1j * th)
+        keep = [_certifies(B, p, 1e-13) for p in z]
+        th, z = th[keep], z[keep]
+        theta = bl.circle_eval_many(B, th)
+        product = np.angle(bl.eval_blaschke(B, z, target_err=1e-13))
+        gap = np.abs((theta - product + math.pi) % (2.0 * math.pi) - math.pi)
+        rounding = (bl.required_terms(B, z, 1e-13) * np.finfo(float).eps
+                    / np.minimum(np.abs(z - 1.0), np.abs(z + 1.0)))
+        worst_circle = max(worst_circle, float(np.max(gap / (1e-13 + rounding))))
+        for i in np.argsort(gap)[-3:]:
+            worst_oracle = max(worst_oracle, _angle_error(theta[i], _oracle_angle(B.s, th[i])))
+
+        model = cov.annulus_model(math.exp(math.pi ** 2 / (2.0 * B.s)))
+        w = np.sqrt(rng.uniform(0.0, 0.98 ** 2, 2000)) * np.exp(2j * math.pi * rng.uniform(size=2000))
+        g = cov.deck_apply(model, w)
+        keep = [_certifies(B, p, 1e-13) and _certifies(B, q, 1e-13) for p, q in zip(w, g)]
+        diff = bl.eval_blaschke(B, g[keep], 1e-13) - bl.eval_blaschke(B, w[keep], 1e-13)
+        worst_deck = max(worst_deck, float(np.max(np.abs(diff))))
+    elapsed = time.perf_counter() - t0
+    ok = worst_circle <= 1.0 and worst_oracle <= 1.3e-14 and worst_deck <= 1e-12
+    report(13, "the inner function is the theta quotient, automorphic for its annulus", ok,
+           f"|theta - product| <= {worst_circle:.2f} of the product's error budget, "
+           f"theta vs mpmath at the largest gaps {worst_oracle:.2e}; "
+           f"|B o gamma - B| <= {worst_deck:.2e}; {elapsed:.1f}s")

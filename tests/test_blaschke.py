@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fatoulab import blaschke as bl
-from fatoulab.errors import OutOfRange, TooCloseToSingularity
+from fatoulab.errors import FatouLabError, OutOfRange, TooCloseToSingularity
 
 # Golden s = log(tau) values from a 40-digit bisection oracle (mpmath,
 # 400-term log-space products); see test_solve_tau_against_mpmath_oracle
@@ -146,12 +146,18 @@ def test_circle_eval_quarter_turn():
     assert abs(float(bl.circle_eval_many(B, math.pi / 2)) - math.pi / 2) < 1e-12
 
 
-def test_circle_eval_exclusion_zone():
+def test_circle_eval_refuses_only_theta_zero():
+    # the theta quotient has no exclusion zone: it refuses theta = 0 (mod
+    # 2 pi), where B has no radial limit, and evaluates every other angle
     B = bl.BlaschkeProduct.from_alpha(0.4)
-    with pytest.raises(TooCloseToSingularity):
-        bl.circle_eval_many(B, 1e-4)
-    with pytest.raises(TooCloseToSingularity):
-        bl.circle_eval_many(B, math.pi + 1e-4)
+    for theta in (0.0, -0.0, 2.0 * math.pi, -4.0 * math.pi):
+        with pytest.raises(TooCloseToSingularity, match="singular"):
+            bl.circle_eval_many(B, theta)
+        with pytest.raises(TooCloseToSingularity, match="singular"):
+            bl.circle_eval_one(B, theta)
+    near = np.array([1e-300, 1e-4, math.pi - 1e-4, math.pi + 1e-4, 2.0 * math.pi - 1e-9])
+    out = bl.circle_eval_many(B, near)
+    assert np.all((out >= 0.0) & (out < 2.0 * math.pi))
 
 
 def test_required_terms_diverges_toward_singularity():
@@ -213,10 +219,9 @@ def test_one_point_eval_matches_per_term_loop(alpha):
     th = np.concatenate([rng.uniform(0.05, math.pi - 0.05, 2000),
                          near, math.pi - near, math.pi + near, 2.0 * math.pi - near])
     for t in th.tolist():
-        value, angle = _per_term_loop(B, t)
+        value, _ = _per_term_loop(B, t)
         z = np.exp(1j * np.asarray([t]))
         assert bl.eval_blaschke(B, z, bl.DEFAULT_TARGET_ERR)[0] == value
-        assert bl.circle_eval_many(B, np.asarray([t]))[0] == angle
 
 
 @pytest.mark.parametrize("alpha", [0.1, 0.25, 0.4])
@@ -249,11 +254,12 @@ def test_required_terms_degenerate_bounds():
     (math.pi + 1e-4, bl.DEFAULT_TARGET_ERR, "within"),
 ])
 def test_one_point_and_vector_paths_refuse_alike(theta, target_err, message):
+    # the disk evaluator keeps its exclusion zone and its certificate
     B = bl.BlaschkeProduct.from_alpha(0.4)
     with pytest.raises(TooCloseToSingularity, match=message) as one:
-        bl.circle_eval_many(B, np.array([theta]), target_err)
+        bl.eval_blaschke(B, np.exp(1j * np.array([theta])), target_err)
     with pytest.raises(TooCloseToSingularity) as many:
-        bl.circle_eval_many(B, np.array([1.0, theta]), target_err)
+        bl.eval_blaschke(B, np.exp(1j * np.array([1.0, theta])), target_err)
     assert str(one.value) == str(many.value)
 
 
@@ -314,4 +320,135 @@ def test_circle_eval_many_takes_a_0d_angle():
     assert float(out) == bl.circle_eval_many(B, np.array([1.0]))[0]
     assert float(bl.circle_eval_many(B, np.float64(1.0))) == float(out)
     with pytest.raises(TooCloseToSingularity):
-        bl.circle_eval_many(B, 1e-5)
+        bl.circle_eval_many(B, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# The circle evaluator against an independent oracle
+
+def _oracle_angle(s: float, theta: float) -> float:
+    """arg B(e^(i theta)) from the product in mpmath, for the exact float
+    theta, with mp.dps = 45 + log10(1 / gap) digits: below that it cancels
+    near +-1 and stops early."""
+    mpmath = pytest.importorskip("mpmath")
+    # no float lies within 1e-16 of pi or 2 pi
+    gap = min(theta, max(abs(theta - math.pi), 1e-16), max(abs(theta - 2.0 * math.pi), 1e-16))
+    with mpmath.workdps(45 + max(0, int(-math.log10(gap)))):
+        s = mpmath.mpf(s)
+        z = mpmath.expj(mpmath.mpf(theta))
+        z2 = z * z
+        out = z
+        # factor n deviates from 1 by at most ~8 tau^-n / gap
+        last = int((mpmath.mp.dps * math.log(10.0) + math.log(8.0 / gap)) / s) + 2
+        for n in range(1, last + 1):
+            a2 = mpmath.tanh(n * s / 2) ** 2
+            out *= (a2 - z2) / (1 - a2 * z2)
+        return mpmath.arg(out) % (2 * mpmath.pi)
+
+
+def _angle_error(got: float, want) -> float:
+    d = float(abs(got - want)) % (2.0 * math.pi)
+    return min(d, 2.0 * math.pi - d)
+
+
+def _near_singularities(exponents):
+    th = []
+    for e in exponents:
+        g = 10.0 ** -e
+        th += [g, math.pi - g, math.pi + g, 2.0 * math.pi - g]
+    return [t for t in th if 0.0 < t < 2.0 * math.pi]
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.25, 0.4])
+def test_circle_eval_against_mpmath_oracle(alpha):
+    B = bl.BlaschkeProduct.from_alpha(alpha)
+    th = _near_singularities(range(1, 31)) + [0.3, 1.0, math.pi / 2, 2.5, 4.0, 5.9]
+    got = bl.circle_eval_many(B, np.array(th))
+    worst = max(_angle_error(g, _oracle_angle(B.s, t)) for g, t in zip(got, th))
+    assert worst <= 1.3e-14
+    for t in (1e-100, 1e-300):  # deep in the deck reduction's tables
+        assert _angle_error(bl.circle_eval_one(B, t), _oracle_angle(B.s, t)) <= 1.6e-13
+
+
+@pytest.mark.parametrize("alpha", [0.499, 1e-6, 1e-12])
+def test_circle_eval_spot_checks_against_mpmath_oracle(alpha):
+    # 1e-12 takes the modular transform's leading term instead of the series
+    B = bl.BlaschkeProduct.from_alpha(alpha)
+    th = _near_singularities((3, 12, 25)) + [0.7, 2.0, 3.6, 5.0]
+    got = bl.circle_eval_many(B, np.array(th))
+    # the map's expansion near +-1 grows like 1/s: a rounding of u moves the
+    # angle by about pi/s ulps
+    tol = 1.3e-14 * max(1.0, 0.3 / B.s)
+    assert max(_angle_error(g, _oracle_angle(B.s, t)) for g, t in zip(got, th)) <= tol
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.4])
+def test_orbit_steps_against_mpmath_oracle(alpha):
+    # each step of the u-orbit is the map to rounding: the angle of the next
+    # point against the oracle at this point, scaled by |B'| there
+    B = bl.BlaschkeProduct.from_alpha(alpha)
+    orbit = bl.circle_orbit(B, 0.3, 40)
+    for a, b in zip(orbit[:-1], orbit[1:]):
+        assert _angle_error(b, _oracle_angle(B.s, a)) <= 1e-15 * (1.0 + _boundary_derivative(B, a))
+
+
+def _boundary_derivative(B, theta) -> np.ndarray:
+    """|B'(e^(i theta))|: for an inner function, the sum of the Poisson
+    kernels (1 - |a|^2)/|z - a|^2 over its zeros a."""
+    z = np.exp(1j * np.asarray(theta, dtype=np.float64))[..., None]
+    w = 1.0 - B.zeros_squared
+    return 1.0 + np.sum(w / np.abs(z - B.zeros) ** 2 + w / np.abs(z + B.zeros) ** 2, axis=-1)
+
+
+@pytest.mark.parametrize("alpha", [1e-6, 0.1, 0.25, 0.4, 0.499, 1e-300])
+def test_circle_eval_one_point_matches_arrays(alpha):
+    # real IEEE arithmetic, math's cos and sin and numpy's arctan2: one float,
+    # a one-element array, 37 elements and 20,000 (above numpy's temporary
+    # elision threshold of 16,384) give the same bits
+    B = bl.BlaschkeProduct.from_alpha(alpha)
+    rng = np.random.default_rng(7)
+    th = np.concatenate([rng.uniform(0.0, 2.0 * math.pi, 19_900),
+                         np.array(_near_singularities(range(1, 26)))])[:20_000]
+    many = bl.circle_eval_many(B, th)
+    assert np.array_equal(bl.circle_eval_many(B, th[:37]), many[:37])
+    for i in range(0, th.size, 97):
+        assert bl.circle_eval_one(B, float(th[i])) == many[i]
+        assert bl.circle_eval_many(B, th[i:i + 1])[0] == many[i]
+
+
+def test_circle_orbit_steps_agree_with_the_angle_map():
+    # the orbit runs in u and each step rounds its own way: the next angle
+    # agrees with circle_eval_many at this one to rounding scaled by |B'|
+    B = bl.BlaschkeProduct.from_alpha(0.4)
+    orbit = bl.circle_orbit(B, math.pi / 8, 20_000)
+    step = bl.circle_eval_many(B, orbit[:-1])
+    gap = np.abs((step - orbit[1:] + math.pi) % (2.0 * math.pi) - math.pi)
+    assert np.all(gap <= 4e-15 * _boundary_derivative(B, orbit[:-1]))
+
+
+def test_theta_tables_are_certified_against_the_product(monkeypatch):
+    # the tables are checked once against eval_blaschke; a disagreement is an
+    # error, not a silently wrong circle map
+    monkeypatch.setattr(bl, "_CERTIFY_TOL", -1.0)
+    B = bl.BlaschkeProduct.from_alpha(0.4)
+    with pytest.raises(FatouLabError, match="theta quotient"):
+        bl.circle_eval_many(B, 1.0)
+
+
+@pytest.mark.parametrize("alpha", [1e-300, 0.1, 0.4])
+def test_deck_tables_reduce_every_positive_double(alpha):
+    # an orbit in u may reach any double: the tables take the smallest
+    # subnormal and the largest double alike, and bring every normal u into
+    # [tau^(-1/2), tau^(1/2)].  A subnormal u has fewer bits than the edges
+    # resolve there, so only its coverage is checked
+    B = bl.BlaschkeProduct.from_alpha(alpha)
+    t = B.theta
+    subnormal = np.array([5e-324, 1e-320, 1e-310])
+    normal = np.array([2.3e-308, 1e-200, 0.5, 1.0, 3.0, 1e200, 1e308, np.finfo(float).max])
+    for u in (subnormal, normal):
+        i = np.searchsorted(t.edges, u, side="right")
+        assert np.all((i > 0) & (i < t.edges.size))
+    x = (normal * t.pre[i]) * t.post[i]
+    assert np.all(np.abs(np.log(x)) <= 0.5 * B.s * (1.0 + 1e-9))
+    assert np.array_equal(np.searchsorted(t.edges, [0.0, math.inf, math.nan], side="right"),
+                          [0, t.edges.size, t.edges.size])

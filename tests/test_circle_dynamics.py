@@ -91,15 +91,14 @@ def test_golden_circle_map_bytes(make, orbit_sha, image_sha, spread_sha):
     assert hashlib.sha256(fractions.tobytes()).hexdigest() == spread_sha
 
 
-# sha256 of the bytes of orbits iterated one scalar step at a time, as
-# circle-stats does, computed with numpy 2.4 on x86-64 Linux.  The four
-# Blaschke orbits (alpha = 0.4, theta0 = pi/8 + k pi/2) are the benchmark's;
-# each stops at the +-1 exclusion zone after the recorded number of points.
+# sha256 of the bytes of orbits from cd.iterate, computed with numpy 2.4 on
+# x86-64 Linux.  The four Blaschke orbits (alpha = 0.4, theta0 = pi/8 + k pi/2,
+# 100,000 points) are the benchmark's; they run in u = cot(theta/2).
 _GOLDEN_BLASCHKE_ORBITS = [
-    (5167, "43d10875037f87d61a526d0ebc7352bc479e1e5a3d10b85f550278ed6ba71d0d"),
-    (2448, "1bcfc55efcfae36120b7f1aae0379e3a1bf368a1110b5ffc560817bd3aa578a2"),
-    (1235, "bfa1c5f784f857be85f23cfb15315270505c910a58533bb3329a6b51e3b2a7ce"),
-    (1470, "eb9047a37c9c3bf0a0b469767ac9157706e07991c6e6ec75ef7cba6d5f552f3c"),
+    "41375efbe8288653c523f5d1a9bb0b69e764ac5e0c4e32c00e72662faab4940c",
+    "82bc26c5499850dd347b9e2c73628d4b4949d15e5474e63f0c0ebd6ae3aceca5",
+    "8c3b1bef8e7ea50158be2870a91ca8f72240e8aeec2f73b2d459968ed9d965d2",
+    "49bdb41a04007b51a8ff734af8f82ceb7060375d39956f6ad717f8cdb9cd0b76",
 ]
 _GOLDEN_ANGLE_ORBITS = [
     ("power2", lambda: mz.power_map(2),
@@ -113,16 +112,12 @@ _GOLDEN_ANGLE_ORBITS = [
 
 @pytest.mark.parametrize("k", range(4))
 def test_golden_blaschke_orbit_bytes(k):
-    cmap = bl.BlaschkeProduct.from_alpha(0.4)
-    points, sha = _GOLDEN_BLASCHKE_ORBITS[k]
-    orbit = []
-    th = math.pi / 8 + k * math.pi / 2
-    with pytest.raises(TooCloseToSingularity):
-        for _ in range(10 * points):
-            th = cd.apply_map(cmap, th)
-            orbit.append(th)
-    assert len(orbit) == points
-    assert hashlib.sha256(np.asarray(orbit).tobytes()).hexdigest() == sha
+    # the orbits run to the end: the theta quotient has no exclusion zone
+    orbit = cd.iterate(bl.BlaschkeProduct.from_alpha(0.4), math.pi / 8 + k * math.pi / 2,
+                       100_000)
+    assert orbit.size == 100_000
+    assert np.all((orbit > 0.0) & (orbit < TWO_PI))
+    assert hashlib.sha256(orbit.tobytes()).hexdigest() == _GOLDEN_BLASCHKE_ORBITS[k]
 
 
 @pytest.mark.parametrize("make, sha", [g[1:] for g in _GOLDEN_ANGLE_ORBITS],
@@ -161,9 +156,9 @@ def test_scalar_step_matches_array_step(make):
         assert got == cd.apply_map(cmap, np.array([t]))[0]
 
 
-def test_scalar_step_refuses_the_exclusion_zone_like_the_array_step():
+def test_scalar_step_refuses_the_singularity_like_the_array_step():
     cmap = bl.BlaschkeProduct.from_alpha(0.4)
-    for th in (1e-4, math.pi - 1e-4, TWO_PI - 1e-4):
+    for th in (0.0, TWO_PI, -TWO_PI, 3.0 * TWO_PI):
         with pytest.raises(TooCloseToSingularity) as one:
             cd.apply_map(cmap, th)
         with pytest.raises(TooCloseToSingularity) as many:
@@ -177,8 +172,12 @@ def test_mobius_circle_preservation_enforced():
 
 
 def test_blaschke_boundary_exclusion():
-    with pytest.raises(TooCloseToSingularity):
-        cd.iterate(bl.BlaschkeProduct.from_alpha(0.4), 5e-4, 3)
+    # only the singularity +1 itself is excluded; 5e-4 from it is a start
+    B = bl.BlaschkeProduct.from_alpha(0.4)
+    for theta0 in (0.0, TWO_PI):
+        with pytest.raises(TooCloseToSingularity):
+            cd.iterate(B, theta0, 3)
+    assert np.all(np.isfinite(cd.iterate(B, 5e-4, 3)))
 
 
 def test_discrepancy_extremes():

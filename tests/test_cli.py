@@ -203,18 +203,26 @@ def test_circle_stats(tmp_path, capsys):
     assert push_csv.startswith("component_id,bin_index,bin_start_angle_rad,count\n")
 
 
-def test_circle_stats_blaschke_truncates_at_exclusion(tmp_path, capsys):
-    # the boundary map preserves Lebesgue measure, so a long orbit visits
-    # the exclusion zones; the CLI truncates and reports instead of dying
+def test_circle_stats_blaschke_orbit_is_complete(tmp_path, capsys):
+    # the theta quotient has no exclusion zone, so a long orbit runs to the
+    # end; a start at the singularity +1 itself is a usage error
+    n = 100_000
     code, out, _err = run(
         ["circle-stats", "--map", '{"kind": "blaschke", "alpha": 0.4}',
-         "--n", "5000", "--seed", "4", "--theta0", "0.1",
+         "--n", str(n), "--seed", "4", "--theta0", "0.1",
          "--out-dir", str(tmp_path)], capsys)
     assert code == 0
     data = json.loads(out)
-    assert data["orbit_points"] <= 5000
-    if data["orbit_points"] < 5000:
-        assert "orbit_truncated" in data
+    assert data["orbit_points"] == n
+    assert "orbit_truncated" not in data
+    assert data["invariance_ks"] < data["ks_critical_1pct"]
+    rows = (tmp_path / "circle-stats-orbit.csv").read_text().splitlines()
+    assert len(rows) == n + 1
+    code, out, err = run(
+        ["circle-stats", "--map", '{"kind": "blaschke", "alpha": 0.4}',
+         "--theta0", repr(2 * math.pi), "--out-dir", str(tmp_path / "at-one")], capsys)
+    assert code == 1 and out == ""
+    assert "singularity" in err
 
 
 def test_spread(tmp_path, capsys):
@@ -375,8 +383,7 @@ def _peak_bytes(fn):
 def test_circle_stats_memory_bounded_by_block(tmp_path, monkeypatch, capsys, cmap, theta0):
     # beyond the orbit and one n-sized array of the statistics (16 B a
     # requested point), circle-stats holds a fixed number of blocks; a small
-    # block keeps the test fast.  The Blaschke orbit stops at the +-1 zone
-    # after 1,235 points, and its invariance test still draws n samples.
+    # block keeps the test fast.
     block = 2_048
     monkeypatch.setattr(circle_dynamics, "BLOCK", block)
     monkeypatch.setattr(histograms, "CSV_ROWS", block)
@@ -594,12 +601,12 @@ GOLDEN_DIGESTS = {
     "circle-stats-rotation": "edbc8d1bbab12051",
     "circle-stats-mobius": "f51ec12fcc267227",
     "circle-stats-finite-blaschke": "a09bdfee31d6c0c9",
-    "circle-stats-blaschke": "5b2f3c6853b5797c",
+    "circle-stats-blaschke": "c4d13846ca88711b",
     "spread-power": "373ff406c957854a",
     "spread-rotation": "9547e81d5566d98f",
     "spread-mobius": "038ff8c389d001a5",
     "spread-finite-blaschke": "b6240864c799924f",
-    "spread-blaschke": "b3924f8c2aa82b4c",
+    "spread-blaschke": "cba94aee3f85d1c0",
     "render-exp_baker": "c3eaedb674da7e75",
     "render-sine_model": "1a5d118cb8be4668",
     "render-mcmullen": "715a597d593e0a00",

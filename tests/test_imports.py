@@ -1,10 +1,14 @@
 """Every module of the package uses each name it imports at module level,
 and every module-level private name is used somewhere in the package.
 
-Checked with the standard library's ``ast``, so no linter is needed.
+Checked with the standard library's ``ast``, so no linter is needed.  The
+last test checks which modules ``import fatoulab.cli`` executes.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from collections import defaultdict
 from pathlib import Path
 
@@ -71,3 +75,22 @@ def test_every_private_name_is_used():
               for name, definition in _private_definitions(tree)
               if not uses[name] - {id(n) for n in ast.walk(definition)}]
     assert unused == []
+
+
+def test_cli_does_not_execute_the_renderer():
+    # start-up: a process without cached bytecode compiles every module it
+    # executes, and only render needs the renderer.  The module is in
+    # sys.modules from the start (so that wrappers installed after import
+    # find it) but runs on first use, and the package resolves it on demand
+    probe = """
+import sys, types
+import fatoulab.cli
+lazy = sys.modules.get("fatoulab.renderer")
+print(lazy is None or type(lazy) is not types.ModuleType)
+import fatoulab
+print(fatoulab.renderer.GridSpec.__name__, type(fatoulab.renderer) is types.ModuleType)
+"""
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout.split()
+    assert out == ["True", "GridSpec", "True"]
