@@ -25,9 +25,8 @@ Two evaluators share the zero data.
   term count.  ``required_terms`` refuses points within the fixed chordal
   distance ``EXCLUSION`` of a singularity; ``in_exclusion_zone`` is the same
   test as a mask.
-* The circle evaluator (``circle_eval_many``, ``circle_eval_one`` and
-  ``circle_orbit``) is the product as a theta quotient in the Cayley
-  coordinate.  With zeta = (1 + z)/(1 - z), which is i*u with
+* The circle evaluator (``circle_eval_many`` and ``circle_orbit``) is the
+  product as a theta quotient in the Cayley coordinate.  With zeta = (1 + z)/(1 - z), which is i*u with
   u = cot(theta/2) on the circle, the Jacobi triple product (DLMF 20.5) gives
 
       B = T(-zeta) / T(zeta),   T(zeta) = sum_m tau^(-m(m-1)/2) zeta^(-m),
@@ -36,8 +35,9 @@ Two evaluators share the zero data.
   half-shift u -> tau*u flips the sign of B, so u is first reduced to
   |u| in [tau^(-1/2), tau^(1/2)) by a table of powers tau^k, and k*pi is
   added back.  The series then needs a handful of terms a side, and it has
-  no exclusion zone: the only refusals are exact, at u = 0 or +-inf, that
-  is theta = 0 (mod 2 pi) or an orbit landing on -1 or +1 in floating point.
+  no exclusion zone: the only refusals are where u is 0 or +-inf in floating
+  point, that is theta = 0 (mod 2 pi), 0 < theta < ~1.1e-308 (mod 2 pi),
+  where cos/sin overflows, or an orbit landing on -1 or +1 to that precision.
   For small s (alpha below ~5e-8) the series cancels; the leading term of
   its modular transform is then exact to double precision and is used
   instead.  The tables are certified once against the product when built.
@@ -339,7 +339,7 @@ class _ThetaTables:
     both sides).  ``top`` holds their leading coefficients and ``horner`` the
     rest as (P_j, Q_j) pairs, highest degree first.  For small s,
     ``modular`` is pi/(2 s), the slope of arg T in log x, and the series is
-    not used.  The lists are the arrays' float copies for one-point steps.
+    not used.  The lists are the arrays' float copies for circle_orbit.
     """
 
     def __init__(self, s: float):
@@ -375,20 +375,28 @@ class _ThetaTables:
         q = np.concatenate((q, np.zeros(size - q.size)))[::-1].tolist()
         self.top = (p[0], q[0])
         self.horner = tuple(zip(p[1:], q[1:]))
-        self.edge_list, self.pre_list, self.post_list, self.half_list = (
-            a.tolist() for a in (self.edges, self.pre, self.post, self.half))
+        self.edge_list, self.pre_list, self.post_list = (
+            a.tolist() for a in (self.edges, self.pre, self.post))
 
 
 def _singular() -> TooCloseToSingularity:
     return TooCloseToSingularity(
-        "the boundary map is singular at +-1: theta = 0 (mod 2 pi), or an orbit "
-        "that lands on +-1 in floating point")
+        "the boundary map is singular at +-1: theta = 0 (mod 2 pi), an angle "
+        "below ~1.1e-308 above it (cot(theta/2) overflows), or an orbit that "
+        "lands on +-1 in floating point")
+
+
+def singular_angle(theta: float) -> bool:
+    """True for the angles the circle evaluator refuses: those where
+    u = cot(theta/2) is infinite in floating point, theta = 0 (mod 2 pi) and
+    0 < theta < ~1.1e-308 (mod 2 pi)."""
+    h = 0.5 * (theta % TWO_PI)
+    return math.sin(h) == 0.0 or math.isinf(math.cos(h) / math.sin(h))
 
 
 def _theta_parts(t: _ThetaTables, x):
     """(Re T, Im T) at the reduced point x, a float or an array, up to one
-    positive factor.  Only IEEE arithmetic (and for small s numpy's log, cos
-    and sin), so a float and an array element get the same bits."""
+    positive factor."""
     if t.modular:
         phi = np.sign(x) * (t.modular * np.log(np.abs(x)) - 0.25 * math.pi)
         return np.cos(phi), np.sin(phi)
@@ -403,7 +411,7 @@ def _theta_parts(t: _ThetaTables, x):
 def _circle_angles(t: _ThetaTables, thetas) -> np.ndarray:
     th = np.asarray(thetas, dtype=np.float64)
     h = 0.5 * (th % TWO_PI)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         u = np.cos(h) / np.sin(h)
     i = np.searchsorted(t.edges, np.abs(u), side="right")
     if not np.all((i > 0) & (i < t.edges.size)):
@@ -430,27 +438,10 @@ def circle_eval_many(B: BlaschkeProduct, thetas) -> np.ndarray:
     array of angles, 0-d included.
 
     u = cos(theta/2)/sin(theta/2) is deck-reduced and T is summed there (see
-    the module docstring).  Raises TooCloseToSingularity for theta = 0
-    (mod 2 pi) only.
+    the module docstring).  Raises TooCloseToSingularity where
+    singular_angle(theta) holds.
     """
     return _circle_angles(B.theta, thetas)
-
-
-def circle_eval_one(B: BlaschkeProduct, theta: float) -> float:
-    """circle_eval_many at one angle, a float, with the same bits: the same
-    IEEE operations on floats, math's cos and sin (which match numpy's),
-    bisect for searchsorted, and numpy's arctan2."""
-    t = B.theta
-    h = 0.5 * (theta % TWO_PI)
-    try:
-        u = math.cos(h) / math.sin(h)
-    except ZeroDivisionError:
-        raise _singular() from None
-    i = bisect_right(t.edge_list, abs(u))
-    if not 0 < i < len(t.edge_list):
-        raise _singular()
-    re, im = _theta_parts(t, (u * t.pre_list[i]) * t.post_list[i])
-    return (-2.0 * float(np.arctan2(im, re)) + t.half_list[i]) % TWO_PI
 
 
 def circle_orbit(B: BlaschkeProduct, theta0: float, n: int) -> np.ndarray:
@@ -460,9 +451,9 @@ def circle_orbit(B: BlaschkeProduct, theta0: float, n: int) -> np.ndarray:
     is -Re T / Im T for even k and Im T / Re T for odd k, with no
     trigonometry, and the angles come at the end from one 2*arctan2(1, u)
     over the orbit array.  Each step rounds differently from
-    circle_eval_one's, so the orbit is not repeated circle_eval_one bit for
-    bit.  Raises TooCloseToSingularity for theta0 = 0 (mod 2 pi) and when
-    u lands exactly on 0 or +-inf.
+    circle_eval_many's, so the orbit is not repeated circle_eval_many bit for
+    bit.  Raises TooCloseToSingularity where singular_angle(theta0) holds and
+    when u lands on 0 or +-inf (an underflow or overflow included).
     """
     t = B.theta
     edges, pre, post, odd = t.edge_list, t.pre_list, t.post_list, t.odd

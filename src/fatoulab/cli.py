@@ -282,8 +282,9 @@ def _cmd_circle_stats(args) -> int:
         raise OutOfRange(f"orbit length must be >= 1, got {args.n}")
     seed = _make_seed(args)
     cmap = _circle_map(args)
-    if cmap.kind == blaschke.BLASCHKE and args.theta0 % blaschke.TWO_PI == 0.0:
-        raise OutOfRange("the start angle is the Blaschke map's singularity at +1")
+    if cmap.kind == blaschke.BLASCHKE and blaschke.singular_angle(args.theta0):
+        raise OutOfRange("the start angle is the Blaschke map's singularity at +1 "
+                         "(0 mod 2 pi, or below ~1.1e-308 above it)")
     orbit = circle_dynamics.iterate(cmap, args.theta0, args.n)
     disc = circle_dynamics.discrepancy(orbit)
     summary = {

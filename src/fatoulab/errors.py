@@ -30,8 +30,9 @@ class TooCloseToSingularity(FatouLabError):
 
     The disk evaluator raises it inside the exclusion zone of fixed radius
     ``blaschke.EXCLUSION`` and where double precision cannot certify the
-    requested accuracy; the circle evaluator only at theta = 0 (mod 2 pi)
-    and where an orbit lands exactly on +-1 in floating point.
+    requested accuracy; the circle evaluator only where cot(theta/2) is
+    infinite in floating point (theta = 0 and 0 < theta < ~1.1e-308, mod
+    2 pi) and where an orbit lands on +-1 in floating point.
     """
 
 

@@ -153,11 +153,25 @@ def test_circle_eval_refuses_only_theta_zero():
     for theta in (0.0, -0.0, 2.0 * math.pi, -4.0 * math.pi):
         with pytest.raises(TooCloseToSingularity, match="singular"):
             bl.circle_eval_many(B, theta)
-        with pytest.raises(TooCloseToSingularity, match="singular"):
-            bl.circle_eval_one(B, theta)
     near = np.array([1e-300, 1e-4, math.pi - 1e-4, math.pi + 1e-4, 2.0 * math.pi - 1e-9])
     out = bl.circle_eval_many(B, near)
     assert np.all((out >= 0.0) & (out < 2.0 * math.pi))
+
+
+def test_circle_eval_refuses_angles_whose_cot_overflows():
+    # below ~1.1e-308 (mod 2 pi) u = cot(theta/2) is +inf in floating point:
+    # the evaluator, the orbit and singular_angle refuse the same angles
+    B = bl.BlaschkeProduct.from_alpha(0.4)
+    for theta in (1.1e-308, 1e-309, 5e-324):
+        assert bl.singular_angle(theta)
+        with pytest.raises(TooCloseToSingularity, match="overflows"):
+            bl.circle_eval_many(B, theta)
+        with pytest.raises(TooCloseToSingularity, match="overflows"):
+            bl.circle_orbit(B, theta, 3)
+    for theta in (1.2e-308, 1e-300, -1e-309, math.pi):
+        assert not bl.singular_angle(theta)
+        first = bl.circle_orbit(B, theta, 3)[0]
+        assert _angle_error(first, float(bl.circle_eval_many(B, theta))) <= 1e-14
 
 
 def test_required_terms_diverges_toward_singularity():
@@ -367,7 +381,7 @@ def test_circle_eval_against_mpmath_oracle(alpha):
     worst = max(_angle_error(g, _oracle_angle(B.s, t)) for g, t in zip(got, th))
     assert worst <= 1.3e-14
     for t in (1e-100, 1e-300):  # deep in the deck reduction's tables
-        assert _angle_error(bl.circle_eval_one(B, t), _oracle_angle(B.s, t)) <= 1.6e-13
+        assert _angle_error(float(bl.circle_eval_many(B, t)), _oracle_angle(B.s, t)) <= 1.6e-13
 
 
 @pytest.mark.parametrize("alpha", [0.499, 1e-6, 1e-12])
@@ -402,9 +416,9 @@ def _boundary_derivative(B, theta) -> np.ndarray:
 
 @pytest.mark.parametrize("alpha", [1e-6, 0.1, 0.25, 0.4, 0.499, 1e-300])
 def test_circle_eval_one_point_matches_arrays(alpha):
-    # real IEEE arithmetic, math's cos and sin and numpy's arctan2: one float,
-    # a one-element array, 37 elements and 20,000 (above numpy's temporary
-    # elision threshold of 16,384) give the same bits
+    # one float (a 0-d array), a one-element array, 37 elements and 20,000
+    # (above numpy's temporary elision threshold of 16,384) give the same
+    # bits: numpy's one-element and long loops round alike here
     B = bl.BlaschkeProduct.from_alpha(alpha)
     rng = np.random.default_rng(7)
     th = np.concatenate([rng.uniform(0.0, 2.0 * math.pi, 19_900),
@@ -412,7 +426,7 @@ def test_circle_eval_one_point_matches_arrays(alpha):
     many = bl.circle_eval_many(B, th)
     assert np.array_equal(bl.circle_eval_many(B, th[:37]), many[:37])
     for i in range(0, th.size, 97):
-        assert bl.circle_eval_one(B, float(th[i])) == many[i]
+        assert bl.circle_eval_many(B, float(th[i])) == many[i]
         assert bl.circle_eval_many(B, th[i:i + 1])[0] == many[i]
 
 

@@ -218,11 +218,12 @@ def test_circle_stats_blaschke_orbit_is_complete(tmp_path, capsys):
     assert data["invariance_ks"] < data["ks_critical_1pct"]
     rows = (tmp_path / "circle-stats-orbit.csv").read_text().splitlines()
     assert len(rows) == n + 1
-    code, out, err = run(
-        ["circle-stats", "--map", '{"kind": "blaschke", "alpha": 0.4}',
-         "--theta0", repr(2 * math.pi), "--out-dir", str(tmp_path / "at-one")], capsys)
-    assert code == 1 and out == ""
-    assert "singularity" in err
+    for theta0 in (2 * math.pi, 1e-309):  # cot(theta0/2) is inf for both
+        code, out, err = run(
+            ["circle-stats", "--map", '{"kind": "blaschke", "alpha": 0.4}',
+             "--theta0", repr(theta0), "--out-dir", str(tmp_path / "at-one")], capsys)
+        assert code == 1 and out == ""
+        assert "singularity" in err
 
 
 def test_spread(tmp_path, capsys):
