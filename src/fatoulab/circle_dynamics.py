@@ -5,8 +5,12 @@ boundary restrictions of Blaschke products (finite ones and the infinite
 product of :mod:`fatoulab.blaschke`).  A circle map is a map_zoo MapSpec of
 one of the circle kinds or a ``blaschke.BlaschkeProduct``; both carry a
 ``kind``.  The product's boundary map is the theta quotient of
-:mod:`fatoulab.blaschke`, which refuses only theta = 0 (mod 2 pi) and orbits
-that land exactly on +-1 (``TooCloseToSingularity``).
+:mod:`fatoulab.blaschke`, which refuses only theta = 0 and
+0 < theta < ~1.1e-308 (mod 2 pi), where cot(theta/2) overflows, and orbits
+that land exactly on +-1 (``TooCloseToSingularity``).  ``apply_map`` maps
+an array of angles, a scalar as a one-element array; ``iterate`` steps a
+Blaschke orbit in ``blaschke.circle_orbit`` and a rotation or power orbit on
+Python floats (``_step``), with the bits of ``apply_map``.
 
 Measure-theoretic notions (exactness, ergodicity) are not computable from
 finite data; this module provides the standard observable proxies instead:
@@ -107,43 +111,39 @@ def derivative_at_zero_modulus(cmap: BoundaryMap) -> float:
     return abs(map_zoo.derivative(cmap, 0j))
 
 
-# kinds whose scalar step (_step) keeps the bits of the array path; Mobius
-# and finite Blaschke maps would need CPython's complex division, which
-# rounds differently from numpy's
+# kinds whose orbits iterate advances with _step, on Python floats with the
+# bits of the array path; Mobius and finite Blaschke maps would need
+# CPython's complex division, which rounds differently from numpy's
 _SCALAR_KINDS = frozenset((map_zoo.ROTATION, map_zoo.POWER))
 
 
 def apply_map(cmap: BoundaryMap, thetas):
     """One application of the boundary map; angles reduced mod 2*pi.
 
-    Scalar in, scalar out; array in, array out.  The Blaschke product raises
-    TooCloseToSingularity where ``blaschke.singular_angle`` holds.
+    Scalar in, scalar out; array in, array out.  A scalar is mapped as a
+    one-element array.  The Blaschke product raises TooCloseToSingularity
+    where ``blaschke.singular_angle`` holds.
     """
+    th = np.atleast_1d(np.asarray(thetas, dtype=np.float64))
     k = cmap.kind
-    if isinstance(thetas, float) and k in _SCALAR_KINDS:
-        return _step(cmap, thetas)
     if k == _bl.BLASCHKE:
-        # one angle runs on numpy scalars, with the bits of an array element
-        # and in half the time of a one-element array
-        out = _bl.circle_eval_many(cmap, thetas)
-        return float(out) if out.ndim == 0 else out
-    th = np.asarray(thetas, dtype=np.float64)
-    scalar = th.ndim == 0
-    th = np.atleast_1d(th) % TWO_PI
-    if k == map_zoo.ROTATION:
-        out = np.fmod(th + cmap.params[0], TWO_PI)
+        # unreduced: reducing here too would take -1e-20 to 2 pi, which
+        # circle_eval_many reduces to the singular angle 0
+        out = _bl.circle_eval_many(cmap, th)
+    elif k == map_zoo.ROTATION:
+        out = np.fmod(th % TWO_PI + cmap.params[0], TWO_PI)
     elif k == map_zoo.POWER:
         # d*theta is exact for d = 2 and fmod is exact, so doubling orbits
         # agree bit-for-bit with fmod(2^n theta, 2 pi)
-        out = np.fmod(cmap.params[0] * th, TWO_PI)
+        out = np.fmod(cmap.params[0] * (th % TWO_PI), TWO_PI)
     else:
-        out = np.angle(map_zoo.evaluate_many(cmap, np.exp(1j * th))) % TWO_PI
-    return float(out[0]) if scalar else out
+        out = np.angle(map_zoo.evaluate_many(cmap, np.exp(1j * (th % TWO_PI)))) % TWO_PI
+    return float(out[0]) if np.ndim(thetas) == 0 else out
 
 
 def _step(cmap: BoundaryMap, th: float) -> float:
     """apply_map of one float angle for a rotation or a power map, with the
-    array path's bits, minus numpy's per-call overhead.
+    array path's bits, minus numpy's per-call overhead: iterate's step.
 
     math.fmod is the C fmod that np.fmod calls, and float % follows numpy's
     sign rule.
@@ -294,13 +294,15 @@ class SpreadReport:
     first_full_cover: Optional[int]
 
 
-def _covered_cell_count(thetas: np.ndarray, n_cells: int) -> int:
-    """Cells of the uniform reference grid met by the polyline through thetas.
+def _covered_fraction(thetas: np.ndarray) -> float:
+    """Share of the ``DEFAULT_CELLS`` cells of the uniform reference grid met
+    by the polyline through thetas.
 
     Consecutive sample images are joined along the shorter circle arc, which
     is the correct continuation as long as adjacent images stay within half a
     turn of each other; the sample grid is chosen dense enough for that.
     """
+    n_cells = DEFAULT_CELLS
     t = thetas % TWO_PI
     lo = np.minimum(t[:-1], t[1:])
     hi = np.maximum(t[:-1], t[1:])
@@ -317,12 +319,11 @@ def _covered_cell_count(thetas: np.ndarray, n_cells: int) -> int:
     if over.any():
         diff[0] += int(over.sum())
         np.add.at(diff, np.minimum(ch[over] + 1 - n_cells, n_cells), -1)
-    return int((np.cumsum(diff[:-1]) > 0).sum())
+    return int((np.cumsum(diff[:-1]) > 0).sum()) / n_cells
 
 
 def arc_spread(maps: Union[BoundaryMap, Sequence[BoundaryMap]], arc: tuple,
-               n_max: int, grid: int = DEFAULT_GRID,
-               n_cells: int = DEFAULT_CELLS) -> SpreadReport:
+               n_max: int, grid: int = DEFAULT_GRID) -> SpreadReport:
     """Push a dense arc sample forward and measure reference-grid coverage.
 
     ``maps`` is a single map (autonomous iteration) or a sequence applied in
@@ -342,13 +343,13 @@ def arc_spread(maps: Union[BoundaryMap, Sequence[BoundaryMap]], arc: tuple,
     limit = n_max if single else min(n_max, len(seq))
 
     th = start + np.arange(grid) * (length / (grid - 1))
-    fractions = [_covered_cell_count(th, n_cells) / n_cells]
+    fractions = [_covered_fraction(th)]
     first_full = None
     iterations = 0
     for k in range(1, limit + 1):
         g = maps if single else seq[k - 1]
         th = apply_map(g, th)
-        frac = _covered_cell_count(th, n_cells) / n_cells
+        frac = _covered_fraction(th)
         fractions.append(frac)
         iterations = k
         if frac >= 1.0:

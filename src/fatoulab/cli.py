@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -138,11 +139,7 @@ def _finish(args, subcommand: str, seed, summary: dict, files: dict) -> int:
 
 def _cmd_tau(args) -> int:
     ts = blaschke.solve_tau(args.alpha, tol=args.tol)
-    summary = {
-        "alpha": ts.alpha, "tau": ts.tau, "s": ts.s,
-        "residual": ts.residual, "product_terms_used": ts.product_terms_used,
-    }
-    return _finish(args, "tau", None, summary, {})
+    return _finish(args, "tau", None, asdict(ts), {})
 
 
 def _cmd_verify_semiconj(args) -> int:
@@ -230,11 +227,9 @@ def _cmd_harmonic(args) -> int:
     if args.method == "cross-validate":
         if args.domain != "annulus":
             raise OutOfRange("cross-validation applies to the annulus only")
-        domain = harmonic.annulus(1.0 / args.R, args.R)
-        model = covering.annulus_model(args.R)
-        report = harmonic.cross_validate(domain, model, args.walks, seed,
-                                         n_bins=args.bins)
-        summary = dict(report.to_dict(), seed=seed, R=args.R)
+        report = harmonic.cross_validate(covering.annulus_model(args.R), args.walks,
+                                         seed, n_bins=args.bins)
+        summary = dict(asdict(report), seed=seed, R=args.R)
         return _finish(args, "harmonic", seed, summary, {})
 
     # method == "wos"
@@ -248,8 +243,7 @@ def _cmd_harmonic(args) -> int:
         summary["closed_form_outer_mass"] = harmonic.annulus_outer_mass(
             abs(base), 1.0 / args.R, args.R)
     if args.min_bin_mass is not None:
-        summary["support_test"] = harmonic.support_test(
-            result, args.min_bin_mass).to_dict()
+        summary["support_test"] = asdict(harmonic.support_test(result, args.min_bin_mass))
     return _finish(args, "harmonic", seed, summary,
                    {"histogram.csv": to_csv_text(result.hist)})
 
@@ -265,7 +259,7 @@ def _cmd_classify_radial(args) -> int:
     rc = covering.radial_classify(model, xi, K=args.K,
                                   eps_escape=args.eps_escape,
                                   delta_bounded=args.delta_bounded)
-    summary = dict(rc.to_dict(), domain=args.domain, xi_angle=args.xi)
+    summary = dict(asdict(rc), domain=args.domain, xi_angle=args.xi)
     if args.domain == "annulus":
         summary["R"] = args.R
     return _finish(args, "classify-radial", None, summary, {})
@@ -336,9 +330,9 @@ def _cmd_render(args) -> int:
     files = {"image.ppm": renderer.ppm_bytes(grid)}
     if args.loop:
         cx, cy, r = (float(x) for x in args.loop.split(","))
-        cert = renderer.loop_probe(grid, complex(cx, cy), r)
-        summary["certificate"] = cert.to_dict()
-        files["certificate.json"] = _json_text(cert.to_dict())
+        cert = asdict(renderer.loop_probe(grid, complex(cx, cy), r))
+        summary["certificate"] = cert
+        files["certificate.json"] = _json_text(cert)
     return _finish(args, "render", None, summary, files)
 
 

@@ -203,7 +203,8 @@ def mobius_boundary_fixed_points(spec: map_zoo.MapSpec):
 
 @dataclass(frozen=True)
 class RadialClass:
-    """Verdict of the radial tracker with its evidence trail."""
+    """Verdict of the radial tracker, the thresholds it used and a summary of
+    the distance trail: its minimum, its last value and its length."""
 
     verdict: str
     min_boundary_distance: float
@@ -211,17 +212,6 @@ class RadialClass:
     samples_used: int
     eps_escape: float
     delta_bounded: float
-    distances: tuple
-
-    def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "min_boundary_distance": self.min_boundary_distance,
-            "last_boundary_distance": self.last_boundary_distance,
-            "samples_used": self.samples_used,
-            "eps_escape": self.eps_escape,
-            "delta_bounded": self.delta_bounded,
-        }
 
 
 def classify_distance_trail(distances, eps_escape: float = DEFAULT_EPS_ESCAPE,
@@ -267,7 +257,6 @@ def classify_distance_trail(distances, eps_escape: float = DEFAULT_EPS_ESCAPE,
         samples_used=k,
         eps_escape=eps_escape,
         delta_bounded=delta_bounded,
-        distances=tuple(d),
     )
 
 

@@ -52,9 +52,5 @@ class StallRateExceeded(FatouLabError):
     """Too many random walks hit the step cap for the run to be accepted."""
 
 
-class DomainMismatch(FatouLabError):
-    """Two descriptions of the same domain disagree."""
-
-
 class LoopNotInBasin(FatouLabError):
     """A probe loop leaves the attracted region at pixel resolution."""

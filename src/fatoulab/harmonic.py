@@ -35,9 +35,9 @@ from .covering import ANNULUS as COVER_ANNULUS
 from .covering import CoveringModel, cover_eval, pushforward_measure
 from .errors import (
     BasePointOnBoundary,
-    DomainMismatch,
     OutOfRange,
     StallRateExceeded,
+    UnsupportedMap,
 )
 from .histograms import ArcHistogram, bin_angles, count_arcs, tv_distance
 from .rng import CHUNK, derive_seed, stream_keys, uniform01
@@ -212,12 +212,12 @@ def _walk_chunk(domain, base, seed, first, end, epsilon_shell, step_cap,
 
 
 def walk_on_spheres(domain: DomainOracle, base: complex, walks: int,
-                    epsilon_shell: float | None = None,
                     step_cap: int = DEFAULT_STEP_CAP,
                     seed: int = 0, n_bins: int = DEFAULT_N_BINS,
                     walk_offset: int = 0) -> WalkResult:
     """Run ``walks`` independent walks from ``base`` and bin their exits.
 
+    A walk exits within the epsilon shell of 1e-6 times the domain diameter.
     Walk i draws its jump angles from counter stream (walk_offset + i); a
     run sharded into offset ranges merges to the unsharded result exactly.
     Walks exceeding ``step_cap`` are counted as stalled; the run is rejected
@@ -228,8 +228,7 @@ def walk_on_spheres(domain: DomainOracle, base: complex, walks: int,
         raise OutOfRange(f"walks must be >= 1, got {walks}")
     if n_bins < 1:
         raise OutOfRange(f"n_bins must be >= 1, got {n_bins}")
-    if epsilon_shell is None:
-        epsilon_shell = 1e-6 * domain.diameter
+    epsilon_shell = 1e-6 * domain.diameter
     base = complex(base)
     d0 = domain.distance(np.asarray([base]))[0]
     if not d0 >= 0:
@@ -272,14 +271,6 @@ class SupportReport:
     deficient: tuple  # (component_id, bin_index, mass)
     smallest_mass: float
 
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "min_bin_mass": self.min_bin_mass,
-            "deficient": [list(t) for t in self.deficient],
-            "smallest_mass": self.smallest_mass,
-        }
-
 
 def support_test(result: WalkResult, min_bin_mass: float) -> SupportReport:
     """Check that every arc of every boundary component received mass."""
@@ -303,35 +294,22 @@ class CrossValidation:
     passed: bool
     walks: int
 
-    def to_dict(self) -> dict:
-        return {
-            "tv_distance": self.tv_distance,
-            "threshold": self.threshold,
-            "passed": self.passed,
-            "walks": self.walks,
-        }
 
-
-def cross_validate(domain: DomainOracle, model: CoveringModel, walks: int,
-                   seed: int, n_bins: int = 32) -> CrossValidation:
-    """Compare the two estimators of the same harmonic measure.
+def cross_validate(model: CoveringModel, walks: int, seed: int,
+                   n_bins: int = 32) -> CrossValidation:
+    """Compare the two estimators of the harmonic measure of the annulus
+    A(1/R, R) of an annulus covering model.
 
     The Brownian exit distribution from cover_eval(0) and the pushforward of
     arc length under the radial extension both target the harmonic measure
     with that base point, so their total-variation distance must vanish at
     the Monte-Carlo rate; the pass threshold is 10/sqrt(walks).
     """
-    if domain.kind != ANNULUS or model.domain != COVER_ANNULUS:
-        raise DomainMismatch("cross_validate compares annulus descriptions only")
-    if (abs(domain.r_in - 1.0 / model.R) > 1e-9 / model.R
-            or abs(domain.r_out - model.R) > 1e-9 * model.R):
-        raise DomainMismatch(
-            f"oracle radii ({domain.r_in}, {domain.r_out}) do not match the "
-            f"covering model A(1/R, R) with R = {model.R}"
-        )
+    if model.domain != COVER_ANNULUS:
+        raise UnsupportedMap(f"cross_validate needs an annulus model, got {model.domain!r}")
     base = cover_eval(model, 0.0 + 0.0j)
-    wos = walk_on_spheres(domain, base, walks, seed=derive_seed(seed, 1),
-                          n_bins=n_bins)
+    wos = walk_on_spheres(annulus(1.0 / model.R, model.R), base, walks,
+                          seed=derive_seed(seed, 1), n_bins=n_bins)
     push = pushforward_measure(model, walks, n_bins, derive_seed(seed, 2))
     tv = tv_distance(wos.hist, push)
     threshold = 10.0 / math.sqrt(walks)

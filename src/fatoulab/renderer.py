@@ -577,18 +577,9 @@ class LoopCertificate:
     multiply connected at this resolution.
     """
 
-    center: complex
-    radius: float
     inside_nonbasin: int
     outside_nonbasin: int
     verdict: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "inside_nonbasin": self.inside_nonbasin,
-            "outside_nonbasin": self.outside_nonbasin,
-            "verdict": self.verdict,
-        }
 
 
 def loop_probe(grid: ClassifiedGrid, center: complex, radius: float) -> LoopCertificate:
@@ -641,6 +632,5 @@ def loop_probe(grid: ClassifiedGrid, center: complex, radius: float) -> LoopCert
         dist = np.abs(z)
         inside += int((nonbasin & (dist < radius - margin)).sum())
         outside += int((nonbasin & (dist > radius + margin)).sum())
-    return LoopCertificate(center=center, radius=radius,
-                           inside_nonbasin=inside, outside_nonbasin=outside,
+    return LoopCertificate(inside_nonbasin=inside, outside_nonbasin=outside,
                            verdict=inside > 0 and outside > 0)

@@ -251,8 +251,8 @@ def test_scalar_required_terms_matches_array(alpha):
 
 
 def test_required_terms_degenerate_bounds():
-    # with no error to certify the bound is log(0); the scalar path takes
-    # numpy's IEEE answer instead of failing in math.log
+    # with no error to certify the bound is log(0); a scalar point takes
+    # numpy's IEEE answer like an array, instead of failing in math.log
     B = bl.BlaschkeProduct.from_alpha(0.4)
     with np.errstate(divide="ignore"):
         assert bl.required_terms(B, 1j, math.inf) == \
@@ -268,7 +268,8 @@ def test_required_terms_degenerate_bounds():
     (math.pi + 1e-4, bl.DEFAULT_TARGET_ERR, "within"),
 ])
 def test_one_point_and_vector_paths_refuse_alike(theta, target_err, message):
-    # the disk evaluator keeps its exclusion zone and its certificate
+    # the disk evaluator keeps its exclusion zone and its certificate, and
+    # refuses a point alone as it does among others
     B = bl.BlaschkeProduct.from_alpha(0.4)
     with pytest.raises(TooCloseToSingularity, match=message) as one:
         bl.eval_blaschke(B, np.exp(1j * np.array([theta])), target_err)
@@ -292,9 +293,9 @@ def _first_angle_outside(inside: float, outside: float) -> float:
 
 @pytest.mark.parametrize("alpha", [1e-300, 1e-6, 0.1, 0.25, 0.4, 0.499])
 def test_circle_target_certifies_every_angle_outside_the_zone(alpha):
-    # circle maps evaluate the product to DEFAULT_TARGET_ERR, and circle-stats
-    # reads every refusal of an orbit step as the exclusion zone: no angle
-    # just outside the zone may be refused as uncertifiable
+    # the circle map is the theta quotient, which has no exclusion zone: it
+    # maps every angle just outside the disk evaluator's zone, one at a time
+    # and as an array
     B = bl.BlaschkeProduct.from_alpha(alpha)
     eps = np.geomspace(1e-7, 1e-1, 25)
     th = []

@@ -146,14 +146,19 @@ def test_apply_map_empty_input(make):
 @pytest.mark.parametrize("make", [g[1] for g in _ONE_OF_EACH_CIRCLE_KIND],
                          ids=[g[0] for g in _ONE_OF_EACH_CIRCLE_KIND])
 def test_scalar_step_matches_array_step(make):
-    # a Python float takes the scalar path; a one-element array does not
+    # iterate steps rotations and power maps on Python floats (_step) and
+    # the other kinds through apply_map; both keep the array path's bits.
+    # The Blaschke orbit runs in u and rounds its own way (see
+    # test_blaschke.test_circle_orbit_steps_agree_with_the_angle_map)
     cmap = make()
     th = np.linspace(-7.0, 10.0, 301)
     th = th[np.abs(np.sin(th)) > 0.02]  # clear of the Blaschke map's +-1
     for t in th:
+        want = cd.apply_map(cmap, np.array([t]))[0]
         got = cd.apply_map(cmap, float(t))
-        assert type(got) is float
-        assert got == cd.apply_map(cmap, np.array([t]))[0]
+        assert type(got) is float and got == want
+        if cmap.kind != bl.BLASCHKE:
+            assert cd.iterate(cmap, float(t), 1)[0] == want
 
 
 def test_scalar_step_refuses_the_singularity_like_the_array_step():
@@ -164,6 +169,15 @@ def test_scalar_step_refuses_the_singularity_like_the_array_step():
         with pytest.raises(TooCloseToSingularity) as many:
             cd.apply_map(cmap, np.array([1.0, th]))
         assert str(one.value) == str(many.value)
+
+
+def test_apply_map_reduces_a_blaschke_angle_once():
+    # -1e-20 mod 2 pi rounds to 2 pi, which a second reduction would take
+    # to the singular angle 0
+    B = bl.BlaschkeProduct.from_alpha(0.4)
+    got = cd.apply_map(B, -1e-20)
+    assert got == bl.circle_eval_many(B, np.array([-1e-20]))[0]
+    assert abs(got - 6.1645) < 1e-4
 
 
 def test_mobius_circle_preservation_enforced():

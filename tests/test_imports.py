@@ -77,6 +77,55 @@ def test_every_private_name_is_used():
     assert unused == []
 
 
+def _defaulted_parameters(tree):
+    """(function name, parameter, positional index or None) for each
+    parameter with a default of a module-level function or method; a
+    method's index counts ``self`` or ``cls``, and ``__init__`` is called by
+    its class's name.  Nested functions are skipped."""
+    functions = [(node, node.name, False) for node in tree.body
+                 if isinstance(node, ast.FunctionDef)]
+    for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+        functions += [(node, cls.name if node.name == "__init__" else node.name, True)
+                      for node in cls.body if isinstance(node, ast.FunctionDef)]
+    for node, name, method in functions:
+        a = node.args
+        static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                     for d in node.decorator_list)
+        shift = int(method and not static)
+        positional = a.posonlyargs + a.args
+        for i in range(len(positional) - len(a.defaults), len(positional)):
+            yield name, positional[i].arg, i - shift
+        for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+            if default is not None:
+                yield name, arg.arg, None
+
+
+def test_every_default_is_overridden_somewhere():
+    # a parameter that no call sets is a constant with the cost of a knob
+    roots = [SRC, SRC.parents[1] / "tests", SRC.parents[1] / "perfbench"]
+    calls = defaultdict(list)  # callee name -> call nodes
+    for path in (p for root in roots for p in root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                f = node.func
+                calls[getattr(f, "id", getattr(f, "attr", None))].append(node)
+
+    def passes(call, param, index):
+        if any(k.arg in (param, None) for k in call.keywords):  # None: **kw
+            return True
+        if index is None:
+            return False
+        return (len(call.args) > index
+                or any(isinstance(a, ast.Starred) for a in call.args))
+
+    unset = [f"{path.name}: {name}({param})"
+             for path in MODULES
+             for name, param, index in _defaulted_parameters(
+                 ast.parse(path.read_text(encoding="utf-8")))
+             if not any(passes(c, param, index) for c in calls[name])]
+    assert unset == []
+
+
 def test_cli_does_not_execute_the_renderer():
     # start-up: a process without cached bytecode compiles every module it
     # executes, and only render needs the renderer.  The module is in

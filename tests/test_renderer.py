@@ -1,6 +1,7 @@
 import hashlib
 import math
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -165,7 +166,7 @@ def _probe(grid, loop):
     """The loop certificate, or the refusal: mcmullen has no attracting
     fixed point, so no loop lies in its basin."""
     try:
-        return rd.loop_probe(grid, *loop).to_dict()
+        return asdict(rd.loop_probe(grid, *loop))
     except LoopNotInBasin as exc:
         return str(exc)
 
