@@ -285,17 +285,18 @@ def radial_limit_annulus(model: CoveringModel, phi):
 
     Returns (component, angle): component 0 is the outer circle |w| = R
     (lower semicircle of the disk boundary), component 1 the inner circle
-    (upper semicircle).  The limit does not exist at phi = 0 or pi.
+    (upper semicircle).  The limit does not exist at phi = 0 or pi; no float
+    angle is pi, and phi = 0 is read as phi = 1e-12.
     """
-    phi_arr = np.asarray(phi, dtype=np.float64) % TWO_PI
-    # clamp away from the limit set where the formula degenerates
-    tiny = 1e-12
-    phi_arr = np.clip(phi_arr, tiny, TWO_PI - tiny)
-    phi_arr = np.where(np.abs(phi_arr - math.pi) < tiny, math.pi + tiny, phi_arr)
-    upper = phi_arr < math.pi
+    half = np.asarray(phi, dtype=np.float64) % TWO_PI / 2.0
+    # phi/2 rounds to 0 only at phi = 0 and at the least subnormal
+    half = np.where(half == 0.0, 0.5e-12, half)
+    # tan(phi/2) is finite and nonzero for phi in (0, 2 pi), tan(pi/2) being
+    # 1.6e16, and it is positive exactly on the upper semicircle
+    t = np.tan(half)
+    comp = np.where(t > 0.0, 1, 0)
     # artanh(e^(i phi)) tends to (log|cot(phi/2)|)/2 + i (sign) pi/4
-    psi = (model.scale / 2.0) * np.log(np.abs(1.0 / np.tan(phi_arr / 2.0)))
-    comp = np.where(upper, 1, 0)
+    psi = -(model.scale / 2.0) * np.log(np.abs(t))
     if np.ndim(phi) == 0:
         return int(comp), float(psi % TWO_PI)
     return comp, psi % TWO_PI

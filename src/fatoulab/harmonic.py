@@ -21,7 +21,8 @@ estimate with the radial pushforward of ``covering``.
 Randomness is a pure function of (seed, walk index, step index), so runs are
 reproducible and independent of batching or worker count; walks may be
 sharded with ``walk_offset`` and their count matrices merged exactly by
-addition.
+addition.  The walks of a run share a fixed pool of ``CHUNK`` lanes, each
+refilled with the next walk as soon as its walk exits or stalls.
 """
 
 from __future__ import annotations
@@ -181,36 +182,6 @@ class WalkResult:
         }
 
 
-def _walk_chunk(domain, base, seed, first, end, epsilon_shell, step_cap,
-                centers, shape):
-    """Run walks ``first .. end - 1``; return their exit counts, a ``shape``
-    (components, bins) matrix, and the number of stalled walks.
-
-    The state ``(z, d, key)`` of the live walks is compacted only on steps
-    where some walk exits.
-    """
-    counts = np.zeros(shape, dtype=np.int64)
-    z = np.full(end - first, base, dtype=np.complex128)
-    key = stream_keys(seed, np.arange(first, end, dtype=np.uint64))
-    step = 0
-    while z.size and step < step_cap:
-        d = domain.distance(z)
-        done = d < epsilon_shell
-        if done.any():
-            exits = z[done]
-            cids = domain.component(exits)
-            ang = np.angle(exits - centers[cids]) % TWO_PI
-            counts += count_arcs(cids, bin_angles(ang, shape[1]), shape)
-            live = ~done
-            z, d, key = z[live], d[live], key[live]
-        if z.size:
-            jump = np.exp(1j * TWO_PI * uniform01(None, key, step + 1))
-            np.multiply(d, jump, out=jump)
-            z += jump
-        step += 1
-    return counts, int(z.size)
-
-
 def walk_on_spheres(domain: DomainOracle, base: complex, walks: int,
                     step_cap: int = DEFAULT_STEP_CAP,
                     seed: int = 0, n_bins: int = DEFAULT_N_BINS,
@@ -220,9 +191,13 @@ def walk_on_spheres(domain: DomainOracle, base: complex, walks: int,
     A walk exits within the epsilon shell of 1e-6 times the domain diameter.
     Walk i draws its jump angles from counter stream (walk_offset + i); a
     run sharded into offset ranges merges to the unsharded result exactly.
-    Walks exceeding ``step_cap`` are counted as stalled; the run is rejected
-    if the stalled fraction reaches 0.1%.  Walks run in contiguous chunks
-    of ``CHUNK`` streams, so memory does not grow with ``walks``.
+    A walk that has made ``step_cap`` jumps without exiting is counted as
+    stalled; the run is rejected if the stalled fraction reaches 0.1%.
+
+    Walks run in a pool of at most ``CHUNK`` lanes.  A lane whose walk exits
+    or stalls starts the next walk on the same step, and the pool shrinks
+    only once the last walk has started, so memory does not grow with
+    ``walks`` and a run has one drain tail.
     """
     if walks < 1:
         raise OutOfRange(f"walks must be >= 1, got {walks}")
@@ -242,13 +217,48 @@ def walk_on_spheres(domain: DomainOracle, base: complex, walks: int,
     shape = (domain.n_components, n_bins)
     counts = np.zeros(shape, dtype=np.int64)
     stalled = 0
-    end = walk_offset + walks
-    for first in range(walk_offset, end, CHUNK):
-        chunk_counts, chunk_stalled = _walk_chunk(
-            domain, base, seed, first, min(first + CHUNK, end), epsilon_shell,
-            step_cap, centers, shape)
-        counts += chunk_counts
-        stalled += chunk_stalled
+    # lane state: position, distance to the boundary, stream key and the
+    # counter of the walk's next jump; a walk starts at the base point,
+    # whose distance d0 is checked above
+    next_walk, end = walk_offset + min(walks, CHUNK), walk_offset + walks
+    z = np.full(next_walk - walk_offset, base, dtype=np.complex128)
+    d = np.full(z.size, d0)
+    key = stream_keys(seed, np.arange(walk_offset, next_walk, dtype=np.uint64))
+    step = np.ones(z.size, dtype=np.uint64)
+    jumps = 0  # steps taken by the pool: no lane has made more jumps
+    while z.size:
+        jump = np.exp(1j * TWO_PI * uniform01(None, key, step))
+        np.multiply(d, jump, out=jump)
+        z += jump
+        step += 1
+        jumps += 1
+        d = domain.distance(z)
+        done = exited = d < epsilon_shell
+        if jumps >= step_cap:
+            # a walk stalls after its step_cap-th jump, unchecked
+            stall = step > step_cap
+            exited = exited & ~stall
+            done = exited | stall
+            stalled += int(np.count_nonzero(stall))
+        if not done.any():
+            continue
+        exits = z[exited]
+        cids = domain.component(exits)
+        ang = np.angle(exits - centers[cids]) % TWO_PI
+        counts += count_arcs(cids, bin_angles(ang, n_bins), shape)
+        # the freed lanes take the next walks; once every walk has started,
+        # the lanes left free are dropped
+        free = np.flatnonzero(done)
+        new = min(free.size, end - next_walk)
+        lane = free[:new]
+        z[lane], d[lane], step[lane] = base, d0, 1
+        started = np.arange(next_walk, next_walk + new, dtype=np.uint64)
+        key[lane] = stream_keys(seed, started)
+        next_walk += new
+        if new < free.size:
+            keep = np.ones(z.size, dtype=bool)
+            keep[free[new:]] = False
+            z, d, key, step = z[keep], d[keep], key[keep], step[keep]
 
     if stalled / walks >= STALL_GATE:
         raise StallRateExceeded(

@@ -17,11 +17,12 @@ _M2 = np.uint64(0x94D049BB133111EB)
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _INV53 = 1.0 / 9007199254740992.0  # 2^-53
 
-# streams per chunk: Monte-Carlo loops draw from contiguous chunks of this
-# many streams, so their memory does not grow with the sample count, and
-# since every variate is a pure function of its coordinates the chunk
-# boundaries never change a result
-CHUNK = 1 << 16
+# width of every Monte-Carlo loop: the pushforward and verify-semiconj draw
+# contiguous chunks of this many streams, and Walk-on-Spheres keeps at most
+# this many walks in flight, refilling a lane as soon as its walk ends; so
+# memory does not grow with the sample count, and since every variate is a
+# pure function of its coordinates, the width never changes a result
+CHUNK = 1 << 14
 
 
 def _mix_inplace(x):

@@ -260,6 +260,34 @@ def test_radial_limit_formula_matches_deep_radius():
         assert abs(cmath.exp(1j * cmath.phase(w)) - cmath.exp(1j * psi)) < 1e-6
 
 
+@pytest.mark.parametrize("phi", [
+    math.pi - 2e-12, math.pi - 1e-13, math.pi, math.nextafter(math.pi, 4.0),
+    math.pi + 1e-13, math.pi + 2e-12, 1e-13, 1e-300, 1e-310,
+    2.0 * math.pi - 1e-15])
+def test_radial_limit_near_the_limit_set(phi):
+    # no clip: the semicircle is the sign of sin(phi) and the angle is
+    # (c/2) log|cot(phi/2)| of the exact float phi, in 40-digit arithmetic
+    mp = pytest.importorskip("mpmath")
+    m = cov.annulus_model(R_E)
+    comp, psi = cov.radial_limit_annulus(m, phi)
+    with mp.workdps(40):
+        x = mp.mpf(phi)
+        assert comp == (1 if mp.sin(x) > 0 else 0)
+        want = float((mp.mpf(m.scale) / 2 * mp.log(abs(mp.cot(x / 2)))) % (2 * mp.pi))
+    assert abs(cmath.exp(1j * psi) - cmath.exp(1j * want)) < 1e-12
+
+
+def test_radial_limit_at_zero_keeps_its_value():
+    # phi = 0 has no limit; it reads as phi = 1e-12, as before the clips
+    # were removed, so a sample drawn at exactly 0 stays in its bin
+    m = cov.annulus_model(R_E)
+    assert cov.radial_limit_annulus(m, 0.0) == cov.radial_limit_annulus(m, 1e-12)
+    assert cov.radial_limit_annulus(m, 0.0) == (1, 5.465354959052398)
+    comp, psi = cov.radial_limit_annulus(m, np.array([0.0, 2.0 * math.pi, 1e-13]))
+    assert comp.tolist() == [1, 1, 1]
+    assert psi[0] == psi[1] == 5.465354959052398 != psi[2]
+
+
 def test_pushforward_mass_split_and_totals():
     m = cov.annulus_model(R_E)
     n = 200_000

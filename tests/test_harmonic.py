@@ -7,6 +7,7 @@ import pytest
 
 from fatoulab import covering as cov
 from fatoulab import harmonic as hm
+from fatoulab import rng
 from fatoulab.errors import (
     BasePointOnBoundary,
     OutOfRange,
@@ -191,24 +192,58 @@ def test_golden_wos_and_pushforward_counts():
 ], ids=["annulus", "champagne"])
 def test_wos_chunk_invariance(monkeypatch, domain, base):
     # step cap 40 stalls ~5% of the walks; the gate is lifted so that
-    # stalled walks are compared too
+    # stalled walks are compared too.  The reference runs every walk in
+    # its own lane; pools of 37 lanes and of one lane refill lanes freed by
+    # exits and by stalls, often on the same step
     monkeypatch.setattr(hm, "STALL_GATE", 1.0)
-    walks, seed = 1_001, 13
-    runs = {cap: hm.walk_on_spheres(domain, base, walks, seed=seed, step_cap=cap)
-            for cap in (hm.DEFAULT_STEP_CAP, 40)}
-    assert runs[40].stalled > 0
-    monkeypatch.setattr(hm, "CHUNK", 37)  # divides neither walks nor the shards
-    for cap, ref in runs.items():
-        res = hm.walk_on_spheres(domain, base, walks, seed=seed, step_cap=cap)
-        assert np.array_equal(res.hist.counts, ref.hist.counts)
-        assert res.stalled == ref.stalled
-        # shards whose offsets straddle chunk boundaries merge exactly
-        bounds = [0, 50, 111, 700, walks]
-        shards = [hm.walk_on_spheres(domain, base, hi - lo, seed=seed, step_cap=cap,
-                                     walk_offset=lo)
-                  for lo, hi in zip(bounds, bounds[1:])]
-        assert np.array_equal(sum(s.hist.counts for s in shards), ref.hist.counts)
-        assert sum(s.stalled for s in shards) == ref.stalled
+    seed = 13
+    for width, walks in ((37, 1_001), (1, 200)):
+        runs = {cap: hm.walk_on_spheres(domain, base, walks, seed=seed, step_cap=cap)
+                for cap in (hm.DEFAULT_STEP_CAP, 40)}
+        assert runs[40].stalled > 0
+        monkeypatch.setattr(hm, "CHUNK", width)  # 37 divides neither walks nor shards
+        for cap, ref in runs.items():
+            res = hm.walk_on_spheres(domain, base, walks, seed=seed, step_cap=cap)
+            assert np.array_equal(res.hist.counts, ref.hist.counts)
+            assert res.stalled == ref.stalled
+            # shards whose offsets straddle refills merge exactly
+            bounds = [b for b in (0, 50, 111, 700) if b < walks] + [walks]
+            shards = [hm.walk_on_spheres(domain, base, hi - lo, seed=seed, step_cap=cap,
+                                         walk_offset=lo)
+                      for lo, hi in zip(bounds, bounds[1:])]
+            assert np.array_equal(sum(s.hist.counts for s in shards), ref.hist.counts)
+            assert sum(s.stalled for s in shards) == ref.stalled
+        monkeypatch.setattr(hm, "CHUNK", rng.CHUNK)
+
+
+def test_wos_matches_walks_run_one_at_a_time(monkeypatch):
+    # walk i jumps with draws 1, 2, ... of stream i and is checked after
+    # each jump but its step_cap-th, after which it stalls unchecked
+    monkeypatch.setattr(hm, "STALL_GATE", 1.0)
+    domain, base, seed, cap, walks = hm.champagne_disk(FOUR), 0.05 + 0.02j, 5, 40, 150
+    eps = 1e-6 * domain.diameter
+    centers = domain.component_centers()
+    counts, stalled = np.zeros((domain.n_components, 16), dtype=np.int64), 0
+    for i in range(walks):
+        key = rng.stream_keys(seed, np.array([i], dtype=np.uint64))
+        z = np.array([base])
+        d = domain.distance(z)
+        for k in range(1, cap + 1):
+            z = z + d * np.exp(1j * hm.TWO_PI * rng.uniform01(None, key, k))
+            d = domain.distance(z)
+            if k < cap and d[0] < eps:
+                cid = int(domain.component(z)[0])
+                angle = float(np.angle(z - centers[cid])[0]) % hm.TWO_PI
+                counts[cid, min(int(angle / hm.TWO_PI * 16), 15)] += 1
+                break
+        else:
+            stalled += 1
+    assert 0 < stalled < walks
+    for width in (rng.CHUNK, 7):
+        monkeypatch.setattr(hm, "CHUNK", width)
+        res = hm.walk_on_spheres(domain, base, walks, seed=seed, step_cap=cap, n_bins=16)
+        assert np.array_equal(res.hist.counts, counts)
+        assert res.stalled == stalled
 
 
 def test_pushforward_chunk_invariance(monkeypatch):
