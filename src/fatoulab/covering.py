@@ -27,7 +27,7 @@ import numpy as np
 
 from . import map_zoo
 from .errors import OutOfRange, OutsideDisk, UnsupportedMap
-from .histograms import ArcHistogram, bin_angles, count_arcs
+from .histograms import ArcHistogram, bin_angles, count_arcs, wrap_angles
 from .rng import CHUNK, uniform01
 
 TWO_PI = 2.0 * math.pi
@@ -288,7 +288,7 @@ def radial_limit_annulus(model: CoveringModel, phi):
     (upper semicircle).  The limit does not exist at phi = 0 or pi; no float
     angle is pi, and phi = 0 is read as phi = 1e-12.
     """
-    half = np.asarray(phi, dtype=np.float64) % TWO_PI / 2.0
+    half = wrap_angles(np.asarray(phi, dtype=np.float64)) / 2.0
     # phi/2 rounds to 0 only at phi = 0 and at the least subnormal
     half = np.where(half == 0.0, 0.5e-12, half)
     # tan(phi/2) is finite and nonzero for phi in (0, 2 pi), tan(pi/2) being

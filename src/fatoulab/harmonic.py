@@ -23,6 +23,14 @@ reproducible and independent of batching or worker count; walks may be
 sharded with ``walk_offset`` and their count matrices merged exactly by
 addition.  The walks of a run share a fixed pool of ``CHUNK`` lanes, each
 refilled with the next walk as soon as its walk exits or stalls.
+
+A jump of radius d in direction 2πu is added as d·cos 2πu to the real part
+and d·sin 2πu to the imaginary part of the position.  ``_cos_sin_2pi``
+computes the pair in real IEEE arithmetic alone, with no libm call and no
+complex product: u is reduced by quarter turns exactly and a polynomial
+does the rest.  numpy's real ufuncs never fuse multiply-adds, so a walk run
+in a pool of one lane takes the same steps, bit for bit, as in a pool of
+``CHUNK`` lanes.
 """
 
 from __future__ import annotations
@@ -44,6 +52,16 @@ from .histograms import ArcHistogram, bin_angles, count_arcs, tv_distance
 from .rng import CHUNK, derive_seed, stream_keys, uniform01
 
 TWO_PI = 2.0 * math.pi
+
+# Taylor coefficients of sin(πs/2)/s and of cos(πs/2) in powers of s², for
+# |s| <= 1/2: the first term left out is below 1e-17
+_SIN_HALF_PI = tuple((-1) ** k * (math.pi / 2) ** (2 * k + 1) / math.factorial(2 * k + 1)
+                     for k in range(9))
+_COS_HALF_PI = tuple((-1) ** k * (math.pi / 2) ** (2 * k) / math.factorial(2 * k)
+                     for k in range(9))
+# cos and sin of q quarter turns, q = 0..4
+_COS_QUARTER = np.array([1.0, 0.0, -1.0, 0.0, 1.0])
+_SIN_QUARTER = np.array([0.0, 1.0, 0.0, -1.0, 0.0])
 
 ANNULUS = "annulus"
 CHAMPAGNE_DISK = "champagne_disk"
@@ -182,6 +200,42 @@ class WalkResult:
         }
 
 
+def _cos_sin_2pi(u, work, quadrant):
+    """cos 2πu and sin 2πu for the float64 array ``u`` of values in [0, 1).
+
+    Returns views of rows 0 and 1 of ``work``, a (4, u.size) float64 array;
+    its other rows, the intp array ``quadrant`` and ``u`` itself are
+    overwritten.  With 4u = q + s, q = rint(4u) in 0..4 and |s| <= 1/2 (both
+    exact), the angle is (π/2)(q + s): the polynomials give the cos and sin
+    of (π/2)s, and q quarter turns rotate them by exact swaps and sign flips.
+    Within one unit in the last place of 1 of the exact cos and sin of 2πu.
+    """
+    cos, sin, t, tmp = work
+    s = np.multiply(u, 4.0, out=u)
+    np.rint(s, out=cos)
+    quadrant[...] = cos
+    s -= cos
+    np.multiply(s, s, out=t)
+    for coefficients, out in ((_SIN_HALF_PI, sin), (_COS_HALF_PI, cos)):
+        np.multiply(t, coefficients[-1], out=out)
+        for c in coefficients[-2:0:-1]:
+            out += c
+            out *= t
+        out += coefficients[0]
+    sin *= s
+    # (cos, sin) <- (cq cos - sq sin, sq cos + cq sin); one of cq, sq is 0 and
+    # the other ±1, so every product and sum here is exact
+    cq = np.take(_COS_QUARTER, quadrant, out=s)
+    sq = np.take(_SIN_QUARTER, quadrant, out=t)
+    np.multiply(sq, cos, out=tmp)
+    sq *= sin
+    cos *= cq
+    sin *= cq
+    cos -= sq
+    sin += tmp
+    return cos, sin
+
+
 def walk_on_spheres(domain: DomainOracle, base: complex, walks: int,
                     step_cap: int = DEFAULT_STEP_CAP,
                     seed: int = 0, n_bins: int = DEFAULT_N_BINS,
@@ -225,11 +279,15 @@ def walk_on_spheres(domain: DomainOracle, base: complex, walks: int,
     d = np.full(z.size, d0)
     key = stream_keys(seed, np.arange(walk_offset, next_walk, dtype=np.uint64))
     step = np.ones(z.size, dtype=np.uint64)
+    # the jump's scratch, allocated once and sliced as the drain tail shrinks
+    work, quadrant = np.empty((4, z.size)), np.empty(z.size, dtype=np.intp)
     jumps = 0  # steps taken by the pool: no lane has made more jumps
     while z.size:
-        jump = np.exp(1j * TWO_PI * uniform01(None, key, step))
-        np.multiply(d, jump, out=jump)
-        z += jump
+        cos, sin = _cos_sin_2pi(uniform01(None, key, step), work, quadrant)
+        cos *= d
+        sin *= d
+        z.real += cos
+        z.imag += sin
         step += 1
         jumps += 1
         d = domain.distance(z)
@@ -259,6 +317,7 @@ def walk_on_spheres(domain: DomainOracle, base: complex, walks: int,
             keep = np.ones(z.size, dtype=bool)
             keep[free[new:]] = False
             z, d, key, step = z[keep], d[keep], key[keep], step[keep]
+            work, quadrant = work[:, :z.size], quadrant[:z.size]
 
     if stalled / walks >= STALL_GATE:
         raise StallRateExceeded(

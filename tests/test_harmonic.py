@@ -224,12 +224,15 @@ def test_wos_matches_walks_run_one_at_a_time(monkeypatch):
     eps = 1e-6 * domain.diameter
     centers = domain.component_centers()
     counts, stalled = np.zeros((domain.n_components, 16), dtype=np.int64), 0
+    work, quadrant = np.empty((4, 1)), np.empty(1, dtype=np.intp)
     for i in range(walks):
         key = rng.stream_keys(seed, np.array([i], dtype=np.uint64))
         z = np.array([base])
         d = domain.distance(z)
         for k in range(1, cap + 1):
-            z = z + d * np.exp(1j * hm.TWO_PI * rng.uniform01(None, key, k))
+            cos, sin = hm._cos_sin_2pi(rng.uniform01(None, key, k), work, quadrant)
+            z.real += d * cos
+            z.imag += d * sin
             d = domain.distance(z)
             if k < cap and d[0] < eps:
                 cid = int(domain.component(z)[0])
@@ -244,6 +247,46 @@ def test_wos_matches_walks_run_one_at_a_time(monkeypatch):
         res = hm.walk_on_spheres(domain, base, walks, seed=seed, step_cap=cap, n_bins=16)
         assert np.array_equal(res.hist.counts, counts)
         assert res.stalled == stalled
+
+
+def _jump_direction(u):
+    u = np.array(u, dtype=np.float64)  # a copy: the helper overwrites it
+    work, quadrant = np.empty((4, u.size)), np.empty(u.size, dtype=np.intp)
+    cos, sin = hm._cos_sin_2pi(u, work, quadrant)
+    return cos.copy(), sin.copy()
+
+
+def test_jump_direction_against_mpmath():
+    # within one unit in the last place of 1 of cos and sin of the exact
+    # angle 2 pi u, at random u, at the octants and one ulp to each side of
+    # them, and at the largest u below 1
+    mp = pytest.importorskip("mpmath")
+    eighths = [k / 8 + e for k in range(9) for e in (-2.0 ** -53, 0.0, 2.0 ** -53)]
+    u = np.concatenate([rng.uniform01(17, np.arange(500, dtype=np.uint64), 1),
+                        [x for x in eighths if 0.0 <= x < 1.0], [1.0 - 2.0 ** -53]])
+    cos, sin = _jump_direction(u)
+    with mp.workdps(40):
+        for x, c, s in zip(u.tolist(), cos.tolist(), sin.tolist()):
+            angle = 2 * mp.pi * mp.mpf(x)
+            assert abs(c - mp.cos(angle)) <= 2.0 ** -52, x
+            assert abs(s - mp.sin(angle)) <= 2.0 ** -52, x
+
+
+def test_jump_direction_exact_at_quarter_turns():
+    cos, sin = _jump_direction([0.0, 0.25, 0.5, 0.75])
+    assert cos.tolist() == [1.0, 0.0, -1.0, 0.0]
+    assert sin.tolist() == [0.0, 1.0, 0.0, -1.0]
+
+
+def test_jump_direction_of_a_lane_alone_matches_the_pool():
+    # real arithmetic gives a lane the same bits whatever the array size:
+    # 37 lanes, a full pool of 2^14, and each of the 37 alone
+    u = rng.uniform01(23, np.arange(rng.CHUNK, dtype=np.uint64), 1)
+    pool, part = _jump_direction(u), _jump_direction(u[:37])
+    for i in range(37):
+        alone = _jump_direction(u[i:i + 1])
+        for a, p, q in zip(alone, part, pool):
+            assert a.tobytes() == p[i:i + 1].tobytes() == q[i:i + 1].tobytes()
 
 
 def test_pushforward_chunk_invariance(monkeypatch):

@@ -33,6 +33,21 @@ def test_count_arcs_matches_add_at_reference():
     assert np.array_equal(sum(halves), ref)
 
 
+def test_wrap_angles_is_remainder_bit_for_bit():
+    # numpy's % is fmod plus 2 pi on a negative remainder, and gives +0 for
+    # every zero remainder; wrap_angles keeps fmod's sign of zero
+    rng = np.random.default_rng(11)
+    edges = [0.0, -0.0, TWO_PI, -TWO_PI, 4.0 * math.pi, np.nextafter(TWO_PI, 0.0), -1e-20,
+             -1e-300, 5e-324, -5e-324, 1e300, -1e300, math.inf, math.nan]
+    x = np.concatenate([rng.uniform(-50.0, 50.0, 10_000), rng.uniform(0.0, TWO_PI, 1_000),
+                        1e-15 * rng.standard_normal(1_000), edges])
+    with np.errstate(invalid="ignore"):
+        got, want = hg.wrap_angles(x), x % TWO_PI
+    assert np.array_equal(got, want, equal_nan=True)
+    assert hg.wrap_angles(np.float64(-1.0)) == -1.0 % TWO_PI
+    assert np.array_equal(np.signbit(got[want == 0.0]), np.signbit(x[want == 0.0]))
+
+
 def test_count_arcs_empty_input():
     for component in (np.zeros(0, dtype=np.intp), 0):
         counts = count_arcs(component, bin_angles(np.zeros(0), 8), (2, 8))
