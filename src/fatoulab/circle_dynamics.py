@@ -18,8 +18,8 @@ star discrepancy of orbits, arc-spreading under forward iteration, invariance
 of Lebesgue measure through a Kolmogorov-Smirnov statistic, and the
 divergence of sum_n (1 - |g_n'(0)|) for composition sequences.
 
-The statistics work in blocks of ``BLOCK`` samples: besides its input and
-one n-sized array of its own, each holds a fixed amount of memory.
+The statistics work in ``rng.chunks`` of ``rng.CHUNK`` samples: besides its
+input and one n-sized array of its own, each holds a fixed amount of memory.
 """
 
 from __future__ import annotations
@@ -37,16 +37,12 @@ from .errors import (
     OriginNotFixed,
     OutOfRange,
 )
-from .rng import uniform01
+from .rng import chunks, uniform01
 
 TWO_PI = 2.0 * math.pi
 
 DEFAULT_GRID = 2 ** 14 + 1
 DEFAULT_CELLS = 2 ** 14  # reference-grid resolution for cover measurement
-
-# samples per block of invariance_test and discrepancy; blocks never change
-# a result (see _blocks)
-BLOCK = 1 << 15
 
 # a circle map: a MapSpec of one of _CIRCLE_KINDS, or the infinite product
 BoundaryMap = Union[map_zoo.MapSpec, _bl.BlaschkeProduct]
@@ -187,19 +183,6 @@ def pommerenke_sum(maps: Sequence[BoundaryMap]) -> float:
 # Equidistribution statistics
 
 
-def _blocks(n: int) -> list:
-    """[lo, hi) bounds of consecutive blocks of BLOCK samples covering range(n).
-
-    A last block of one sample joins the block before it: numpy's in-place
-    complex product rounds differently on a one-element array (it does not
-    fuse multiply-adds), and the finite Blaschke maps multiply in place.
-    """
-    bounds = list(range(0, n, BLOCK)) + [n]
-    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
-        del bounds[-2]
-    return list(zip(bounds, bounds[1:]))
-
-
 def discrepancy(samples) -> float:
     """Star discrepancy of circle samples against normalized arc length.
 
@@ -216,15 +199,15 @@ def discrepancy(samples) -> float:
 
 def _discrepancy_in_place(x: np.ndarray) -> float:
     """discrepancy of the angles in x, which it reduces, sorts and scales in
-    place; the two maxima are taken block by block, which is exact."""
+    place; the two maxima are taken chunk by chunk, which is exact."""
     np.remainder(x, TWO_PI, out=x)
     x.sort()
     x /= TWO_PI
     n = x.size
     above = below = -np.inf
-    for lo in range(0, n, BLOCK):
-        xb = x[lo:lo + BLOCK]
-        i = np.arange(lo + 1, lo + 1 + xb.size)
+    for lo, hi in chunks(0, n):
+        xb = x[lo:hi]
+        i = np.arange(lo + 1, hi + 1)
         above = np.max(i / n - xb, initial=above)
         below = np.max(xb - (i - 1) / n, initial=below)
     return float(max(above, below))
@@ -246,8 +229,8 @@ def invariance_test(cmap: BoundaryMap, n_samples: int, seed: int) -> float:
     per-index counter streams; a sample of exactly 0, where the Blaschke
     boundary map is singular, is redrawn for that map.
 
-    The samples are drawn, mapped and sorted in one float64 array, block by
-    block; the result does not depend on ``BLOCK``.
+    The samples are drawn, mapped and sorted in one float64 array, in chunks
+    of ``rng.CHUNK``; the result does not depend on the chunk width.
     """
     if not fixes_origin(cmap):
         raise OriginNotFixed(f"{cmap.kind} map does not fix the disk origin")
@@ -257,10 +240,10 @@ def invariance_test(cmap: BoundaryMap, n_samples: int, seed: int) -> float:
 
 
 def _uniform_image(cmap: BoundaryMap, n_samples: int, seed: int) -> np.ndarray:
-    """The one-step image of invariance_test's samples, mapped block by block
+    """The one-step image of invariance_test's samples, mapped chunk by chunk
     into the array that held them."""
     th = np.empty(n_samples)
-    for lo, hi in _blocks(n_samples):
+    for lo, hi in chunks(0, n_samples):
         streams = np.arange(lo, hi, dtype=np.uint64)
         block = TWO_PI * uniform01(seed, streams, 0)
         step = 1

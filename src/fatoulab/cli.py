@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__, blaschke, circle_dynamics, covering, harmonic, map_zoo
 from .errors import FatouLabError, OutOfRange
 from .histograms import ArcHistogram, bin_angles, count_arcs, csv_chunks, to_csv_text
-from .rng import CHUNK, uniform01
+from .rng import chunks, uniform01
 
 
 def _lazy_import(name: str):
@@ -143,14 +143,16 @@ def _cmd_tau(args) -> int:
 
 
 def _cmd_verify_semiconj(args) -> int:
+    if args.samples < 1:
+        raise OutOfRange(f"samples must be >= 1, got {args.samples}")
     seed = _make_seed(args)
     f = map_zoo.exp_baker(args.alpha)
     F = map_zoo.sine_model(args.alpha)
-    # max over fixed-size blocks of samples: the maximum is exact, so the
-    # residuals do not depend on the block size, and memory stays bounded
+    # max over fixed-size chunks of samples: the maximum is exact, so the
+    # residuals do not depend on the chunk width, and memory stays bounded
     worst = worst_scaled = 0.0
-    for first in range(0, args.samples, CHUNK):
-        streams = np.arange(first, min(first + CHUNK, args.samples), dtype=np.uint64)
+    for lo, hi in chunks(0, args.samples):
+        streams = np.arange(lo, hi, dtype=np.uint64)
         re = (2.0 * uniform01(seed, streams, 0) - 1.0) * math.pi
         im = (2.0 * uniform01(seed, streams, 1) - 1.0) * 3.0
         # |Im z| <= 3 keeps both exponentials far inside the exponent cap
@@ -271,7 +273,7 @@ def _circle_map(args) -> circle_dynamics.BoundaryMap:
 
 def _cmd_circle_stats(args) -> int:
     # memory: the orbit, and one n-sized array at a time in the statistics
-    # (16 B a point); everything else works in blocks
+    # (16 B a point); everything else works in chunks
     if args.n < 1:
         raise OutOfRange(f"orbit length must be >= 1, got {args.n}")
     seed = _make_seed(args)
@@ -292,9 +294,8 @@ def _cmd_circle_stats(args) -> int:
         summary["invariance_ks"] = ks
         summary["ks_critical_1pct"] = circle_dynamics.ks_critical(args.n)
         # one-step pushforward of the orbit as an arc histogram
-        block = circle_dynamics.BLOCK
-        counts = sum(count_arcs(0, bin_angles(orbit[lo:lo + block], 64), (1, 64))
-                     for lo in range(0, orbit.size, block))
+        counts = sum(count_arcs(0, bin_angles(orbit[lo:hi], 64), (1, 64))
+                     for lo, hi in chunks(0, orbit.size))
         files["pushforward.csv"] = to_csv_text(ArcHistogram(counts, orbit.size))
     return _finish(args, "circle-stats", seed, summary, files)
 

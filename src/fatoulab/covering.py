@@ -28,7 +28,7 @@ import numpy as np
 from . import map_zoo
 from .errors import OutOfRange, OutsideDisk, UnsupportedMap
 from .histograms import ArcHistogram, bin_angles, count_arcs, wrap_angles
-from .rng import CHUNK, uniform01
+from .rng import chunks, uniform01
 
 TWO_PI = 2.0 * math.pi
 
@@ -311,7 +311,7 @@ def pushforward_measure(model: CoveringModel, n_samples: int, n_bins: int,
     one ArcHistogram whose row c is component c, with n_samples as its
     denominator.  Sample i draws from counter stream (sample_offset + i), so
     the counts of a run split into offset ranges add up exactly to the
-    unsplit result; samples are drawn in contiguous chunks of ``CHUNK``
+    unsplit result; samples are drawn in contiguous chunks of ``rng.CHUNK``
     streams, so memory does not grow with ``n_samples``.
     """
     if n_samples < 1:
@@ -322,9 +322,8 @@ def pushforward_measure(model: CoveringModel, n_samples: int, n_bins: int,
         raise UnsupportedMap(f"unknown covering domain {model.domain!r}")
     shape = (1 if model.domain == DISK else 2, n_bins)
     counts = np.zeros(shape, dtype=np.int64)
-    end = sample_offset + n_samples
-    for first in range(sample_offset, end, CHUNK):
-        counts += _pushforward_chunk(model, shape, seed, first, min(first + CHUNK, end))
+    for lo, hi in chunks(sample_offset, sample_offset + n_samples):
+        counts += _pushforward_chunk(model, shape, seed, lo, hi)
     return ArcHistogram(counts, n_samples)
 
 
@@ -335,7 +334,8 @@ def _pushforward_chunk(model: CoveringModel, shape, seed: int, first: int, end: 
         comp, psi = radial_limit_annulus(model, phi)
         return count_arcs(comp, bin_angles(psi, shape[1]), shape)
     if model.domain == PUNCTURED_DISK:
-        # all mass lands on the unit circle; the puncture has zero capacity
-        tiny = 1e-12
-        phi = (-1.0 / np.tan(np.clip(phi, tiny, TWO_PI - tiny) / 2.0)) % TWO_PI
+        # all mass lands on the unit circle; the puncture has zero capacity.
+        # phi = 0, which seed 0 draws at index 0, is read as 1e-12
+        half = np.where(phi == 0.0, 0.5e-12, phi / 2.0)
+        phi = (-np.cos(half) / np.sin(half)) % TWO_PI
     return count_arcs(0, bin_angles(phi, shape[1]), shape)

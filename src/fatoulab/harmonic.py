@@ -21,7 +21,7 @@ estimate with the radial pushforward of ``covering``.
 Randomness is a pure function of (seed, walk index, step index), so runs are
 reproducible and independent of batching or worker count; walks may be
 sharded with ``walk_offset`` and their count matrices merged exactly by
-addition.  The walks of a run share a fixed pool of ``CHUNK`` lanes, each
+addition.  The walks of a run share a fixed pool of ``rng.CHUNK`` lanes, each
 refilled with the next walk as soon as its walk exits or stalls.
 
 A jump of radius d in direction 2πu is added as d·cos 2πu to the real part
@@ -30,7 +30,7 @@ computes the pair in real IEEE arithmetic alone, with no libm call and no
 complex product: u is reduced by quarter turns exactly and a polynomial
 does the rest.  numpy's real ufuncs never fuse multiply-adds, so a walk run
 in a pool of one lane takes the same steps, bit for bit, as in a pool of
-``CHUNK`` lanes.
+``rng.CHUNK`` lanes.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import rng
 from .covering import ANNULUS as COVER_ANNULUS
 from .covering import CoveringModel, cover_eval, pushforward_measure
 from .errors import (
@@ -49,7 +50,7 @@ from .errors import (
     UnsupportedMap,
 )
 from .histograms import ArcHistogram, bin_angles, count_arcs, tv_distance
-from .rng import CHUNK, derive_seed, stream_keys, uniform01
+from .rng import derive_seed, stream_keys, uniform01
 
 TWO_PI = 2.0 * math.pi
 
@@ -248,10 +249,10 @@ def walk_on_spheres(domain: DomainOracle, base: complex, walks: int,
     A walk that has made ``step_cap`` jumps without exiting is counted as
     stalled; the run is rejected if the stalled fraction reaches 0.1%.
 
-    Walks run in a pool of at most ``CHUNK`` lanes.  A lane whose walk exits
-    or stalls starts the next walk on the same step, and the pool shrinks
-    only once the last walk has started, so memory does not grow with
-    ``walks`` and a run has one drain tail.
+    Walks run in a pool of at most ``rng.CHUNK`` lanes, read at call time.
+    A lane whose walk exits or stalls starts the next walk on the same step,
+    and the pool shrinks only once the last walk has started, so memory does
+    not grow with ``walks`` and a run has one drain tail.
     """
     if walks < 1:
         raise OutOfRange(f"walks must be >= 1, got {walks}")
@@ -274,7 +275,7 @@ def walk_on_spheres(domain: DomainOracle, base: complex, walks: int,
     # lane state: position, distance to the boundary, stream key and the
     # counter of the walk's next jump; a walk starts at the base point,
     # whose distance d0 is checked above
-    next_walk, end = walk_offset + min(walks, CHUNK), walk_offset + walks
+    next_walk, end = walk_offset + min(walks, rng.CHUNK), walk_offset + walks
     z = np.full(next_walk - walk_offset, base, dtype=np.complex128)
     d = np.full(z.size, d0)
     key = stream_keys(seed, np.arange(walk_offset, next_walk, dtype=np.uint64))

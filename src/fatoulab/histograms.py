@@ -15,7 +15,9 @@ from .errors import EmptyInput
 TWO_PI = 2.0 * math.pi
 
 CSV_HEADER = "component_id,bin_index,bin_start_angle_rad,count"
-CSV_ROWS = 1 << 12  # rows per chunk of csv_chunks
+# rows per csv_chunks chunk, not rng.CHUNK: at 2**14 rows of text a 1e5-point
+# Blaschke circle-stats peaked at 34.6 MB against 33.4 MB (3 runs each)
+CSV_ROWS = 1 << 12
 
 
 @dataclass

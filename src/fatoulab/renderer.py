@@ -49,6 +49,7 @@ import numpy as np
 
 from . import map_zoo
 from .errors import LoopNotInBasin, OutOfRange, UnsupportedMap
+from .rng import chunks
 
 UNDECIDED = 0
 ATTRACTED = 1
@@ -167,13 +168,6 @@ class ClassifiedGrid:
     spec: GridSpec
     verdict: np.ndarray  # uint8, shape (ny, nx)
     steps: np.ndarray  # int32, shape (ny, nx)
-
-
-# Pixels per kernel call: a complex state array of 2**15 values is 512 KiB,
-# so a block's few state arrays fit a 2 MiB per-core L2 cache.  Smaller
-# blocks repeat the per-iteration Python overhead on long-lived tail pixels
-# (2**13 made the mcmullen render slower).
-BLOCK = 1 << 15
 
 
 def _centers(grid: GridSpec, width: int, start: int, stop: int, scratch=None) -> np.ndarray:
@@ -399,23 +393,24 @@ def classify_points(spec: map_zoo.MapSpec, points, max_iter: int,
 
 def _classify_blocks(spec, n, points_of, store, max_iter, tol, escape_radius,
                      target, recips, paired, threads):
-    """Classify pixels 0..n-1 in contiguous blocks of ``BLOCK`` shared out
-    over up to ``threads`` workers.  ``points_of(start, stop, scratch)``
-    gives a block's start points, possibly in the worker's own
-    ``_point_scratch``; ``store(start, stop, verdict, steps)`` takes the
+    """Classify pixels 0..n-1 in the contiguous blocks of ``rng.chunks``,
+    ``rng.CHUNK`` pixels wide; up to ``threads`` workers stride over the
+    block list, each with scratch for the widest block.  ``points_of(start,
+    stop, scratch)`` gives a block's start points, possibly in the worker's
+    own ``_point_scratch``; ``store(start, stop, verdict, steps)`` takes the
     block's results, one row per slot: ``paired`` exp_baker orbits give a
     second row, for the start points negated."""
     orbits = _KINDS.get(spec.kind)
     if orbits is None:
         raise UnsupportedMap(f"classify supports exp_baker, sine_model, "
                              f"mcmullen; got {spec.kind!r}")
-    starts = range(0, n, BLOCK)
-    workers = max(1, min(threads, len(starts)))
+    blocks = chunks(0, n)
+    widest = max((stop - start for start, stop in blocks), default=0)
+    workers = max(1, min(threads, len(blocks)))
 
     def work(first):
-        scratch = _point_scratch(min(BLOCK, n))
-        for start in starts[first::workers]:
-            stop = min(start + BLOCK, n)
+        scratch = _point_scratch(widest)
+        for start, stop in blocks[first::workers]:
             z0 = points_of(start, stop, scratch)
             u0 = None if recips is None else recips[start:stop]
             store(start, stop, *_escape_time(
@@ -518,8 +513,8 @@ def verdict_counts(grid: ClassifiedGrid) -> dict:
     array of a render."""
     verdict = grid.verdict.ravel()
     tally = np.zeros(len(VERDICT_NAMES), dtype=np.int64)
-    for start in range(0, verdict.size, BLOCK):
-        tally += np.bincount(verdict[start:start + BLOCK], minlength=tally.size)
+    for start, stop in chunks(0, verdict.size):
+        tally += np.bincount(verdict[start:stop], minlength=tally.size)
     return {name: int(tally[code]) for code, name in VERDICT_NAMES.items()}
 
 
@@ -533,8 +528,8 @@ def render_rgb(grid: ClassifiedGrid, out: np.ndarray) -> np.ndarray:
     step count.  No array but the image spans the whole grid.
     """
     verdict, steps, rgb = grid.verdict.ravel(), grid.steps.ravel(), out.reshape(-1, 3)
-    for start in range(0, verdict.size, BLOCK):
-        block = slice(start, start + BLOCK)
+    for start, stop in chunks(0, verdict.size):
+        block = slice(start, stop)
         v, pixels = verdict[block], rgb[block]
         shade = 0.25 + 0.75 / (1.0 + steps[block] / 48.0)
         for code, base in _PALETTE.items():
@@ -619,11 +614,10 @@ def loop_probe(grid: ClassifiedGrid, center: complex, radius: float) -> LoopCert
     # count the non-basin pixels inside and outside block by block
     margin = math.hypot(dx, dy)
     verdict = grid.verdict.ravel()
-    n = verdict.size
-    scratch = _point_scratch(min(BLOCK, n))
+    blocks = chunks(0, verdict.size)
+    scratch = _point_scratch(max(stop - start for start, stop in blocks))
     inside = outside = 0
-    for start in range(0, n, BLOCK):
-        stop = min(start + BLOCK, n)
+    for start, stop in blocks:
         nonbasin = verdict[start:stop] != ATTRACTED
         if not nonbasin.any():
             continue

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from fatoulab import blaschke as bl
 from fatoulab import circle_dynamics as cd
 from fatoulab import map_zoo as mz
+from fatoulab import rng
 from fatoulab.errors import (
     EmptyInput,
     OriginNotFixed,
@@ -361,7 +362,7 @@ def test_invariance_block_invariance(monkeypatch, make):
     # the Mobius map of the list does not fix 0, and the KS test refuses it
     fixes = cd.fixes_origin(cmap)
     ks = {run: cd.invariance_test(cmap, *run) for run in runs} if fixes else {}
-    monkeypatch.setattr(cd, "BLOCK", 37)
+    monkeypatch.setattr(rng, "CHUNK", 37)
     for run in runs:
         got = cd._uniform_image(cmap, *run)
         assert got.tobytes() == one_block[run].tobytes(), run
@@ -370,12 +371,12 @@ def test_invariance_block_invariance(monkeypatch, make):
 
 
 def test_blocked_discrepancy_matches_the_one_line_formula(monkeypatch):
-    rng = np.random.default_rng(5)
-    samples = [rng.uniform(-20.0, 20.0, 1_000), np.zeros(3), np.array([TWO_PI, -0.0]),
-               np.repeat(rng.uniform(0.0, TWO_PI, 10), 9),
+    gen = np.random.default_rng(5)
+    samples = [gen.uniform(-20.0, 20.0, 1_000), np.zeros(3), np.array([TWO_PI, -0.0]),
+               np.repeat(gen.uniform(0.0, TWO_PI, 10), 9),
                cd.iterate(cd.rotation_map(0.7), 0.9, 2_000)]
-    for block in (cd.BLOCK, 37, 1):
-        monkeypatch.setattr(cd, "BLOCK", block)
+    for block in (rng.CHUNK, 37, 1):
+        monkeypatch.setattr(rng, "CHUNK", block)
         for th in samples:
             before = th.copy()
             assert cd.discrepancy(th) == _discrepancy_reference(th)

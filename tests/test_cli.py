@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from fatoulab import circle_dynamics, cli, histograms
+from fatoulab import cli, histograms, rng
 
 
 def run(argv, capsys):
@@ -82,7 +82,7 @@ def test_verify_semiconj_residuals_do_not_depend_on_blocks(tmp_path, capsys, mon
     assert data["max_residual"] == 2.4168899914933136e-13
     assert data["max_scaled_residual"] == 2.21810999987533e-15
     _code, whole, _err = run(args + ["--samples", "1000"], capsys)
-    monkeypatch.setattr(cli, "CHUNK", 37)  # does not divide 1000
+    monkeypatch.setattr(rng, "CHUNK", 37)  # does not divide 1000
     _code, blocked, _err = run(args + ["--samples", "1000"], capsys)
     assert blocked == whole
 
@@ -317,6 +317,12 @@ def test_validation_rejects_before_compute(tmp_path, capsys):
         ["circle-stats", "--map", '{"kind": "power", "d": 2}', "--n", "0",
          "--seed", "1", "--out-dir", str(tmp_path)], capsys)
     assert code == 1
+    for samples in ("0", "-5"):
+        code, out, err = run(
+            ["verify-semiconj", "--alpha", "0.4", "--samples", samples, "--seed", "1",
+             "--out-dir", str(tmp_path)], capsys)
+        assert code == 1, samples
+        assert out == "" and "samples must be >= 1" in err, samples
     code, _out, err = run(
         ["harmonic", "--domain", "annulus", "--method", "wos", "--walks", "10",
          "--bins", "0", "--seed", "1", "--out-dir", str(tmp_path)], capsys)
@@ -386,7 +392,7 @@ def test_circle_stats_memory_bounded_by_block(tmp_path, monkeypatch, capsys, cma
     # requested point), circle-stats holds a fixed number of blocks; a small
     # block keeps the test fast.
     block = 2_048
-    monkeypatch.setattr(circle_dynamics, "BLOCK", block)
+    monkeypatch.setattr(rng, "CHUNK", block)
     monkeypatch.setattr(histograms, "CSV_ROWS", block)
 
     def beyond_arrays(n):

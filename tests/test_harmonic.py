@@ -196,12 +196,12 @@ def test_wos_chunk_invariance(monkeypatch, domain, base):
     # its own lane; pools of 37 lanes and of one lane refill lanes freed by
     # exits and by stalls, often on the same step
     monkeypatch.setattr(hm, "STALL_GATE", 1.0)
-    seed = 13
+    seed, pool = 13, rng.CHUNK
     for width, walks in ((37, 1_001), (1, 200)):
         runs = {cap: hm.walk_on_spheres(domain, base, walks, seed=seed, step_cap=cap)
                 for cap in (hm.DEFAULT_STEP_CAP, 40)}
         assert runs[40].stalled > 0
-        monkeypatch.setattr(hm, "CHUNK", width)  # 37 divides neither walks nor shards
+        monkeypatch.setattr(rng, "CHUNK", width)  # 37 divides neither walks nor shards
         for cap, ref in runs.items():
             res = hm.walk_on_spheres(domain, base, walks, seed=seed, step_cap=cap)
             assert np.array_equal(res.hist.counts, ref.hist.counts)
@@ -213,7 +213,7 @@ def test_wos_chunk_invariance(monkeypatch, domain, base):
                       for lo, hi in zip(bounds, bounds[1:])]
             assert np.array_equal(sum(s.hist.counts for s in shards), ref.hist.counts)
             assert sum(s.stalled for s in shards) == ref.stalled
-        monkeypatch.setattr(hm, "CHUNK", rng.CHUNK)
+        monkeypatch.setattr(rng, "CHUNK", pool)
 
 
 def test_wos_matches_walks_run_one_at_a_time(monkeypatch):
@@ -243,7 +243,7 @@ def test_wos_matches_walks_run_one_at_a_time(monkeypatch):
             stalled += 1
     assert 0 < stalled < walks
     for width in (rng.CHUNK, 7):
-        monkeypatch.setattr(hm, "CHUNK", width)
+        monkeypatch.setattr(rng, "CHUNK", width)
         res = hm.walk_on_spheres(domain, base, walks, seed=seed, step_cap=cap, n_bins=16)
         assert np.array_equal(res.hist.counts, counts)
         assert res.stalled == stalled
@@ -292,7 +292,7 @@ def test_jump_direction_of_a_lane_alone_matches_the_pool():
 def test_pushforward_chunk_invariance(monkeypatch):
     for model in (cov.annulus_model(R_E), cov.disk_model(), cov.punctured_disk_model()):
         ref = cov.pushforward_measure(model, 1_001, 16, seed=8)
-        monkeypatch.setattr(cov, "CHUNK", 37)
+        monkeypatch.setattr(rng, "CHUNK", 37)
         res = cov.pushforward_measure(model, 1_001, 16, seed=8)
         bounds = [0, 50, 111, 1_001]
         shards = [cov.pushforward_measure(model, hi - lo, 16, seed=8, sample_offset=lo)
@@ -315,8 +315,7 @@ def test_memory_bounded_by_chunk(monkeypatch):
     # a small chunk keeps the test fast; 8x the samples must not need much
     # more memory than one chunk
     chunk = 2_048
-    monkeypatch.setattr(hm, "CHUNK", chunk)
-    monkeypatch.setattr(cov, "CHUNK", chunk)
+    monkeypatch.setattr(rng, "CHUNK", chunk)
     domain = hm.champagne_disk(FOUR)
     model = cov.annulus_model(R_E)
     for run in (lambda n: hm.walk_on_spheres(domain, 0.0j, n, seed=4),

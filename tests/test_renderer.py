@@ -8,6 +8,7 @@ import pytest
 
 from fatoulab import map_zoo as mz
 from fatoulab import renderer as rd
+from fatoulab import rng
 from fatoulab.errors import LoopNotInBasin, OutOfRange, UnsupportedMap
 
 
@@ -102,7 +103,7 @@ def test_reciprocal_swap_symmetry(baker_grid):
 
 
 def test_reciprocal_swap_symmetry_across_blocks(baker_grid, monkeypatch):
-    monkeypatch.setattr(rd, "BLOCK", 37)
+    monkeypatch.setattr(rng, "CHUNK", 37)
     _assert_reciprocal_swap(baker_grid)
 
 
@@ -173,14 +174,14 @@ def _probe(grid, loop):
 
 def test_threads_do_not_change_results(monkeypatch):
     for spec, grid, loop in _KERNEL_GRIDS:
-        assert grid.nx * grid.ny <= rd.BLOCK  # the reference is one block
+        assert grid.nx * grid.ny <= rng.CHUNK  # the reference is one block
         ref = rd.classify_grid(spec, grid)
         assert len(np.unique(ref.verdict)) > 1
         ref_ppm, ref_probe = rd.ppm_bytes(ref), _probe(ref, loop)
         ref_counts = {name: int((ref.verdict == code).sum())
                       for code, name in rd.VERDICT_NAMES.items()}
         with monkeypatch.context() as m:
-            m.setattr(rd, "BLOCK", 37)  # many blocks; 37 does not divide 96 * 96
+            m.setattr(rng, "CHUNK", 37)  # many blocks; 37 does not divide 96 * 96
             for threads in (1, 2, 3):
                 got = rd.classify_grid(spec, grid, threads=threads)
                 assert np.array_equal(got.verdict, ref.verdict), (spec.kind, threads)
@@ -327,7 +328,7 @@ def test_render_memory_bounded_by_block(monkeypatch):
     # the header), a render holds a fixed number of blocks, in the palette
     # pass and the loop probe too; a small block keeps the test fast
     block = 2_048
-    monkeypatch.setattr(rd, "BLOCK", block)
+    monkeypatch.setattr(rng, "CHUNK", block)
     spec = mz.exp_baker(0.4)
 
     def beyond_outputs(nx, ny):

@@ -1,6 +1,7 @@
 import hashlib
 
 import numpy as np
+import pytest
 
 from fatoulab import rng
 
@@ -29,3 +30,29 @@ def test_stream_keys_give_the_same_variates():
     x = np.arange(5, dtype=np.uint64)
     rng.mix64(x)
     assert np.array_equal(x, np.arange(5, dtype=np.uint64))
+
+
+@pytest.mark.parametrize("width", [1, 7, 37, 2 ** 14])
+def test_chunks_tile_the_range(monkeypatch, width):
+    monkeypatch.setattr(rng, "CHUNK", width)
+    sizes = {0, 1, 2, width - 1, width, width + 1, width + 2, 2 * width,
+             2 * width + 1, 3 * width + 5, 5 * width - 1}
+    for start in (0, 1_000_003):
+        for size in sorted(sizes):
+            stop = start + size
+            got = rng.chunks(start, stop)
+            if size == 0:
+                assert got == []
+                continue
+            # consecutive, in order, covering [start, stop) exactly
+            assert got[0][0] == start and got[-1][1] == stop
+            assert all(hi == lo for (_, hi), (lo, _) in zip(got, got[1:]))
+            widths = [hi - lo for lo, hi in got]
+            assert min(widths) >= 1 and max(widths) <= width + 1, (width, size)
+            # every chunk but the last is CHUNK wide, and the last has one
+            # value only when the whole range has one; so with CHUNK > 1 no
+            # chunk of a longer range has one value
+            assert all(w == width for w in widths[:-1]), (width, size)
+            assert widths[-1] > 1 or size == 1, (width, size)
+            if width > 1:
+                assert 1 not in widths or size == 1, (width, size)
