@@ -16,33 +16,24 @@ which is forced by conjugacy invariance of fixed-point multipliers.  The left
 side is strictly increasing in s with limits 0 and 1, so the solution is
 unique for every alpha in (0, 1/2).
 
-Two evaluators share the zero data.
+B is evaluated as a theta quotient in the Cayley coordinate.  With
+zeta = (1 + z)/(1 - z) the Jacobi triple product (DLMF 20.5) gives
 
-* The disk evaluator ``eval_blaschke`` multiplies the factors, over an
-  array of points.  Truncation is certified, rounding is not:
-  factor_n(z) - 1 = (a_n^2 - 1)(1 + z^2)/(1 - a_n^2 z^2) and
-  1 - a_n^2 <= 4 tau^-n, so on the closed disk minus neighbourhoods of +-1
-  the truncation error can be driven below any target with an explicit
-  term count.  ``required_terms`` refuses points within the fixed chordal
-  distance ``EXCLUSION`` of a singularity; ``in_exclusion_zone`` is the same
-  test as a mask.
-* The circle evaluator is the product as a theta quotient in the Cayley
-  coordinate: ``circle_eval_many`` maps an array of angles and
-  ``circle_orbit`` iterates.  With zeta = (1 + z)/(1 - z), which is i*u with
-  u = cot(theta/2) on the circle, the Jacobi triple product (DLMF 20.5) gives
+    B = T(-zeta) / T(zeta),   T(zeta) = sum_m tau^(-m(m-1)/2) zeta^(-m),
 
-      B = T(-zeta) / T(zeta),   T(zeta) = sum_m tau^(-m(m-1)/2) zeta^(-m),
+and T(tau zeta) = zeta T(zeta), so the deck half-shift zeta -> tau*zeta flips
+the sign of B on the whole disk.  |zeta| is reduced into [tau^(-1/2),
+tau^(1/2)) by a table of powers tau^k, where the series needs a handful of
+terms a side; for small s (alpha below ~5e-8) it cancels, and the leading
+term of its modular transform, exact to double precision, replaces it.  Only
++-1 (zeta = inf and 0) are singular: there is no exclusion zone.
 
-  and T(-iu) is the conjugate of T(iu), so arg B = -2 arg T(iu).  The deck
-  half-shift u -> tau*u flips the sign of B, so u is first reduced to
-  |u| in [tau^(-1/2), tau^(1/2)) by a table of powers tau^k, and k*pi is
-  added back.  The series then needs a handful of terms a side, and it has
-  no exclusion zone: the only refusals are where u is 0 or +-inf in floating
-  point, that is theta = 0 (mod 2 pi), 0 < theta < ~1.1e-308 (mod 2 pi),
-  where cos/sin overflows, or an orbit landing on -1 or +1 to that precision.
-  For small s (alpha below ~5e-8) the series cancels; the leading term of
-  its modular transform is then exact to double precision and is used
-  instead.  The tables are certified once against the product when built.
+A disk evaluator, ``eval_blaschke``, and a circle evaluator share one set of
+tables, built once per product and then checked against the product.  On the
+circle zeta = iu with u = cot(theta/2), and T(-iu) is the conjugate of T(iu),
+so arg B = -2 arg T(iu): ``circle_eval_many`` maps angles and ``circle_orbit``
+iterates in u.  They refuse only where u is 0 or +-inf in floating point:
+theta = 0 and 0 < theta < ~1.1e-308 (mod 2 pi), or an orbit landing on +-1.
 """
 
 from __future__ import annotations
@@ -61,9 +52,6 @@ TWO_PI = 2.0 * math.pi
 
 BLASCHKE = "blaschke"  # JSON kind of the product's boundary map
 
-# radius of the zones around +-1 in which the disk evaluator refuses
-EXCLUSION = 1e-3
-DEFAULT_TARGET_ERR = 1e-9
 
 @dataclass(frozen=True)
 class TauSolution:
@@ -132,7 +120,7 @@ def _saturation_horizon(s: float) -> int:
     """Largest n with tanh(n s / 2) < 1 in double precision.
 
     Beyond it the factors are numerically indistinguishable from 1 (the tail
-    bound at the horizon is ~1e-14 even at the exclusion radius), so
+    bound at the horizon is ~1e-14 even at a distance of 1e-3 from +-1), so
     nothing representable is lost by stopping there.
     """
     n = max(1, int(math.floor(38.0 / s)) + 2)
@@ -149,7 +137,7 @@ class BlaschkeProduct:
 
     ``zeros`` holds a_n = tanh(n s / 2) for n = 1..horizon, where the
     saturation horizon is the last n with a_n < 1 in double precision: the
-    factors past it are exactly 1, so no evaluation uses more terms.
+    factors past it are exactly 1, so no product uses more terms.
 
     A product is also the circle map of kind ``BLASCHKE``: circle_dynamics
     iterates it beside the map_zoo MapSpecs of the circle kinds.
@@ -173,99 +161,36 @@ class BlaschkeProduct:
 
     @property
     def horizon(self) -> int:
-        """The saturation horizon: no evaluation uses more terms."""
+        """The saturation horizon: no product uses more terms."""
         return self.zeros.size
 
     @cached_property
     def zeros_squared(self) -> np.ndarray:
-        """a_n^2 for n = 1..horizon, the factor coefficients of evaluation."""
+        """a_n^2 for n = 1..horizon, the factor coefficients of the product."""
         return self.zeros * self.zeros
 
     @cached_property
     def theta(self) -> "_ThetaTables":
-        """The circle evaluator's tables, checked against the product when
+        """The tables of both evaluators, checked against the product when
         first used."""
         return _certified_tables(self)
 
 
-def in_exclusion_zone(z):
-    """Whether min(|z - 1|, |z + 1|) <= EXCLUSION, elementwise: the points
-    that the disk evaluator refuses."""
-    z = np.asarray(z, dtype=np.complex128)
-    return np.minimum(np.abs(z - 1.0), np.abs(z + 1.0)) <= EXCLUSION
-
-
-def _excluded() -> TooCloseToSingularity:
-    return TooCloseToSingularity(
-        f"evaluation within {EXCLUSION:.3g} of a singularity at +-1")
-
-
-def _past_horizon(target_err: float) -> TooCloseToSingularity:
-    return TooCloseToSingularity(
-        f"double precision cannot certify target_err={target_err:.3g} "
-        "this close to the singularities")
-
-
-def _tail_at_horizon(B: BlaschkeProduct, u, w):
-    """Certified bound on the factors past the saturation horizon."""
-    return (16.0 * u / (w * (1.0 - 1.0 / B.tau))) * B.tau ** -(B.horizon + 1.0)
-
-
-def required_terms(B: BlaschkeProduct, z, target_err: float = DEFAULT_TARGET_ERR):
-    """Product terms needed to bound the truncation error below target_err at z.
-
-    The bound is on truncation only; see eval_blaschke for rounding.  Scalar
-    z gives an int; an array gives an int array.  Raises
-    TooCloseToSingularity if z lies in the exclusion zone around +-1 or if
-    the factors up to the saturation horizon cannot certify target_err.
+def required_terms(B: BlaschkeProduct, z, target_err: float):
+    """Product terms that bound the truncation error below target_err at z,
+    at most the saturation horizon: the length of the product that checks
+    the theta tables.  Scalar z gives an int; an array gives an int array.
     """
     if not target_err > 0:
         raise OutOfRange(f"target_err must be > 0, got {target_err}")
     z_arr = np.asarray(z, dtype=np.complex128)
-    if np.any(in_exclusion_zone(z_arr)):
-        raise _excluded()
     w = np.abs(1.0 - z_arr * z_arr)
     u = np.maximum(np.abs(1.0 + z_arr * z_arr), 1e-300)
-    log_tau = B.s
     # past n0 the factor denominators are bounded below by w/2
-    n0 = np.ceil(np.log(8.0 / w) / log_tau)
-    geom = np.ceil(
-        np.log(16.0 * u / (w * (1.0 - 1.0 / B.tau) * target_err)) / log_tau
-    )
-    n = np.maximum(np.maximum(n0, geom), 1.0)
-    # past the saturation horizon the remaining factors are exactly 1 in
-    # double precision; check the bound still certifies the target there
-    clipped = n > B.horizon
-    if np.any(clipped):
-        if np.any(_tail_at_horizon(B, u, w)[clipped] > target_err):
-            raise _past_horizon(target_err)
-        n = np.minimum(n, B.horizon)
-    n = n.astype(np.int64)
+    n0 = np.ceil(np.log(8.0 / w) / B.s)
+    geom = np.ceil(np.log(16.0 * u / (w * (1.0 - 1.0 / B.tau) * target_err)) / B.s)
+    n = np.minimum(np.maximum(np.maximum(n0, geom), 1.0), B.horizon).astype(np.int64)
     return n if z_arr.ndim else int(n)
-
-
-def eval_blaschke(B: BlaschkeProduct, z, target_err: float = 1e-12):
-    """Partial product with truncation error below target_err.
-
-    Accepts a scalar or an array of points with |z| <= 1.  The factors tend
-    to 1 geometrically, so the partial product is accumulated directly; a log
-    sum would be ill-defined at the zeros +-a_n and gains nothing here.  Every
-    point is multiplied by the largest ``required_terms`` of any point, a
-    scalar as a one-element array (numpy scalars round complex products
-    differently).  target_err bounds truncation only: rounding adds about
-    N eps / |z -+ 1| for N factors, up to 1.5e-13 at alpha 0.1 next to the
-    exclusion zone.
-    """
-    z_in = np.asarray(z, dtype=np.complex128)
-    z_arr = np.atleast_1d(z_in)
-    if np.any(np.abs(z_arr) > 1.0 + 1e-12):
-        raise OutOfRange("eval_blaschke requires |z| <= 1")
-    terms = np.max(required_terms(B, z_arr, target_err), initial=0)
-    z2 = z_arr * z_arr
-    out = z_arr.copy()
-    for a2 in B.zeros_squared[:terms]:
-        out *= (a2 - z2) / (1.0 - a2 * z2)
-    return complex(out[0]) if z_in.ndim == 0 else out
 
 
 def derivative_at_zero(B: BlaschkeProduct) -> float:
@@ -278,7 +203,7 @@ def derivative_at_zero(B: BlaschkeProduct) -> float:
 
 
 # ---------------------------------------------------------------------------
-# The circle evaluator: the theta quotient in u = cot(theta/2)
+# The theta quotient
 
 # Below this s the series of T cancels by more than two digits, and the
 # first correction to the leading term of its modular transform,
@@ -286,10 +211,10 @@ def derivative_at_zero(B: BlaschkeProduct) -> float:
 _MODULAR_S = math.pi ** 2 / 40.0
 # series terms are kept down to this size relative to the leading ones
 _SERIES_CUT = 60.0 * math.log(2.0)
-# |u| outside [_TINY, inf) is exactly 0, inf or nan: the refused points
+# |u| or |y| outside [_TINY, inf) is exactly 0, inf or nan: the refused points
 _TINY = 5e-324
-# fixed angles, at least 1 from +-1 and where the product certifies 1e-13
-# for every alpha the solver reaches, at which the tables are checked
+# fixed angles, at least 1 from +-1, at which the tables are checked against
+# the product
 _CERTIFY_AT = (1.0, 1.4, 1.8, 2.1, 4.3, 4.7, 5.2)
 _CERTIFY_TOL = 1e-12
 
@@ -307,7 +232,7 @@ def _tau_powers(s: float, n) -> np.ndarray:
 
 
 class _ThetaTables:
-    """The circle evaluator's tables for one product, built once.
+    """The tables of both evaluators for one product, built once.
 
     ``edges`` = [_TINY, tau^(k+1/2) for k = k0..k1, inf]: the index
     i = searchsorted(edges, |u|, "right") selects the deck power k0 - 1 + i,
@@ -315,12 +240,15 @@ class _ThetaTables:
     tau^-k; ``pre`` is 1 except near the ends of double range, where tau^-k
     itself is not representable.  ``half[i]`` is k*pi reduced to 0 or pi.
 
-    T at the reduced point x is, up to one positive factor, P(x^2) + i Q(x^2)/x
-    with real polynomials P and Q (the even and odd powers of the series on
-    both sides).  ``top`` holds their leading coefficients and ``horner`` the
-    rest as (P_j, Q_j) pairs, highest degree first.  For small s,
+    T(ix) at the reduced point x is, up to a factor c x^(2j), c > 0, that
+    T(-ix) shares, P(x^2) + i Q(x^2)/x with real polynomials P and Q (the
+    even and odd powers of the series on both sides).  ``top`` holds their
+    leading coefficients and ``horner`` the rest as (P_j, Q_j) pairs,
+    highest degree first.  For small s,
     ``modular`` is pi/(2 s), the slope of arg T in log x, and the series is
-    not used.  The lists are the arrays' float copies for circle_orbit.
+    not used.  ``terms`` counts the series terms summed, 1 for the modular
+    transform's leading term.  The lists are the arrays' float copies for
+    circle_orbit.
     """
 
     def __init__(self, s: float):
@@ -356,6 +284,7 @@ class _ThetaTables:
         q = np.concatenate((q, np.zeros(size - q.size)))[::-1].tolist()
         self.top = (p[0], q[0])
         self.horner = tuple(zip(p[1:], q[1:]))
+        self.terms = 1 if self.modular else even.size + odd.size
         self.edge_list, self.pre_list, self.post_list = (
             a.tolist() for a in (self.edges, self.pre, self.post))
 
@@ -402,16 +331,78 @@ def _circle_angles(t: _ThetaTables, thetas) -> np.ndarray:
 
 
 def _certified_tables(B: BlaschkeProduct) -> _ThetaTables:
-    """The tables of B, checked against the product at _CERTIFY_AT."""
+    """The tables of B, checked against the product at _CERTIFY_AT, where
+    its truncation is bounded by 1e-13."""
     t = _ThetaTables(B.s)
     th = np.array(_CERTIFY_AT)
-    product = np.angle(eval_blaschke(B, np.exp(1j * th), target_err=1e-13))
-    gap = np.abs((_circle_angles(t, th) - product + math.pi) % TWO_PI - math.pi)
+    z = np.exp(1j * th)
+    z2 = z * z
+    product = z.copy()
+    for a2 in B.zeros_squared[:np.max(required_terms(B, z, 1e-13))]:
+        product *= (a2 - z2) / (1.0 - a2 * z2)
+    gap = np.abs((_circle_angles(t, th) - np.angle(product) + math.pi) % TWO_PI - math.pi)
     if not np.all(gap <= _CERTIFY_TOL):
         raise FatouLabError(
             f"theta quotient disagrees with the product by {np.max(gap):.3g} "
             f"at alpha={B.alpha}")
     return t
+
+
+def eval_blaschke(B: BlaschkeProduct, z):
+    """B(z) on the closed unit disk, for a point or an array of points.
+
+    y = -i*zeta is deck-reduced like u on the circle, to x = y tau^-k, and
+    B = (-1)^k (x P - i Q)/(x P + i Q) with the tables' P and Q at x^2, or
+    (-1)^k 2 exp(-pi^2/(2 s)) sin(pi log(i x) / s) for small s.  It is all
+    real arithmetic, so a point gives the same bits alone as in an array.
+    Near +-1, |B'| magnifies in the modulus how far rounding puts a float
+    e^(i theta) off the circle: ~1e-8 at theta = 1e-8, alpha 0.1.  Raises
+    OutOfRange for |z| > 1 + 1e-12 and TooCloseToSingularity where y is 0
+    or infinite: at z = +-1 and within ~1e-308 of +1.
+    """
+    z_in = np.asarray(z, dtype=np.complex128)
+    z_arr = np.atleast_1d(z_in)
+    if np.any(np.abs(z_arr) > 1.0 + 1e-12):
+        raise OutOfRange("eval_blaschke requires |z| <= 1")
+    t = B.theta
+    a, b = z_arr.real, z_arr.imag
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # y = (2 b - i (1 - |z|^2)) / |1 - z|^2, with 1 - z scaled by m so
+        # that nothing underflows next to +1
+        m = np.maximum(np.abs(1.0 - a), np.abs(b))
+        c, d = (1.0 - a) / m, b / m
+        n = c * c + d * d
+        yr = (2.0 * d / m) / n
+        yi = (d * d - c * ((1.0 + a) / m)) / n
+        i = np.searchsorted(t.edges, np.hypot(yr, yi), side="right")
+    if not np.all((i > 0) & (i < t.edges.size)):
+        raise TooCloseToSingularity("B is singular at z = +-1 (and y overflows "
+                                    "within ~1e-308 of +1)")
+    xr, xi = (yr * t.pre[i]) * t.post[i], (yi * t.pre[i]) * t.post[i]
+    if t.modular:
+        # sin(re + i im) with 2 exp(-pi^2/(2 s)) cosh(im) and sinh(im) written
+        # through exp(+-im - pi^2/(2 s)), which cannot overflow
+        re = 2.0 * t.modular * np.log(np.hypot(xr, xi))
+        im = 2.0 * t.modular * np.arctan2(xr, -xi)
+        up, down = np.exp(im - math.pi * t.modular), np.exp(-im - math.pi * t.modular)
+        br, bi = np.sin(re) * (up + down), np.cos(re) * (up - down)
+    else:
+        # P and Q at w = x^2 by complex Horner recurrences in real parts
+        wr, wi = xr * xr - xi * xi, 2.0 * xr * xi
+        (p_re, q_re), p_im, q_im = t.top, 0.0, 0.0
+        for p, q in t.horner:
+            p_re, p_im = p_re * wr - p_im * wi + p, p_re * wi + p_im * wr
+            q_re, q_im = q_re * wr - q_im * wi + q, q_re * wi + q_im * wr
+        sr, si = xr * p_re - xi * p_im, xr * p_im + xi * p_re
+        nr, ni, dr, di = sr + q_im, si - q_re, sr - q_im, si + q_re
+        dd = dr * dr + di * di
+        br, bi = (nr * dr + ni * di) / dd, (ni * dr - nr * di) / dd
+    sign = np.where(t.half[i], -1.0, 1.0)
+    out = np.empty(z_arr.shape, dtype=np.complex128)
+    out.real, out.imag = sign * br, sign * bi
+    # the zero of B at 0: the series' two halves cancel there only to rounding
+    out[z_arr == 0] = 0.0
+    return complex(out[0]) if z_in.ndim == 0 else out
 
 
 def circle_eval_many(B: BlaschkeProduct, thetas) -> np.ndarray:

@@ -173,15 +173,13 @@ def _cmd_verify_semiconj(args) -> int:
 
 def _cmd_blaschke_eval(args) -> int:
     B = blaschke.BlaschkeProduct.from_alpha(args.alpha)
-    z = complex(np.exp(1j * args.theta))
-    n = blaschke.required_terms(B, z, args.target_err)
-    # the product, certified to target_err: the angle and the modulus are
-    # those of one value
-    val = blaschke.eval_blaschke(B, z, args.target_err)
+    # the disk evaluator at the float e^(i theta): the angle and the modulus
+    # are those of one value
+    val = blaschke.eval_blaschke(B, complex(np.exp(1j * args.theta)))
     summary = {
         "alpha": args.alpha, "theta": args.theta,
         "angle": float(np.angle(val) % blaschke.TWO_PI), "modulus": abs(val),
-        "terms_used": int(n), "target_err": args.target_err,
+        "series_terms": B.theta.terms,
         "derivative_at_zero": blaschke.derivative_at_zero(B),
     }
     return _finish(args, "blaschke-eval", None, summary, {})
@@ -204,6 +202,8 @@ def _harmonic_domain(args):
 
 
 def _cmd_harmonic(args) -> int:
+    if args.min_bin_mass is not None and not args.min_bin_mass > 0:
+        raise OutOfRange(f"min_bin_mass must be > 0, got {args.min_bin_mass}")
     if args.method == "closed-form":
         if args.domain != "annulus":
             raise OutOfRange("closed-form masses are available for the annulus only")
@@ -371,7 +371,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("blaschke-eval", help="evaluate the boundary map of the Blaschke product")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--theta", type=float, required=True)
-    p.add_argument("--target-err", type=float, default=1e-9, dest="target_err")
     _add_common(p)
     p.set_defaults(func=_cmd_blaschke_eval)
 

@@ -226,7 +226,13 @@ def classify_distance_trail(distances, eps_escape: float = DEFAULT_EPS_ESCAPE,
         so monotone decay to below threshold is the robust signature; a
         fixed cutoff index would misread points adjacent to the limit set.)
     undetermined: anything else.
+
+    Raises OutOfRange unless 0 < eps_escape < delta_bounded: past that no
+    trail could escape, or every trail below delta_bounded would.
     """
+    if not 0.0 < eps_escape < delta_bounded:
+        raise OutOfRange("classify_distance_trail requires 0 < eps_escape < delta_bounded, "
+                         f"got {eps_escape} and {delta_bounded}")
     d = [float(x) for x in distances]
     if not d:
         raise OutOfRange("classify_distance_trail needs at least one distance")

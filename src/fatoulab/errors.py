@@ -26,11 +26,10 @@ class OutOfRange(FatouLabError):
 
 
 class TooCloseToSingularity(FatouLabError):
-    """A Blaschke product evaluation too close to its singularities at +-1.
+    """A Blaschke product evaluation at its singularities +-1.
 
-    The disk evaluator raises it inside the exclusion zone of fixed radius
-    ``blaschke.EXCLUSION`` and where double precision cannot certify the
-    requested accuracy; the circle evaluator only where cot(theta/2) is
+    There is no zone around them: the disk evaluator raises it at z = +-1
+    and within ~1e-308 of +1, the circle evaluator where cot(theta/2) is
     infinite in floating point (theta = 0 and 0 < theta < ~1.1e-308, mod
     2 pi) and where an orbit lands on +-1 in floating point.
     """

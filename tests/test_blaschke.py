@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -88,8 +89,8 @@ def test_eval_zero_and_zeros_of_product():
     B = bl.BlaschkeProduct.from_alpha(0.1)
     assert bl.eval_blaschke(B, 0.0) == 0.0 + 0.0j
     a3 = B.zeros[2]
-    assert abs(bl.eval_blaschke(B, a3, target_err=1e-10)) < 1e-10
-    assert abs(bl.eval_blaschke(B, -a3, target_err=1e-10)) < 1e-10
+    assert abs(bl.eval_blaschke(B, a3)) < 1e-10
+    assert abs(bl.eval_blaschke(B, -a3)) < 1e-10
 
 
 def test_eval_real_interval_stays_real():
@@ -186,7 +187,7 @@ def test_required_terms_diverges_toward_singularity():
 def test_boundary_modulus_machine_level():
     B = bl.BlaschkeProduct.from_alpha(0.4)
     th = np.linspace(0.06, math.pi - 0.06, 400)
-    vals = bl.eval_blaschke(B, np.exp(1j * th), target_err=1e-10)
+    vals = bl.eval_blaschke(B, np.exp(1j * th))
     assert np.max(np.abs(np.abs(vals) - 1.0)) < 1e-12
 
 
@@ -212,30 +213,22 @@ def test_eval_outside_disk_rejected():
         bl.eval_blaschke(B, 1.5)
 
 
-def _per_term_loop(B, th):
-    """B(e^(i th)) and its angle by the per-term loop over a one-element
-    array: the bitwise reference for one-point evaluation."""
-    z = np.exp(1j * np.asarray([th]))
-    n = int(np.max(bl.required_terms(B, z, bl.DEFAULT_TARGET_ERR)))
-    z2 = z * z
-    out = z.copy()
-    for an in B.zeros[:n]:
-        a2 = an * an
-        out *= (a2 - z2) / (1.0 - a2 * z2)
-    return out[0], (np.angle(out) % (2.0 * math.pi))[0]
-
-
-@pytest.mark.parametrize("alpha", [0.1, 0.25, 0.4])
+@pytest.mark.parametrize("alpha", [1e-8, 0.1, 0.25, 0.4])
 def test_one_point_eval_matches_per_term_loop(alpha):
+    # the disk evaluator runs its per-term Horner loop in real arithmetic, so
+    # a point gives the same bits alone (a 0-d array), in a one-element array
+    # and inside arrays of 37 and of 20,000 points, above numpy's temporary
+    # elision threshold of 16,384; 1e-8 takes the modular transform
     B = bl.BlaschkeProduct.from_alpha(alpha)
     rng = np.random.default_rng(int(alpha * 100))
-    near = rng.uniform(2e-3, 0.05, 500)  # within 0.05 of +-1
-    th = np.concatenate([rng.uniform(0.05, math.pi - 0.05, 2000),
-                         near, math.pi - near, math.pi + near, 2.0 * math.pi - near])
-    for t in th.tolist():
-        value, _ = _per_term_loop(B, t)
-        z = np.exp(1j * np.asarray([t]))
-        assert bl.eval_blaschke(B, z, bl.DEFAULT_TARGET_ERR)[0] == value
+    near = np.exp(1j * np.array(_near_singularities(range(1, 13))))
+    r = 1.0 - 10.0 ** -rng.uniform(0.0, 12.0, 20_000 - near.size)
+    z = np.concatenate([near, r * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, r.size))])
+    many = bl.eval_blaschke(B, z)
+    assert np.array_equal(bl.eval_blaschke(B, z[:37]), many[:37])
+    for i in range(0, z.size, 7):
+        assert bl.eval_blaschke(B, z[i]) == many[i]
+        assert bl.eval_blaschke(B, z[i:i + 1])[0] == many[i]
 
 
 @pytest.mark.parametrize("alpha", [0.1, 0.25, 0.4])
@@ -262,20 +255,12 @@ def test_required_terms_degenerate_bounds():
             bl.required_terms(B, 1j, bad)
 
 
-@pytest.mark.parametrize("theta, target_err, message", [
-    (2e-3, 1e-13, "cannot certify"),
-    (1e-4, bl.DEFAULT_TARGET_ERR, "within"),
-    (math.pi + 1e-4, bl.DEFAULT_TARGET_ERR, "within"),
-])
-def test_one_point_and_vector_paths_refuse_alike(theta, target_err, message):
-    # the disk evaluator keeps its exclusion zone and its certificate, and
-    # refuses a point alone as it does among others
-    B = bl.BlaschkeProduct.from_alpha(0.4)
-    with pytest.raises(TooCloseToSingularity, match=message) as one:
-        bl.eval_blaschke(B, np.exp(1j * np.array([theta])), target_err)
-    with pytest.raises(TooCloseToSingularity) as many:
-        bl.eval_blaschke(B, np.exp(1j * np.array([1.0, theta])), target_err)
-    assert str(one.value) == str(many.value)
+def _in_zone(theta) -> np.ndarray:
+    """Whether e^(i theta) lies within the chord 1e-3 of +-1, elementwise: the
+    zone that the product refused before the disk evaluator became the
+    theta quotient."""
+    z = np.exp(1j * np.asarray(theta))
+    return np.minimum(np.abs(z - 1.0), np.abs(z + 1.0)) <= 1e-3
 
 
 def _first_angle_outside(inside: float, outside: float) -> float:
@@ -285,7 +270,7 @@ def _first_angle_outside(inside: float, outside: float) -> float:
         mid = 0.5 * (inside + outside)
         if mid in (inside, outside):
             return outside
-        if bl.in_exclusion_zone(np.exp(1j * mid)):
+        if _in_zone(mid):
             inside = mid
         else:
             outside = mid
@@ -294,8 +279,8 @@ def _first_angle_outside(inside: float, outside: float) -> float:
 @pytest.mark.parametrize("alpha", [1e-300, 1e-6, 0.1, 0.25, 0.4, 0.499])
 def test_circle_target_certifies_every_angle_outside_the_zone(alpha):
     # the circle map is the theta quotient, which has no exclusion zone: it
-    # maps every angle just outside the disk evaluator's zone, one at a time
-    # and as an array
+    # maps every angle just outside the product's old zone, one at a time and
+    # as an array
     B = bl.BlaschkeProduct.from_alpha(alpha)
     eps = np.geomspace(1e-7, 1e-1, 25)
     th = []
@@ -307,7 +292,7 @@ def test_circle_target_certifies_every_angle_outside_the_zone(alpha):
             t = np.nextafter(t, centre + side)
         th += list(centre + side * 1e-3 * (1.0 + eps))
     th = np.array(th)
-    assert not bl.in_exclusion_zone(np.exp(1j * th)).any()
+    assert not _in_zone(th).any()
     for t in th:  # an orbit step evaluates one angle
         bl.circle_eval_many(B, t)
     bl.circle_eval_many(B, th)
@@ -341,24 +326,45 @@ def test_circle_eval_many_takes_a_0d_angle():
 # ---------------------------------------------------------------------------
 # The circle evaluator against an independent oracle
 
+def _oracle_digits(gap: float) -> int:
+    """mp.dps for the oracle a distance gap from +-1: below 45 + log10(1 / gap)
+    digits the product cancels near +-1 and stops early."""
+    return 45 + max(0, int(-math.log10(gap)))
+
+
+def _oracle_product(s: float, z, gap: float):
+    """The product at the mpmath point z, a distance gap from +-1, at the
+    working precision, which the caller sets to _oracle_digits(gap)."""
+    import mpmath
+
+    s = mpmath.mpf(s)
+    z2 = z * z
+    out = z
+    # factor n deviates from 1 by at most ~8 tau^-n / gap
+    last = int((mpmath.mp.dps * math.log(10.0) + math.log(8.0 / gap)) / s) + 2
+    for n in range(1, last + 1):
+        a2 = mpmath.tanh(n * s / 2) ** 2
+        out *= (a2 - z2) / (1 - a2 * z2)
+    return out
+
+
 def _oracle_angle(s: float, theta: float) -> float:
     """arg B(e^(i theta)) from the product in mpmath, for the exact float
-    theta, with mp.dps = 45 + log10(1 / gap) digits: below that it cancels
-    near +-1 and stops early."""
+    theta."""
     mpmath = pytest.importorskip("mpmath")
     # no float lies within 1e-16 of pi or 2 pi
     gap = min(theta, max(abs(theta - math.pi), 1e-16), max(abs(theta - 2.0 * math.pi), 1e-16))
-    with mpmath.workdps(45 + max(0, int(-math.log10(gap)))):
-        s = mpmath.mpf(s)
-        z = mpmath.expj(mpmath.mpf(theta))
-        z2 = z * z
-        out = z
-        # factor n deviates from 1 by at most ~8 tau^-n / gap
-        last = int((mpmath.mp.dps * math.log(10.0) + math.log(8.0 / gap)) / s) + 2
-        for n in range(1, last + 1):
-            a2 = mpmath.tanh(n * s / 2) ** 2
-            out *= (a2 - z2) / (1 - a2 * z2)
+    with mpmath.workdps(_oracle_digits(gap)):
+        out = _oracle_product(s, mpmath.expj(mpmath.mpf(theta)), gap)
         return mpmath.arg(out) % (2 * mpmath.pi)
+
+
+def _oracle_value(s: float, z: complex) -> complex:
+    """B(z) from the product in mpmath, for the exact float z."""
+    mpmath = pytest.importorskip("mpmath")
+    gap = min(abs(z - 1.0), abs(z + 1.0))
+    with mpmath.workdps(_oracle_digits(gap)):
+        return complex(_oracle_product(s, mpmath.mpc(z.real, z.imag), gap))
 
 
 def _angle_error(got: float, want) -> float:
@@ -407,6 +413,48 @@ def test_orbit_steps_against_mpmath_oracle(alpha):
         assert _angle_error(b, _oracle_angle(B.s, a)) <= 1e-15 * (1.0 + _boundary_derivative(B, a))
 
 
+def _disk_approaches(exponents):
+    """Points at the distances 10^-e from +1 and from -1, approaching them
+    radially, obliquely and nearly tangentially (0.07 rad off the circle)."""
+    zs = []
+    for e in exponents:
+        for c in (1.0, -1.0):
+            for phi in (0.0, 0.7, -0.7, 1.5, -1.5):
+                zs.append(c * (1.0 - 10.0 ** -e * cmath.exp(1j * phi)))
+    return zs
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.25, 0.4, 1e-8, 1e-40])
+def test_disk_eval_against_mpmath_oracle(alpha):
+    # the disk evaluator has no zone: it meets the product down to 1e-12 from
+    # +-1 (inside the product's old zone of 1e-3), on and off the circle.  A
+    # rounding of y moves B by up to pi/s times as much; at alpha 1e-40 (s =
+    # 0.051, the modular transform like 1e-8) that is what bounds it
+    B = bl.BlaschkeProduct.from_alpha(alpha)
+    zs = _disk_approaches(range(3, 13) if alpha >= 0.1 else (3, 7, 12))
+    zs += [0.3 + 0.2j, -0.5j, 0.9 * cmath.exp(0.4j), cmath.exp(2.0j), B.zeros[0]]
+    got = bl.eval_blaschke(B, np.array(zs))
+    tol = max(1e-14, 3.0 * np.finfo(float).eps * math.pi / B.s)
+    assert max(abs(g - _oracle_value(B.s, z)) for g, z in zip(got, zs)) <= tol
+
+
+def test_disk_eval_refuses_only_plus_and_minus_one():
+    # z = +-1 is zeta = inf or 0, where y is infinite or 0: refused, with no
+    # RuntimeWarning, alone or among other points
+    B = bl.BlaschkeProduct.from_alpha(0.4)
+    for z in (1.0, -1.0, complex(1.0, -0.0)):
+        with pytest.raises(TooCloseToSingularity, match="singular"):
+            bl.eval_blaschke(B, z)
+        with pytest.raises(TooCloseToSingularity, match="singular"):
+            bl.eval_blaschke(B, np.array([0.5, z]))
+    near = np.exp(1j * np.array([1e-300, 1e-12, math.pi - 1e-12, math.pi + 1e-12, -1e-5]))
+    near = np.concatenate([near, [1.0 - 1e-15, -1.0 + 1e-15, 1.0 - 1e-300j]])
+    out = bl.eval_blaschke(B, near)
+    assert np.all(np.abs(out) <= 1.0 + 1e-12)
+    # theta = 1e-300 is refused by neither evaluator
+    assert _angle_error(np.angle(out[0]), float(bl.circle_eval_many(B, 1e-300))) <= 1e-15
+
+
 def _boundary_derivative(B, theta) -> np.ndarray:
     """|B'(e^(i theta))|: for an inner function, the sum of the Poisson
     kernels (1 - |a|^2)/|z - a|^2 over its zeros a."""
@@ -442,8 +490,8 @@ def test_circle_orbit_steps_agree_with_the_angle_map():
 
 
 def test_theta_tables_are_certified_against_the_product(monkeypatch):
-    # the tables are checked once against eval_blaschke; a disagreement is an
-    # error, not a silently wrong circle map
+    # the tables are checked once against the product; a disagreement is an
+    # error, not a silently wrong map
     monkeypatch.setattr(bl, "_CERTIFY_TOL", -1.0)
     B = bl.BlaschkeProduct.from_alpha(0.4)
     with pytest.raises(FatouLabError, match="theta quotient"):

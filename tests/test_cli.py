@@ -5,7 +5,9 @@ import tracemalloc
 
 import pytest
 
+from fatoulab import blaschke as bl
 from fatoulab import cli, histograms, rng
+from test_blaschke import _angle_error, _oracle_angle
 
 
 def run(argv, capsys):
@@ -109,11 +111,25 @@ def test_blaschke_eval(tmp_path, capsys):
 
 
 def test_blaschke_eval_exclusion(tmp_path, capsys):
-    code, _out, err = run(
+    # the disk evaluator has no exclusion zone: 1e-5 from +1 is evaluated,
+    # and only theta = 0, where z = 1 exactly, is refused
+    code, out, _err = run(
         ["blaschke-eval", "--alpha", "0.4", "--theta", "1e-5",
          "--out-dir", str(tmp_path)], capsys)
+    assert code == 0
+    angle = json.loads(out)["angle"]
+    B = bl.BlaschkeProduct.from_alpha(0.4)
+    assert _angle_error(angle, float(bl.circle_eval_many(B, 1e-5))) <= 1e-12
+    assert _angle_error(angle, _oracle_angle(B.s, 1e-5)) <= 1e-12
+    code, _out, err = run(
+        ["blaschke-eval", "--alpha", "0.4", "--theta", "0", "--out-dir", str(tmp_path)], capsys)
     assert code == 2
     assert "singular" in err.lower()
+    code, _out, err = run(
+        ["blaschke-eval", "--alpha", "0.4", "--theta", "1.0", "--target-err", "1e-9",
+         "--out-dir", str(tmp_path)], capsys)
+    assert code == 1
+    assert "--target-err" in err
 
 
 def test_harmonic_closed_form(tmp_path, capsys):
@@ -342,6 +358,24 @@ def test_validation_rejects_before_compute(tmp_path, capsys):
              "--out-dir", str(tmp_path)], capsys)
         assert code == 1, where
         assert "outside the domain" in err, where
+    # a minimum bin mass of 0 or below passes every histogram: refused before
+    # any walk runs
+    for mass in ("-1", "0"):
+        code, out, err = run(
+            ["harmonic", "--domain", "champagne", "--method", "wos",
+             "--bubbles", "[[0.5, 0.0, 0.1]]", "--walks", "100", "--min-bin-mass", mass,
+             "--out-dir", str(tmp_path)], capsys)
+        assert code == 1, mass
+        assert out == "" and "min_bin_mass must be > 0" in err, mass
+    # no trail can escape below eps_escape <= 0, and eps_escape >= delta_bounded
+    # leaves no gap between the regimes
+    for thresholds in (["--eps-escape", "-1"], ["--eps-escape", "1e-3"],
+                       ["--eps-escape", "1e-2"], ["--delta-bounded", "1e-7"]):
+        code, out, err = run(
+            ["classify-radial", "--xi", "0.3", *thresholds, "--out-dir", str(tmp_path)],
+            capsys)
+        assert code == 1, thresholds
+        assert out == "" and "0 < eps_escape < delta_bounded" in err, thresholds
 
 
 POWER = '{"kind": "power", "d": 2}'
@@ -594,8 +628,8 @@ GOLDEN_RUNS = {
 GOLDEN_DIGESTS = {
     "tau": "af4cc32d9ca5d71c",
     "verify-semiconj": "cb2aa1e7574e3ae1",
-    "blaschke-eval": "c605ad10dc82110f",
-    "blaschke-eval-excluded": "b3924f8c2aa82b4c",
+    "blaschke-eval": "7381c014cab2810e",
+    "blaschke-eval-excluded": "66a9578c8abf25c8",
     "harmonic-wos-annulus": "86231cb9c28b473f",
     "harmonic-wos-champagne": "5914bd0c3fca24b7",
     "harmonic-pushforward": "11a7a425d4ba7523",

@@ -244,6 +244,13 @@ def test_radial_classify_validation():
     m = cov.annulus_model(2.0)
     with pytest.raises(OutOfRange):
         cov.radial_classify(m, 0.5)
+    # the thresholds need 0 < eps_escape < delta_bounded, in the one rule
+    # and through the tracker
+    for eps, delta in ((-1.0, 1e-3), (0.0, 1e-3), (1e-3, 1e-3), (1e-2, 1e-3)):
+        with pytest.raises(OutOfRange, match="eps_escape"):
+            cov.classify_distance_trail([0.5, 0.1], eps, delta)
+        with pytest.raises(OutOfRange, match="eps_escape"):
+            cov.radial_classify(m, 1j, eps_escape=eps, delta_bounded=delta)
 
 
 # ---------------------------------------------------------------------------
