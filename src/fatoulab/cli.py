@@ -328,7 +328,7 @@ def _cmd_render(args) -> int:
         "map": json.loads(args.map), "grid": grid_spec.to_dict(),
         "verdict_counts": renderer.verdict_counts(grid),
     }
-    files = {"image.ppm": renderer.ppm_bytes(grid)}
+    files = {"image.ppm": renderer.ppm_chunks(grid)}
     if args.loop:
         cx, cy, r = (float(x) for x in args.loop.split(","))
         cert = asdict(renderer.loop_probe(grid, complex(cx, cy), r))

@@ -343,7 +343,11 @@ class SupportReport:
 
 
 def support_test(result: WalkResult, min_bin_mass: float) -> SupportReport:
-    """Check that every arc of every boundary component received mass."""
+    """Check that every arc of every boundary component received at least
+    ``min_bin_mass``, which must be > 0: at 0 or below, or NaN, every
+    histogram would pass."""
+    if not min_bin_mass > 0:
+        raise OutOfRange(f"min_bin_mass must be > 0, got {min_bin_mass}")
     masses = result.hist.masses()
     deficient = tuple((int(cid), int(j), float(masses[cid, j]))
                       for cid, j in zip(*np.nonzero(masses < min_bin_mass)))

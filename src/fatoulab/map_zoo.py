@@ -21,6 +21,7 @@ module draws random numbers or mutates shared state.
 from __future__ import annotations
 
 import cmath
+import operator
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -76,7 +77,7 @@ def sine_model(alpha: float) -> MapSpec:
 
 def power_map(d: int) -> MapSpec:
     """z -> z**d for integer d >= 1."""
-    d = int(d)
+    d = integer(d, "power_map d")
     if d < 1:
         raise OutOfRange(f"power_map requires d >= 1, got {d}")
     return MapSpec(POWER, (d,))
@@ -118,7 +119,7 @@ def keen(alpha: float, lam: float) -> MapSpec:
 
 def mcmullen(m: int, l: int, c: complex) -> MapSpec:
     """f(z) = z**m + c / z**l, integers m, l >= 1, c != 0."""
-    m, l = int(m), int(l)
+    m, l = integer(m, "mcmullen m"), integer(l, "mcmullen l")
     if m < 1 or l < 1:
         raise OutOfRange(f"mcmullen requires m, l >= 1, got {m}, {l}")
     c = complex(c)
@@ -141,6 +142,21 @@ def malformed_json(what: str):
         yield
     except (KeyError, IndexError, TypeError, AttributeError) as exc:
         raise OutOfRange(f"malformed {what}: {type(exc).__name__} {exc}") from None
+
+
+def integer(value, name: str) -> int:
+    """``value`` as an int: an integer, or a float with no fractional part.
+    A bool, a string, a fraction or a non-finite number raises OutOfRange,
+    where ``int()`` would truncate 10.7 to 10 and read true as 1 and "12"
+    as 12.  ``name`` names the value in the message."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise OutOfRange(f"{name} must be an integer, got {value!r}")
 
 
 def spec_from_dict(obj: dict) -> MapSpec:

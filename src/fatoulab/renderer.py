@@ -41,6 +41,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -79,16 +80,24 @@ _PALETTE = {
 
 
 def _check_orbit_contract(max_iter, tol, escape_radius, target) -> None:
-    """Refuse an iteration budget below 1, a tol that is not finite and > 0,
+    """Refuse an iteration budget that is not an integer >= 1 (it sizes the
+    step counts' type, see _steps_dtype), a tol that is not finite and > 0,
     an escape radius that is not finite and > 1 and a target point that is
     not finite (no orbit could ever be attracted to it)."""
-    if not max_iter >= 1:
-        raise OutOfRange(f"orbits need max_iter >= 1, got {max_iter}")
+    if isinstance(max_iter, bool) or not (isinstance(max_iter, numbers.Integral)
+                                          and max_iter >= 1):
+        raise OutOfRange(f"orbits need an integer max_iter >= 1, got {max_iter!r}")
     if not (0 < tol < math.inf and 1 < escape_radius < math.inf):
         raise OutOfRange(f"orbits need finite tol > 0 and escape_radius > 1, "
                          f"got {tol}, {escape_radius}")
     if target not in (None, "default") and not cmath.isfinite(target):
         raise OutOfRange(f"orbits need a finite target, got {target}")
+
+
+def _steps_dtype(max_iter: int) -> np.dtype:
+    """The narrowest unsigned integer type that holds every step count,
+    0..max_iter: uint8 up to 255, uint16 up to 65,535, uint32 beyond."""
+    return np.min_scalar_type(max_iter)
 
 
 @dataclass(frozen=True)
@@ -152,7 +161,8 @@ class GridSpec:
             return cls(
                 center=complex(d["center"][0], d["center"][1]),
                 width=float(d["width"]), height=float(d["height"]),
-                nx=int(d["nx"]), ny=int(d["ny"]), max_iter=int(d["max_iter"]),
+                nx=map_zoo.integer(d["nx"], "nx"), ny=map_zoo.integer(d["ny"], "ny"),
+                max_iter=map_zoo.integer(d["max_iter"], "max_iter"),
                 tol=float(d.get("tol", DEFAULT_TOL)),
                 escape_radius=float(d.get("escape_radius", DEFAULT_ESCAPE_RADIUS)),
                 target=None if target is None else complex(target[0], target[1]),
@@ -167,7 +177,7 @@ class GridSpec:
 class ClassifiedGrid:
     spec: GridSpec
     verdict: np.ndarray  # uint8, shape (ny, nx)
-    steps: np.ndarray  # int32, shape (ny, nx)
+    steps: np.ndarray  # _steps_dtype(spec.max_iter), shape (ny, nx)
 
 
 def _centers(grid: GridSpec, width: int, start: int, stop: int, scratch=None) -> np.ndarray:
@@ -231,7 +241,7 @@ def _escape_time(orbits: _Orbits, max_iter: int) -> tuple:
     compaction loop.  An orbit leaves it once every slot has retired."""
     arrays, singular = orbits.start()
     shape = (orbits.slots, singular.size)
-    verdict, steps = np.zeros(shape, np.uint8), np.zeros(shape, np.int32)
+    verdict, steps = np.zeros(shape, np.uint8), np.zeros(shape, _steps_dtype(max_iter))
     idx = np.arange(singular.size)
     # with two slots, which slots of each live orbit are still open
     open_ = None if orbits.slots == 1 else [np.ones(singular.size, bool)] * orbits.slots
@@ -381,7 +391,8 @@ def classify_points(spec: map_zoo.MapSpec, points, max_iter: int,
     pts = np.asarray(points, dtype=np.complex128).ravel()
     recips = (None if reciprocals is None
               else np.asarray(reciprocals, dtype=np.complex128).ravel())
-    verdict, steps = np.empty(pts.size, np.uint8), np.empty(pts.size, np.int32)
+    verdict = np.empty(pts.size, np.uint8)
+    steps = np.empty(pts.size, _steps_dtype(max_iter))
 
     def store(start, stop, v, s):
         verdict[start:stop], steps[start:stop] = v[0], s[0]
@@ -475,7 +486,7 @@ def classify_grid(spec: map_zoo.MapSpec, grid: GridSpec,
     target = grid.target if grid.target is not None else "default"
     ny, nx = grid.ny, grid.nx
     verdict = np.empty((ny, nx), dtype=np.uint8)
-    steps = np.empty((ny, nx), dtype=np.int32)
+    steps = np.empty((ny, nx), dtype=_steps_dtype(grid.max_iter))
     mirrored, reflected = _symmetries(spec, grid)
     top = ny - ny // 2 if mirrored else ny
     left = nx - nx // 2 if reflected else nx
@@ -522,41 +533,42 @@ def verdict_counts(grid: ClassifiedGrid) -> dict:
 # Image emission
 
 
-def render_rgb(grid: ClassifiedGrid, out: np.ndarray) -> np.ndarray:
-    """Paint ``out``, a C-contiguous uint8 RGB array of shape (ny, nx, 3),
-    block by block: fixed palette per verdict, brightness decaying with the
-    step count.  No array but the image spans the whole grid.
+def render_rgb(verdict: np.ndarray, steps: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Paint ``out``, a uint8 RGB array of shape (n, 3), for n pixels with
+    the given verdicts and step counts: fixed palette per verdict,
+    brightness decaying with the step count.  Every pixel is written.
     """
-    verdict, steps, rgb = grid.verdict.ravel(), grid.steps.ravel(), out.reshape(-1, 3)
-    for start, stop in chunks(0, verdict.size):
-        block = slice(start, stop)
-        v, pixels = verdict[block], rgb[block]
-        shade = 0.25 + 0.75 / (1.0 + steps[block] / 48.0)
-        for code, base in _PALETTE.items():
-            mask = v == code
-            if not mask.any():
-                continue
-            if code in (UNDECIDED, SINGULAR):
-                pixels[mask] = base
-            else:
-                lit = shade[mask]
-                for ch in range(3):
-                    pixels[:, ch][mask] = (base[ch] * lit).astype(np.uint8)
+    shade = 0.25 + 0.75 / (1.0 + steps / 48.0)  # float64 for any step type
+    for code, base in _PALETTE.items():
+        mask = verdict == code
+        if not mask.any():
+            continue
+        if code in (UNDECIDED, SINGULAR):
+            out[mask] = base
+        else:
+            lit = shade[mask]
+            for ch in range(3):
+                out[:, ch][mask] = (base[ch] * lit).astype(np.uint8)
     return out
 
 
-def ppm_bytes(grid: ClassifiedGrid) -> bytearray:
-    """Binary PPM (P6); byte-deterministic for a given classified grid.
+def ppm_chunks(grid: ClassifiedGrid):
+    """Binary PPM (P6) as a stream of bytes: the header, then the pixels of
+    each ``rng.chunks`` chunk, row-major; byte-deterministic for a given
+    classified grid.
 
-    The pixels are painted straight into the one buffer that also holds the
-    header.
+    Each chunk is painted into one reused buffer and yielded as a copy, so
+    no array but the grid's verdicts and steps spans the whole image.
     """
     nx, ny = grid.spec.nx, grid.spec.ny
-    header = f"P6\n{nx} {ny}\n255\n".encode("ascii")
-    buf = bytearray(len(header) + 3 * nx * ny)
-    buf[:len(header)] = header
-    render_rgb(grid, np.frombuffer(buf, np.uint8, offset=len(header)).reshape(ny, nx, 3))
-    return buf
+    yield f"P6\n{nx} {ny}\n255\n".encode("ascii")
+    verdict, steps = grid.verdict.ravel(), grid.steps.ravel()
+    blocks = chunks(0, verdict.size)
+    rgb = np.empty((max(stop - start for start, stop in blocks), 3), np.uint8)
+    for start, stop in blocks:
+        pixels = rgb[:stop - start]
+        render_rgb(verdict[start:stop], steps[start:stop], pixels)
+        yield pixels.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -274,7 +274,7 @@ def test_criterion_10_spreading_dichotomy():
 
 def test_criterion_11_figure_reproduction(baker_grid_1000):
     grid, elapsed = baker_grid_1000
-    deterministic = rd.ppm_bytes(grid) == rd.ppm_bytes(grid)
+    deterministic = b"".join(rd.ppm_chunks(grid)) == b"".join(rd.ppm_chunks(grid))
     cert = rd.loop_probe(grid, 0.0j, 1.0)
     ok = deterministic and cert.verdict and elapsed < 120.0
     report(11, "dynamical-plane render and non-contractibility certificate", ok,

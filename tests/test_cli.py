@@ -376,6 +376,26 @@ def test_validation_rejects_before_compute(tmp_path, capsys):
             capsys)
         assert code == 1, thresholds
         assert out == "" and "0 < eps_escape < delta_bounded" in err, thresholds
+    # integer JSON fields take whole numbers only: int() would truncate a
+    # fraction and read true as 1 and "12" as 12
+    grid = {"center": [0.0, 0.0], "width": 8.0, "height": 8.0,
+            "nx": 12, "ny": 12, "max_iter": 20}
+    baker = '{"kind": "exp_baker", "alpha": 0.4}'
+    cases = [(baker, {**grid, "nx": 10.7}), (baker, {**grid, "max_iter": 50.9}),
+             (baker, {**grid, "nx": True}), (baker, {**grid, "ny": "12"}),
+             ('{"kind": "mcmullen", "m": 2.9, "l": 2, "c": 1e-4}', grid),
+             ('{"kind": "mcmullen", "m": 2, "l": true, "c": 1e-4}', grid)]
+    for kind, config in cases:
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(config))
+        code, out, err = run(["render", "--map", kind, "--config", str(path),
+                              "--out-dir", str(tmp_path)], capsys)
+        assert code == 1, (kind, config)
+        assert out == "" and "must be an integer" in err, (kind, config)
+    code, out, err = run(["circle-stats", "--map", '{"kind": "power", "d": 2.5}', "--n", "10",
+                          "--seed", "1", "--out-dir", str(tmp_path)], capsys)
+    assert code == 1 and out == "" and "must be an integer" in err
+    assert not list(tmp_path.glob("*-summary.json"))
 
 
 POWER = '{"kind": "power", "d": 2}'

@@ -139,6 +139,10 @@ def test_support_test_pass_and_fail():
     report = hm.support_test(tiny, 1e-4)
     assert not report.passed
     assert len(report.deficient) > 0
+    # a minimum mass of 0 or below, or NaN, would pass every histogram
+    for mass in (-1.0, 0.0, math.nan):
+        with pytest.raises(OutOfRange, match="min_bin_mass must be > 0"):
+            hm.support_test(tiny, mass)
 
 
 def test_cross_validate_annulus():

@@ -309,7 +309,8 @@ ONE_OF_EACH_KIND = [
 ]
 
 
-# The same specs as literal JSON, in the flat spelling.
+# The same specs as literal JSON, in the flat spelling; an integer field may
+# be written as a whole float (mcmullen's m).
 ONE_OF_EACH_KIND_JSON = [
     '{"kind": "exp_baker", "alpha": 0.4}',
     '{"kind": "sine_model", "alpha": 0.1}',
@@ -319,7 +320,7 @@ ONE_OF_EACH_KIND_JSON = [
     '{"kind": "finite_blaschke", "zeros": [0.3, [-0.2, 0.4]],'
     ' "rotation": [0.955336489125606, 0.29552020666133955]}',
     '{"kind": "keen", "alpha": 0.2, "lambda": -1.0}',
-    '{"kind": "mcmullen", "m": 3, "l": 2, "c": [0.5, 0.1]}',
+    '{"kind": "mcmullen", "m": 3.0, "l": 2, "c": [0.5, 0.1]}',
 ]
 
 

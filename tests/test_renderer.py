@@ -49,12 +49,12 @@ def test_unsupported_kind():
 def test_write_image_single_pixel():
     grid = rd.classify_grid(mz.exp_baker(0.4), _grid(1.0 + 0.0j, 1e-9, 1))
     # header plus exactly one attracted-palette pixel at full brightness
-    assert rd.ppm_bytes(grid) == b"P6\n1 1\n255\n" + bytes([70, 110, 235])
+    assert b"".join(rd.ppm_chunks(grid)) == b"P6\n1 1\n255\n" + bytes([70, 110, 235])
 
 
 def test_write_image_deterministic():
     grid = rd.classify_grid(mz.exp_baker(0.4), _grid(0.5 + 0.5j, 2.0, 16, max_iter=60))
-    assert rd.ppm_bytes(grid) == rd.ppm_bytes(grid)
+    assert b"".join(rd.ppm_chunks(grid)) == b"".join(rd.ppm_chunks(grid))
 
 
 @pytest.fixture(scope="module")
@@ -177,7 +177,7 @@ def test_threads_do_not_change_results(monkeypatch):
         assert grid.nx * grid.ny <= rng.CHUNK  # the reference is one block
         ref = rd.classify_grid(spec, grid)
         assert len(np.unique(ref.verdict)) > 1
-        ref_ppm, ref_probe = rd.ppm_bytes(ref), _probe(ref, loop)
+        ref_ppm, ref_probe = b"".join(rd.ppm_chunks(ref)), _probe(ref, loop)
         ref_counts = {name: int((ref.verdict == code).sum())
                       for code, name in rd.VERDICT_NAMES.items()}
         with monkeypatch.context() as m:
@@ -186,7 +186,7 @@ def test_threads_do_not_change_results(monkeypatch):
                 got = rd.classify_grid(spec, grid, threads=threads)
                 assert np.array_equal(got.verdict, ref.verdict), (spec.kind, threads)
                 assert np.array_equal(got.steps, ref.steps), (spec.kind, threads)
-                assert rd.ppm_bytes(got) == ref_ppm, (spec.kind, threads)
+                assert b"".join(rd.ppm_chunks(got)) == ref_ppm, (spec.kind, threads)
                 assert _probe(got, loop) == ref_probe, (spec.kind, threads)
                 assert rd.verdict_counts(got) == ref_counts, (spec.kind, threads)
 
@@ -324,32 +324,41 @@ def _peak_bytes(fn):
 
 
 def test_render_memory_bounded_by_block(monkeypatch):
-    # beyond its outputs (verdict, steps and the PPM: 8 bytes a pixel plus
-    # the header), a render holds a fixed number of blocks, in the palette
-    # pass and the loop probe too; a small block keeps the test fast
+    # beyond its outputs (verdicts and steps, 2 bytes a pixel at max_iter
+    # 80), a render holds a fixed number of blocks, in the palette pass and
+    # the loop probe too: the PPM streams chunk by chunk, and a whole-image
+    # buffer (3 bytes a pixel) would break the bound on the large grid.
+    # The symmetries iterate a quarter of the pixels: 2 blocks of the small
+    # grid and 32 of the large one, which paints 128.  The pixels are 1/8
+    # wide in both, so that the loop probe, whose samples grow with the
+    # loop's length in pixels, takes as many; a small block keeps the test
+    # fast
     block = 2_048
     monkeypatch.setattr(rng, "CHUNK", block)
     spec = mz.exp_baker(0.4)
 
     def beyond_outputs(nx, ny):
-        grid = rd.GridSpec(0.0j, 8.0, 8.0, nx, ny, 80)
+        grid = rd.GridSpec(0.0j, nx / 8, ny / 8, nx, ny, 80)
+        outputs = []
 
         def render():
             out = rd.classify_grid(spec, grid)
-            ppm = rd.ppm_bytes(out)
+            outputs.append(out.verdict.nbytes + out.steps.nbytes)
+            size = sum(len(chunk) for chunk in rd.ppm_chunks(out))
+            assert size == len(f"P6\n{nx} {ny}\n255\n") + 3 * nx * ny
             assert rd.loop_probe(out, 0.0j, 1.0).verdict
-            return ppm
 
-        header = len(f"P6\n{nx} {ny}\n255\n")
-        return _peak_bytes(render) - 8 * nx * ny - header
+        peak = _peak_bytes(render)
+        assert outputs == [2 * nx * ny]
+        return peak - outputs[0]
 
-    two = beyond_outputs(64, 64)
-    sixteen = beyond_outputs(128, 256)
-    assert 64 * 64 == 2 * block and 128 * 256 == 16 * block
-    assert sixteen <= 1.5 * two, (two, sixteen)
+    small = beyond_outputs(128, 128)
+    large = beyond_outputs(512, 512)
+    assert 64 * 64 == 2 * block and 512 * 512 == 128 * block
+    assert large <= 1.5 * small, (small, large)
 
 
-# sha256 of the PPM bytes and of steps.tobytes(); any change to a kernel,
+# sha256 of the PPM bytes and of the steps as int32 bytes; any change to a kernel,
 # the palette or the PPM writer that moves a byte fails here.  Computed with
 # numpy 2.4 on x86-64 Linux (glibc): a libm that rounds complex exp or sin
 # differently in the last bit moves them too.
@@ -372,8 +381,36 @@ def test_golden_render_bytes(spec, extent, ppm_sha, steps_sha):
     # 119 is odd, so the center pixel sits on the origin (singular for
     # exp_baker, the pole for mcmullen); max_iter 64 leaves undecided pixels
     grid = rd.classify_grid(spec, _grid(0.0j, extent, 119, max_iter=64))
-    assert hashlib.sha256(rd.ppm_bytes(grid)).hexdigest() == ppm_sha
-    assert hashlib.sha256(grid.steps.tobytes()).hexdigest() == steps_sha
+    assert hashlib.sha256(b"".join(rd.ppm_chunks(grid))).hexdigest() == ppm_sha
+    # steps are stored in the narrowest unsigned type that holds max_iter
+    assert grid.steps.dtype == np.min_scalar_type(64) == np.uint8
+    assert hashlib.sha256(grid.steps.astype(np.int32).tobytes()).hexdigest() == steps_sha
+
+
+@pytest.mark.parametrize("max_iter, dtype", [(255, np.uint8), (256, np.uint16),
+                                             (65_536, np.uint32)])
+def test_steps_in_narrowest_type(monkeypatch, max_iter, dtype):
+    # 0.98 sin z on the real line contracts to 0 by about 0.98 a step: with
+    # tol 1e-3 the points retire after up to 287 steps, so some exceed 255
+    spec = mz.sine_model(0.49)
+    grid = rd.GridSpec(0.0j, 3.0, 1e-9, 41, 1, max_iter, tol=1e-3)
+    points = grid.points().ravel()
+
+    def run():
+        got = rd.classify_grid(spec, grid)
+        return (got.verdict.ravel(), got.steps.ravel()), rd.classify_points(
+            spec, points, max_iter, tol=1e-3)
+
+    narrow = run()
+    monkeypatch.setattr(rd, "_steps_dtype", lambda max_iter: np.dtype(np.int32))
+    wide = run()
+    for (v, s), (ref_v, ref_s) in zip(narrow, wide):
+        assert s.dtype == dtype and ref_s.dtype == np.int32
+        assert np.array_equal(v, ref_v) and np.array_equal(s, ref_s)
+    verdict, steps = wide[0]
+    assert 0 < steps.max() <= max_iter
+    if max_iter > 65_535:
+        assert (verdict == rd.ATTRACTED).all() and steps.max() > 255
 
 
 def test_mcmullen_classification():
