@@ -328,6 +328,8 @@ def _cmd_render(args) -> int:
         "map": json.loads(args.map), "grid": grid_spec.to_dict(),
         "verdict_counts": renderer.verdict_counts(grid),
     }
+    if grid.attraction_radius is not None:
+        summary["attraction_radius"] = grid.attraction_radius
     files = {"image.ppm": renderer.ppm_chunks(grid)}
     if args.loop:
         cx, cy, r = (float(x) for x in args.loop.split(","))

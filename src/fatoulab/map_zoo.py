@@ -3,8 +3,9 @@
 Provides map specs with their one JSON parser, complex evaluation (one
 formula per kind in ``evaluate_many``, for arrays and Python complex
 numbers; ``evaluate`` is the one-point form of ``evaluate_many``, with the
-exponent-cap check), closed-form derivatives and a deterministic scalar
-bisection root-finder.  Orbits of the plane maps are classified by
+exponent-cap check), closed-form derivatives, certified trapping disks
+around the attracting fixed points, and a deterministic scalar bisection
+root-finder.  Orbits of the plane maps are classified by
 ``renderer.classify_points``.  The star of the zoo is the punctured-plane
 map
 
@@ -21,6 +22,8 @@ module draws random numbers or mutates shared state.
 from __future__ import annotations
 
 import cmath
+import math
+import numbers
 import operator
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -159,6 +162,17 @@ def integer(value, name: str) -> int:
     raise OutOfRange(f"{name} must be an integer, got {value!r}")
 
 
+def real(value, name: str) -> float:
+    """``value`` as a finite float.  A bool, a string or a non-finite number
+    raises OutOfRange, where ``float()`` would read true as 1.0 and "8" as
+    8.0.  ``name`` names the value in the message."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        x = float(value)
+        if math.isfinite(x):
+            return x
+    raise OutOfRange(f"{name} must be a finite real number, got {value!r}")
+
+
 def spec_from_dict(obj: dict) -> MapSpec:
     """MapSpec from its JSON form.
 
@@ -170,29 +184,31 @@ def spec_from_dict(obj: dict) -> MapSpec:
         kind = obj["kind"]
         p = obj.get("params", obj)
         if kind == EXP_BAKER:
-            return exp_baker(p["alpha"])
+            return exp_baker(real(p["alpha"], "alpha"))
         if kind == SINE_MODEL:
-            return sine_model(p["alpha"])
+            return sine_model(real(p["alpha"], "alpha"))
         if kind == POWER:
             return power_map(p["d"])
         if kind == ROTATION:
-            return rotation(p["theta"])
+            return rotation(real(p["theta"], "theta"))
         if kind == MOBIUS:
-            return mobius(_cval(p["a"]), _cval(p["b"]), _cval(p["c"]), _cval(p["d"]))
+            return mobius(*(complex_value(p[k], k) for k in "abcd"))
         if kind == FINITE_BLASCHKE:
-            return finite_blaschke([_cval(z) for z in p["zeros"]],
-                                   _cval(p.get("rotation", [1.0, 0.0])))
+            return finite_blaschke([complex_value(z, "zero") for z in p["zeros"]],
+                                   complex_value(p.get("rotation", 1.0), "rotation"))
         if kind == KEEN:
-            return keen(p["alpha"], p["lambda"])
+            return keen(real(p["alpha"], "alpha"), real(p["lambda"], "lambda"))
         if kind == MCMULLEN:
-            return mcmullen(p["m"], p["l"], _cval(p["c"]))
+            return mcmullen(p["m"], p["l"], complex_value(p["c"], "c"))
     raise OutOfRange(f"unknown map kind {kind!r}")
 
 
-def _cval(v) -> complex:
-    if isinstance(v, (int, float)):
-        return complex(v)
-    return complex(v[0], v[1])
+def complex_value(value, name: str) -> complex:
+    """A complex number from JSON: a real number, or a pair [re, im] of
+    them, each read by ``real``; a shorter list is malformed JSON."""
+    if isinstance(value, (list, tuple)):
+        return complex(real(value[0], name), real(value[1], name))
+    return complex(real(value, name))
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +337,49 @@ def derivative(spec: MapSpec, z) -> complex:
         m, l, c = spec.params
         return m * v ** (m - 1) - l * c / v ** (l + 1)
     raise UnsupportedMap(f"unknown map kind {k!r}")
+
+
+# ---------------------------------------------------------------------------
+# Trapping disks
+
+# Each kind's attracting fixed point p, with multiplier 2*alpha, and a bound
+# on |f(p + e) - p| over |e| <= r < 1: exp_baker has
+# f(1 + e) - 1 = expm1(alpha*e*(2 + e)/(1 + e)), and |sin e| <= sinh|e|.
+_FIXED_POINTS = {
+    EXP_BAKER: (1.0 + 0.0j, lambda a, r: (
+        math.expm1(a * r * (2.0 + r) / (1.0 - r)) if r < 1.0 else math.inf)),
+    SINE_MODEL: (0.0j, lambda a, r: 2.0 * a * math.sinh(r)),
+}
+
+
+def trapping_disk(spec: MapSpec):
+    """(p, r_trap): the attracting fixed point p of exp_baker or
+    sine_model and its certified trapping radius; None for other kinds.
+
+    With rho = (1 + 2|alpha|)/2, let R be the largest r <= 1 at which the
+    bound on |f(p + e) - p| over |e| <= r is at most rho*r.  The bound
+    divided by r increases from 2|alpha| < rho, so those r form an
+    interval, and bisection finds its end.  For r_trap = R/2 the map sends the closed
+    disk of radius r_trap around p into the one of radius rho*r_trap, so by
+    the Earle-Hamilton fixed-point theorem (1970) every orbit that enters
+    it tends to p.  r_trap is 0 when 2|alpha| >= 1, and when
+    (1 - rho)*r_trap < 1e-12, so that per-step rounding (~1e-15) can never
+    carry a floating-point orbit out.
+    """
+    if spec.kind not in _FIXED_POINTS:
+        return None
+    point, bound = _FIXED_POINTS[spec.kind]
+    a = abs(spec.params[0])
+    rho = 0.5 + a
+    if rho >= 1.0:
+        return point, 0.0
+
+    def excess(r):
+        return bound(a, r) - rho * r
+
+    big = 1.0 if excess(1.0) <= 0.0 else bisect(excess, 2.0 ** -52, 1.0, 1e-15)
+    trap = big / 2.0
+    return point, trap if (1.0 - rho) * trap >= 1e-12 else 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,17 @@ on a singularity, or undecided within the iteration budget.  Undecided is a
 first-class verdict; near essential singularities it is the honest answer at
 finite resolution.
 
+A pixel is attracted, with step k, when its orbit first lies inside a disk
+around the target at step k.  An explicit target's disk has radius tol.  The
+default target p of exp_baker (1) and sine_model (0) has a certified
+trapping disk instead when it is larger (``map_zoo.trapping_disk``, see
+``_attraction_test``): the map sends the closed disk into a strictly
+smaller concentric one, so by the
+Earle-Hamilton fixed-point theorem (1970) p attracts every orbit that
+enters it.  An orbit in the disk can neither escape nor land on a
+singularity, so the disk changes no verdict but undecided -> attracted;
+it only stops attracted orbits sooner.
+
 One compaction loop, ``_escape_time``, runs every kind over blocks of
 pixels; a kind is an ``_Orbits`` description.  At step k its ``now`` tests
 retire pixels with step k.  Below max_iter its ``ahead`` tests, which read
@@ -66,6 +77,8 @@ VERDICT_NAMES = {
     SINGULAR: "singular",
 }
 
+# the attraction radius around an explicit target; around a kind's default
+# target the radius is max(tol, the certified trapping radius)
 DEFAULT_TOL = 1e-6
 DEFAULT_ESCAPE_RADIUS = 1e10
 
@@ -102,7 +115,11 @@ def _steps_dtype(max_iter: int) -> np.dtype:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Pixel grid over a rectangle of the plane, with orbit parameters."""
+    """Pixel grid over a rectangle of the plane, with orbit parameters.
+
+    ``tol`` is the attraction radius around an explicit ``target``; the map
+    kind's default target (``target`` None) is tested at max(tol, its
+    certified trapping radius), see the module docstring."""
 
     center: complex
     width: float
@@ -156,16 +173,18 @@ class GridSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GridSpec":
+        real, integer = map_zoo.real, map_zoo.integer
         with map_zoo.malformed_json("grid JSON"):
             target = d.get("target")
             return cls(
-                center=complex(d["center"][0], d["center"][1]),
-                width=float(d["width"]), height=float(d["height"]),
-                nx=map_zoo.integer(d["nx"], "nx"), ny=map_zoo.integer(d["ny"], "ny"),
-                max_iter=map_zoo.integer(d["max_iter"], "max_iter"),
-                tol=float(d.get("tol", DEFAULT_TOL)),
-                escape_radius=float(d.get("escape_radius", DEFAULT_ESCAPE_RADIUS)),
-                target=None if target is None else complex(target[0], target[1]),
+                center=map_zoo.complex_value(d["center"], "center"),
+                width=real(d["width"], "width"), height=real(d["height"], "height"),
+                nx=integer(d["nx"], "nx"), ny=integer(d["ny"], "ny"),
+                max_iter=integer(d["max_iter"], "max_iter"),
+                tol=real(d.get("tol", DEFAULT_TOL), "tol"),
+                escape_radius=real(d.get("escape_radius", DEFAULT_ESCAPE_RADIUS),
+                                   "escape_radius"),
+                target=None if target is None else map_zoo.complex_value(target, "target"),
             )
 
     @classmethod
@@ -178,6 +197,7 @@ class ClassifiedGrid:
     spec: GridSpec
     verdict: np.ndarray  # uint8, shape (ny, nx)
     steps: np.ndarray  # _steps_dtype(spec.max_iter), shape (ny, nx)
+    attraction_radius: Optional[float]  # None when there was no attraction test
 
 
 def _centers(grid: GridSpec, width: int, start: int, stop: int, scratch=None) -> np.ndarray:
@@ -283,15 +303,30 @@ def _escape_time(orbits: _Orbits, max_iter: int) -> tuple:
     return verdict, steps
 
 
-def _attraction(target, default, tol, point=lambda z, *_: z, codes=(ATTRACTED,)) -> list:
-    """The attraction test on ``point(*arrays)``, z = arrays[0] unless
-    given, or none without a target; ``"default"`` picks the kind's own."""
-    target = default if target == "default" else target
+def _attraction_test(spec: map_zoo.MapSpec, tol, escape_radius, target) -> tuple:
+    """(target, radius) of the kind's attraction test, or (None, None) for
+    none.  An explicit target is tested at radius tol.  ``"default"`` picks
+    the map's attracting fixed point p, tested at max(tol, r_trap), the
+    radius of its trapping disk (``map_zoo.trapping_disk``), from escape
+    radius 2 up: there no escape test fires in the disk, whose exp_baker
+    exponents stay below log 2 and sine_model points within 1/2 of 0."""
+    if target != "default":
+        return target, tol
+    disk = map_zoo.trapping_disk(spec)
+    if disk is None:
+        return None, None
+    point, trap = disk
+    return point, max(tol, trap if escape_radius >= 2.0 else 0.0)
+
+
+def _attraction(target, radius, point=lambda z, *_: z, codes=(ATTRACTED,)) -> list:
+    """The test |point(*arrays) - target| < radius, z = arrays[0] unless
+    given, or none without a target."""
     return [] if target is None else [
-        (lambda *arrays: np.abs(point(*arrays) - target) < tol, codes)]
+        (lambda *arrays: np.abs(point(*arrays) - target) < radius, codes)]
 
 
-def _exp_baker(alpha, z, u, tol, escape_radius, target, paired) -> _Orbits:
+def _exp_baker(alpha, z, u, radius, escape_radius, target, paired) -> _Orbits:
     """Pair iteration for exp(alpha*(z - 1/z)); u tracks 1/z.  The escape
     tests read the next exponent w = alpha*z - alpha*u, so only w is
     compacted with them, and the step rewrites z and u from w.
@@ -321,7 +356,7 @@ def _exp_baker(alpha, z, u, tol, escape_radius, target, paired) -> _Orbits:
         np.exp(np.negative(w, out=w), out=u)
 
     def attraction(point, codes):
-        return _attraction(target, 1.0 + 0.0j, tol, point, codes)
+        return _attraction(target, radius, point, codes)
 
     now = first = attraction(lambda z, *_: z, (ATTRACTED, None)[:slots])
     if paired:
@@ -334,7 +369,7 @@ def _exp_baker(alpha, z, u, tol, escape_radius, target, paired) -> _Orbits:
         now_reads=(0, 1), ahead_reads=(2,))
 
 
-def _sine(alpha, z, _u, tol, escape_radius, target, _paired) -> _Orbits:
+def _sine(alpha, z, _u, radius, escape_radius, target, _paired) -> _Orbits:
     """2*alpha*sin(z); ``np.sin`` and a real scale are bit-safe in place."""
     def escaped(z):
         return (np.abs(z) > escape_radius) | (np.abs(z.imag) > map_zoo.EXP_CAP)
@@ -344,10 +379,10 @@ def _sine(alpha, z, _u, tol, escape_radius, target, _paired) -> _Orbits:
         z *= 2.0 * alpha
 
     return _Orbits(start=lambda: ((z.copy(),), ~np.isfinite(z)), step=step,
-                   now=_attraction(target, 0.0j, tol) + [(escaped, (ESCAPED_INFINITY,))])
+                   now=_attraction(target, radius) + [(escaped, (ESCAPED_INFINITY,))])
 
 
-def _mcmullen(m, l, c, z, _u, tol, escape_radius, target, _paired) -> _Orbits:
+def _mcmullen(m, l, c, z, _u, radius, escape_radius, target, _paired) -> _Orbits:
     """z**m + c / z**l, testing escape before attraction; the pole maps to
     infinity.  ``z ** 2`` is ``np.square``, and each ufunc writes apart from
     its input: aliased, np.square rounds a one-element array differently."""
@@ -365,7 +400,7 @@ def _mcmullen(m, l, c, z, _u, tol, escape_radius, target, _paired) -> _Orbits:
         start=lambda: ((z.copy(), np.empty_like(z), np.empty_like(z)), np.zeros(z.shape, bool)),
         step=step,
         now=[(lambda z, *_: (np.abs(z) > escape_radius) | ~np.isfinite(z),
-              (ESCAPED_INFINITY,))] + _attraction(target, None, tol),
+              (ESCAPED_INFINITY,))] + _attraction(target, radius),
         ahead=[(lambda z, *_: z == 0, (ESCAPED_INFINITY,))])
 
 
@@ -410,11 +445,13 @@ def _classify_blocks(spec, n, points_of, store, max_iter, tol, escape_radius,
     stop, scratch)`` gives a block's start points, possibly in the worker's
     own ``_point_scratch``; ``store(start, stop, verdict, steps)`` takes the
     block's results, one row per slot: ``paired`` exp_baker orbits give a
-    second row, for the start points negated."""
+    second row, for the start points negated.  Returns the attraction
+    test's radius, None without one."""
     orbits = _KINDS.get(spec.kind)
     if orbits is None:
         raise UnsupportedMap(f"classify supports exp_baker, sine_model, "
                              f"mcmullen; got {spec.kind!r}")
+    target, radius = _attraction_test(spec, tol, escape_radius, target)
     blocks = chunks(0, n)
     widest = max((stop - start for start, stop in blocks), default=0)
     workers = max(1, min(threads, len(blocks)))
@@ -425,13 +462,14 @@ def _classify_blocks(spec, n, points_of, store, max_iter, tol, escape_radius,
             z0 = points_of(start, stop, scratch)
             u0 = None if recips is None else recips[start:stop]
             store(start, stop, *_escape_time(
-                orbits(*spec.params, z0, u0, tol, escape_radius, target, paired), max_iter))
+                orbits(*spec.params, z0, u0, radius, escape_radius, target, paired), max_iter))
 
     if workers == 1:
         work(0)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(work, range(workers)))
+    return radius
 
 
 def _symmetries(spec: map_zoo.MapSpec, grid: GridSpec) -> tuple:
@@ -511,11 +549,12 @@ def classify_grid(spec: map_zoo.MapSpec, grid: GridSpec,
                 out[conj_rows, c0:c1] = mine[:m][::-1]
                 out[conj_rows, cols] = twin[:m][::-1]
 
-    _classify_blocks(spec, top * left,
-                     lambda start, stop, scratch: _centers(grid, left, start, stop, scratch),
-                     store, grid.max_iter, grid.tol, grid.escape_radius, target, None,
-                     spec.kind == map_zoo.EXP_BAKER and twins > 0, threads)
-    return ClassifiedGrid(grid, verdict, steps)
+    radius = _classify_blocks(
+        spec, top * left,
+        lambda start, stop, scratch: _centers(grid, left, start, stop, scratch),
+        store, grid.max_iter, grid.tol, grid.escape_radius, target, None,
+        spec.kind == map_zoo.EXP_BAKER and twins > 0, threads)
+    return ClassifiedGrid(grid, verdict, steps, radius)
 
 
 def verdict_counts(grid: ClassifiedGrid) -> dict:

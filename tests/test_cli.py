@@ -395,6 +395,17 @@ def test_validation_rejects_before_compute(tmp_path, capsys):
     code, out, err = run(["circle-stats", "--map", '{"kind": "power", "d": 2.5}', "--n", "10",
                           "--seed", "1", "--out-dir", str(tmp_path)], capsys)
     assert code == 1 and out == "" and "must be an integer" in err
+    # float JSON fields take finite numbers only: float() would read "8" as
+    # 8.0 and true as 1.0
+    cases = [(baker, {**grid, "width": "8"}), (baker, {**grid, "height": True}),
+             (baker, {**grid, "tol": "1e-3"}), ('{"kind": "exp_baker", "alpha": "0.4"}', grid)]
+    for kind, config in cases:
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(config))
+        code, out, err = run(["render", "--map", kind, "--config", str(path),
+                              "--out-dir", str(tmp_path)], capsys)
+        assert code == 1, (kind, config)
+        assert out == "" and "must be a finite real number" in err, (kind, config)
     assert not list(tmp_path.glob("*-summary.json"))
 
 
@@ -668,8 +679,8 @@ GOLDEN_DIGESTS = {
     "spread-mobius": "038ff8c389d001a5",
     "spread-finite-blaschke": "b6240864c799924f",
     "spread-blaschke": "cba94aee3f85d1c0",
-    "render-exp_baker": "c3eaedb674da7e75",
-    "render-sine_model": "1a5d118cb8be4668",
+    "render-exp_baker": "93b6427c02fc3263",
+    "render-sine_model": "c6821fac89fc9ae9",
     "render-mcmullen": "715a597d593e0a00",
 }
 

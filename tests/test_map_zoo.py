@@ -145,6 +145,16 @@ def _classify_one(spec, z0, max_iter, escape_radius):
     return int(verdict[0]), int(steps[0])
 
 
+def _steps_to_attraction(spec, z0, escape_radius):
+    """The first k at which the orbit of z0, iterated with the scalar
+    evaluator, lies inside the radius of the kind's attraction test."""
+    target, radius = rd._attraction_test(spec, rd.DEFAULT_TOL, escape_radius, "default")
+    z, k = complex(z0), 0
+    while abs(z - target) >= radius:
+        z, k = mz.evaluate(spec, z), k + 1
+    return k
+
+
 def test_orbit_constant_at_fixed_point():
     assert _classify_one(mz.exp_baker(0.4), 1.0, 10, 1e6) == (rd.ATTRACTED, 0)
 
@@ -158,7 +168,8 @@ def test_orbit_circle_attracts_to_one():
     assert abs(theta) < 1e-9  # oracle confirms attraction to angle 0
 
     f = mz.exp_baker(alpha)
-    assert _classify_one(f, cmath.exp(0.3j), 200, 1e6) == (rd.ATTRACTED, 57)
+    steps = _steps_to_attraction(f, cmath.exp(0.3j), 1e6)
+    assert _classify_one(f, cmath.exp(0.3j), 200, 1e6) == (rd.ATTRACTED, steps)
 
 
 def test_orbit_mcmullen_escapes():
@@ -179,14 +190,17 @@ def test_orbit_points_reproduce_successors():
     # verdict of the point it came from
     f = mz.exp_baker(0.35)
     z = 0.5 + 0.2j
+    steps = _steps_to_attraction(f, z, 1e6)
+    assert steps >= 6
     for k in range(6):
-        assert _classify_one(f, z, 200, 1e6) == (rd.ATTRACTED, 39 - k)
+        assert _classify_one(f, z, 200, 1e6) == (rd.ATTRACTED, steps - k)
         z = mz.evaluate(f, z)
 
 
 def test_orbit_completed():
-    # the budget runs out 50 steps before the orbit reaches the target
+    # the budget runs out before the orbit reaches the attraction disk
     f = mz.exp_baker(0.4)
+    assert _steps_to_attraction(f, cmath.exp(0.3j), 1e6) > 7
     assert _classify_one(f, cmath.exp(0.3j), 7, 1e6) == (rd.UNDECIDED, 0)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import tracemalloc
@@ -218,21 +219,23 @@ _UNREFLECTED_GRIDS = [
 # three are off the axis, the axis-centered ones are mirrored, with odd
 # and even ny, and the last are not; every grid centered at 0 is also
 # reflected but the unreflected ones, nx odd putting a column on the
-# imaginary axis
+# imaginary axis.  The exp_baker windows are 2 wide, so that each holds
+# escaping pixels: with the trapping disk, some 6 wide are all attracted
+# within 60 steps
 _ALONE_GRIDS = [
-    pytest.param(mz.exp_baker(0.4), _grid(0.2 + 0.1j, 6.0, 31, max_iter=60), id="exp_baker"),
+    pytest.param(mz.exp_baker(0.4), _grid(0.2 + 0.1j, 2.0, 31, max_iter=60), id="exp_baker"),
     pytest.param(mz.sine_model(0.4), _grid(0.1 + 0.2j, 8.0, 31, max_iter=60), id="sine_model"),
     pytest.param(mz.mcmullen(2, 2, 1e-4), _grid(0.05j, 4.0, 31, max_iter=60), id="mcmullen"),
 ] + [
     pytest.param(spec, rd.GridSpec(0.0j, extent, extent, 24, ny, 60),
                  id=f"{spec.kind}-axis-{'odd' if ny % 2 else 'even'}")
-    for spec, extent in [(mz.exp_baker(0.4), 6.0), (mz.sine_model(0.4), 8.0),
+    for spec, extent in [(mz.exp_baker(0.4), 2.0), (mz.sine_model(0.4), 8.0),
                          (mz.mcmullen(2, 2, 1e-4), 4.0)]
     for ny in (23, 24)
 ] + _UNMIRRORED_AXIS_GRIDS + [
     pytest.param(spec, rd.GridSpec(0.0j, extent, extent, 23, ny, 60),
                  id=f"{name}-zero-odd-nx-{'odd' if ny % 2 else 'even'}-ny")
-    for spec, extent, name in [(mz.exp_baker(0.4), 6.0, "exp_baker"),
+    for spec, extent, name in [(mz.exp_baker(0.4), 2.0, "exp_baker"),
                                (mz.sine_model(0.4), 8.0, "sine_model"),
                                (mz.mcmullen(2, 2, 1e-4), 4.0, "mcmullen"),
                                (mz.mcmullen(3, 3, 0.1), 2.0, "mcmullen-odd")]
@@ -364,11 +367,11 @@ def test_render_memory_bounded_by_block(monkeypatch):
 # differently in the last bit moves them too.
 _GOLDEN_RENDERS = [
     (mz.exp_baker(0.4), 8.0,
-     "1d993f0b53090ff0563b40eaebc458e4112a20bf59fd62357f3a39329501db59",
-     "f46b7de527278eb9f854a44b0f184f9104ca994d229cce4b2b55924b854945cb"),
+     "404524cb97915edc628d9246c5193a6b389f68a91d85793abe57189a7f13f330",
+     "4731169b7c67b0276f85869ed00f75ba6679d115b084b0f803c623cc65c1c6d9"),
     (mz.sine_model(0.4), 8.0,
-     "f19cdc0d28b85569e8b84718e1e595d8e0ef2dc48b69fd1bd5321924d6646519",
-     "f134cbc045102ecd63f99301a5d4596b081b8d86d0fba11771917b8d67196986"),
+     "fb33a36d490558495211713867abf6f88702016736ff4e690fafdeef9febf570",
+     "69b93e59b663d15f340fea782da39a1cdde7e789062413e688c59a73ab675ffc"),
     (mz.mcmullen(2, 2, 1e-4), 4.0,
      "fdb8015623d00c098cd76eaf17484aaafca8d8ba0d0ab5a1a2033f67e66afbc5",
      "4ba8f47dcfdac4dc3144d47f80cdd3df6cad626ba9346dc3b7317b5c0bf8a806"),
@@ -379,7 +382,8 @@ _GOLDEN_RENDERS = [
                          ids=[g[0].kind for g in _GOLDEN_RENDERS])
 def test_golden_render_bytes(spec, extent, ppm_sha, steps_sha):
     # 119 is odd, so the center pixel sits on the origin (singular for
-    # exp_baker, the pole for mcmullen); max_iter 64 leaves undecided pixels
+    # exp_baker, the pole for mcmullen); max_iter 64 leaves undecided
+    # mcmullen pixels
     grid = rd.classify_grid(spec, _grid(0.0j, extent, 119, max_iter=64))
     assert hashlib.sha256(b"".join(rd.ppm_chunks(grid))).hexdigest() == ppm_sha
     # steps are stored in the narrowest unsigned type that holds max_iter
@@ -391,15 +395,17 @@ def test_golden_render_bytes(spec, extent, ppm_sha, steps_sha):
                                              (65_536, np.uint32)])
 def test_steps_in_narrowest_type(monkeypatch, max_iter, dtype):
     # 0.98 sin z on the real line contracts to 0 by about 0.98 a step: with
-    # tol 1e-3 the points retire after up to 287 steps, so some exceed 255
+    # the explicit target 0, tested at tol 1e-3 (the default target's
+    # trapping disk would take them in sooner), the points retire after up
+    # to 287 steps, so some exceed 255
     spec = mz.sine_model(0.49)
-    grid = rd.GridSpec(0.0j, 3.0, 1e-9, 41, 1, max_iter, tol=1e-3)
+    grid = rd.GridSpec(0.0j, 3.0, 1e-9, 41, 1, max_iter, tol=1e-3, target=0.0j)
     points = grid.points().ravel()
 
     def run():
         got = rd.classify_grid(spec, grid)
         return (got.verdict.ravel(), got.steps.ravel()), rd.classify_points(
-            spec, points, max_iter, tol=1e-3)
+            spec, points, max_iter, tol=1e-3, target=0.0j)
 
     narrow = run()
     monkeypatch.setattr(rd, "_steps_dtype", lambda max_iter: np.dtype(np.int32))
@@ -492,3 +498,84 @@ def test_classify_points_validation():
         for kw in bad:
             with pytest.raises(OutOfRange):
                 rd.classify_points(spec, [1.0 + 0.0j], **{"max_iter": 10, **kw})
+
+
+# alphas of the trapping-disk tests; a negative or complex alpha builds the
+# spec directly, as the factories take a real alpha in (0, 1/2)
+_TRAP_ALPHAS = [0.05, 0.1, 0.25, 0.4, 0.49, -0.3, 0.4 + 0.05j]
+
+
+def _one_step(spec, z, radius, target):
+    """z after one step of the kind's kernel."""
+    orbits = rd._KINDS[spec.kind](*spec.params, z, None, radius,
+                                  rd.DEFAULT_ESCAPE_RADIUS, target, False)
+    arrays, _singular = orbits.start()
+    if orbits.advance is not None:
+        orbits.advance(*arrays)
+    orbits.step(*arrays)
+    return arrays[0]
+
+
+@pytest.mark.parametrize("alpha", _TRAP_ALPHAS)
+@pytest.mark.parametrize("kind", [mz.EXP_BAKER, mz.SINE_MODEL])
+def test_trapping_disk_maps_into_a_smaller_disk(kind, alpha):
+    # one kernel step takes 1e4 points on and inside the trap circle to
+    # within rho * r_trap of the fixed point, rho = (1 + 2|alpha|)/2 < 1:
+    # the hypothesis of the Earle-Hamilton theorem
+    spec = mz.MapSpec(kind, (alpha,))
+    target, radius = mz.trapping_disk(spec)
+    assert 1e-12 < radius <= 0.5
+    n = 5_000
+    k = np.arange(n)
+    turns = np.exp(2j * math.pi * ((k * 0.6180339887498949) % 1.0))
+    z = target + radius * np.concatenate([turns, np.sqrt((k + 0.5) / n) * turns[::-1]])
+    stepped = _one_step(spec, z, radius, target)
+    assert np.abs(stepped - target).max() <= (0.5 + abs(alpha)) * radius + 1e-12
+
+
+@pytest.mark.parametrize("kind", [mz.EXP_BAKER, mz.SINE_MODEL])
+def test_attraction_radius_is_tol_without_a_trap(kind):
+    # no trapping disk for 2|alpha| >= 1, for an explicit target, even the
+    # default one, and for an escape radius below 2
+    tol = 1e-6
+    for alpha in (0.5, 0.6, -0.5, 0.45 + 0.3j):
+        spec = mz.MapSpec(kind, (alpha,))
+        assert mz.trapping_disk(spec)[1] == 0.0
+        assert rd._attraction_test(spec, tol, rd.DEFAULT_ESCAPE_RADIUS, "default")[1] == tol
+    spec = mz.MapSpec(kind, (0.4,))
+    point = mz.trapping_disk(spec)[0]
+    assert rd._attraction_test(spec, tol, rd.DEFAULT_ESCAPE_RADIUS, point) == (point, tol)
+    assert rd._attraction_test(spec, tol, 1.5, "default") == (point, tol)
+    # a tol beyond the trap radius is kept
+    assert rd._attraction_test(spec, 0.6, rd.DEFAULT_ESCAPE_RADIUS, "default") == (point, 0.6)
+    grid = rd.classify_grid(spec, _grid(0.3 + 0.2j, 1.0, 3, max_iter=5))
+    assert grid.attraction_radius > tol
+    assert rd.classify_grid(mz.mcmullen(2, 2, 1e-4), _grid(0.3j, 1.0, 3)).attraction_radius is None
+
+
+# the golden grids of this module and of the CLI's, and a 200^2 window of the
+# criterion-11 grid
+_TRAP_GRIDS = [(spec, _grid(0.0j, extent, 119, max_iter=64)) for spec, extent, *_ in
+               _GOLDEN_RENDERS[:2]] + [
+    (spec, _grid(0.0j, 8.0, n, max_iter=max_iter))
+    for spec in (mz.exp_baker(0.4), mz.sine_model(0.4))
+    for n, max_iter in ((64, 100), (200, 500))]
+
+
+@pytest.mark.parametrize("spec, grid", _TRAP_GRIDS,
+                         ids=[f"{s.kind}-{g.nx}" for s, g in _TRAP_GRIDS])
+def test_trap_keeps_verdicts(spec, grid):
+    # the default target, tested over its trapping disk, against the same
+    # point as an explicit target, tested at tol: an orbit in the disk can
+    # neither escape nor land on a singularity, so only undecided pixels may
+    # turn attracted, and an attracted pixel retires no later
+    trapped = rd.classify_grid(spec, grid)
+    point = mz.trapping_disk(spec)[0]
+    plain = rd.classify_grid(spec, dataclasses.replace(grid, target=point))
+    assert trapped.attraction_radius > plain.attraction_radius == grid.tol
+    moved = trapped.verdict != plain.verdict
+    assert (plain.verdict[moved] == rd.UNDECIDED).all()
+    assert (trapped.verdict[moved] == rd.ATTRACTED).all()
+    attracted = plain.verdict == rd.ATTRACTED
+    assert (trapped.steps[attracted] <= plain.steps[attracted]).all()
+    assert trapped.steps[attracted].sum() < plain.steps[attracted].sum()
