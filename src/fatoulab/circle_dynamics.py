@@ -77,7 +77,8 @@ def circle_map_from_dict(obj: dict) -> BoundaryMap:
     with map_zoo.malformed_json("map JSON"):
         kind = obj["kind"]
         if kind == _bl.BLASCHKE:
-            return _bl.BlaschkeProduct.from_alpha(float(obj.get("params", obj)["alpha"]))
+            return _bl.BlaschkeProduct.from_alpha(
+                map_zoo.real(obj.get("params", obj)["alpha"], "alpha"))
         if kind not in _CIRCLE_KINDS:
             raise OutOfRange(f"unknown circle map kind {kind!r}")
         spec = map_zoo.spec_from_dict(obj)

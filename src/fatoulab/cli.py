@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, blaschke, circle_dynamics, covering, harmonic, map_zoo
+from . import __version__
 from .errors import FatouLabError, OutOfRange
 from .histograms import ArcHistogram, bin_angles, count_arcs, csv_chunks, to_csv_text
 from .rng import chunks, uniform01
@@ -41,9 +41,14 @@ def _lazy_import(name: str):
     return module
 
 
-# only render needs the renderer, and a process without cached bytecode
-# would compile all of it at start-up; it is registered at once all the same,
-# so that code wrapping functions after import finds it
+# each command executes only the modules it uses: a process without cached
+# bytecode would compile all of them at start-up.  They are registered at
+# once all the same, so that code wrapping functions after import finds them
+blaschke = _lazy_import(f"{__package__}.blaschke")
+circle_dynamics = _lazy_import(f"{__package__}.circle_dynamics")
+covering = _lazy_import(f"{__package__}.covering")
+harmonic = _lazy_import(f"{__package__}.harmonic")
+map_zoo = _lazy_import(f"{__package__}.map_zoo")
 renderer = _lazy_import(f"{__package__}.renderer")
 
 EXIT_OK = 0
@@ -83,6 +88,16 @@ def _require_finite(**numbers):
         for x in value if isinstance(value, tuple) else (value,):
             if isinstance(x, float) and not math.isfinite(x):
                 raise OutOfRange(f"{name} must be finite, got {value}")
+
+
+def _module_defaults(args, module, *names):
+    """Set each option of ``names`` left unset to ``module.DEFAULT_<NAME>``.
+    Read here rather than by the parser, so that only the command that uses
+    ``module`` executes it; the manifest records the value used, as it
+    records a parser default."""
+    for name in names:
+        if getattr(args, name) is None:
+            setattr(args, name, getattr(module, f"DEFAULT_{name.upper()}"))
 
 
 def _make_seed(args) -> int:
@@ -190,7 +205,8 @@ def _parse_bubbles(text: str):
         text = Path(text).read_text(encoding="ascii")
     data = json.loads(text)
     with map_zoo.malformed_json("bubble JSON"):
-        return [(complex(b[0], b[1]), float(b[2])) for b in data]
+        return [(complex(map_zoo.real(b[0], "bubble cx"), map_zoo.real(b[1], "bubble cy")),
+                 map_zoo.real(b[2], "bubble r")) for b in data]
 
 
 def _harmonic_domain(args):
@@ -251,6 +267,7 @@ def _cmd_harmonic(args) -> int:
 
 
 def _cmd_classify_radial(args) -> int:
+    _module_defaults(args, covering, "K", "eps_escape", "delta_bounded")
     if args.domain == "annulus":
         model = covering.annulus_model(args.R)
     elif args.domain == "disk":
@@ -301,6 +318,7 @@ def _cmd_circle_stats(args) -> int:
 
 
 def _cmd_spread(args) -> int:
+    _module_defaults(args, circle_dynamics, "grid")
     start, length = (float(x) for x in args.arc.split(","))
     _require_finite(arc_start=start, arc_length=length)
     cmap = _circle_map(args)
@@ -399,11 +417,10 @@ def build_parser() -> _Parser:
                    default="annulus")
     p.add_argument("--R", type=float, default=math.e)
     p.add_argument("--xi", type=float, required=True, help="boundary angle in radians")
-    p.add_argument("--K", type=int, default=covering.DEFAULT_K)
-    p.add_argument("--eps-escape", type=float, default=covering.DEFAULT_EPS_ESCAPE,
-                   dest="eps_escape")
-    p.add_argument("--delta-bounded", type=float,
-                   default=covering.DEFAULT_DELTA_BOUNDED, dest="delta_bounded")
+    # unset, these three and spread's --grid take their module's DEFAULT_*
+    p.add_argument("--K", type=int, default=None)
+    p.add_argument("--eps-escape", type=float, default=None, dest="eps_escape")
+    p.add_argument("--delta-bounded", type=float, default=None, dest="delta_bounded")
     _add_common(p)
     p.set_defaults(func=_cmd_classify_radial)
 
@@ -419,7 +436,7 @@ def build_parser() -> _Parser:
     p.add_argument("--map", required=True, help="circle map as JSON")
     p.add_argument("--arc", required=True, help="start,length in radians")
     p.add_argument("--n-max", type=int, default=100, dest="n_max")
-    p.add_argument("--grid", type=int, default=circle_dynamics.DEFAULT_GRID)
+    p.add_argument("--grid", type=int, default=None)
     _add_common(p)
     p.set_defaults(func=_cmd_spread)
 

@@ -342,44 +342,76 @@ def derivative(spec: MapSpec, z) -> complex:
 # ---------------------------------------------------------------------------
 # Trapping disks
 
-# Each kind's attracting fixed point p, with multiplier 2*alpha, and a bound
-# on |f(p + e) - p| over |e| <= r < 1: exp_baker has
-# f(1 + e) - 1 = expm1(alpha*e*(2 + e)/(1 + e)), and |sin e| <= sinh|e|.
+# Each kind's attracting fixed point p, with multiplier 2*alpha; the largest
+# trapping radius it may take; a closed-form bound on |f(p + e) - p| over
+# |e| <= r; and one on |f'| there.  For exp_baker, f(1 + e) = exp(w) with
+# |w| = |alpha*e*(2 + e)/(1 + e)| <= |alpha| r (2 + r)/(1 - r), and
+# f' = f*alpha*(1 + 1/z**2); for sine_model, |sin e| <= sinh|e| and
+# |cos e| <= cosh|e|.  The cap r <= 1/2 keeps exp_baker's disk inside
+# 1/2 <= |z| <= 3/2.
 _FIXED_POINTS = {
-    EXP_BAKER: (1.0 + 0.0j, lambda a, r: (
-        math.expm1(a * r * (2.0 + r) / (1.0 - r)) if r < 1.0 else math.inf)),
-    SINE_MODEL: (0.0j, lambda a, r: 2.0 * a * math.sinh(r)),
+    EXP_BAKER: (1.0 + 0.0j, 0.5,
+                lambda a, r: math.expm1(a * r * (2.0 + r) / (1.0 - r)),
+                lambda a, r: (a * (1.0 + (1.0 - r) ** -2)
+                              * math.exp(a * r * (2.0 + r) / (1.0 - r)))),
+    SINE_MODEL: (0.0j, 1.0, lambda a, r: 2.0 * a * math.sinh(r),
+                 lambda a, r: 2.0 * a * math.cosh(r)),
 }
+# the sampled bound takes _TRAP_SAMPLES equally spaced points of the circle;
+# _TRAP_ROUNDING covers the rounding of either bound, a few operations on
+# numbers of modulus below 4, and _TRAP_TOL is the width to which bisection
+# finds the radius
+_TRAP_SAMPLES = 1024
+_TRAP_ROUNDING = 1e-13
+_TRAP_TOL = 1e-9
 
 
 def trapping_disk(spec: MapSpec):
     """(p, r_trap): the attracting fixed point p of exp_baker or
     sine_model and its certified trapping radius; None for other kinds.
 
-    With rho = (1 + 2|alpha|)/2, let R be the largest r <= 1 at which the
-    bound on |f(p + e) - p| over |e| <= r is at most rho*r.  The bound
-    divided by r increases from 2|alpha| < rho, so those r form an
-    interval, and bisection finds its end.  For r_trap = R/2 the map sends the closed
-    disk of radius r_trap around p into the one of radius rho*r_trap, so by
-    the Earle-Hamilton fixed-point theorem (1970) every orbit that enters
-    it tends to p.  r_trap is 0 when 2|alpha| >= 1, and when
+    The certificate at radius r bounds sup |f(p + e) - p| over |e| = r,
+    which by the maximum modulus principle is the sup over the closed disk.
+    The sampled bound is the largest value at N = ``_TRAP_SAMPLES`` equally
+    spaced e, at the spec's own alpha (complex or negative too), plus
+    (pi*r/N) times the kind's bound on |f'| (no point of the circle is
+    further along it from a sample).  The certificate takes the smaller of
+    it and the kind's closed-form bound, plus ``_TRAP_ROUNDING``; the
+    closed form is the exact sup for sine_model, and the sharper bound for
+    exp_baker only near 2|alpha| = 1, where the sampled bound's slack of
+    order (pi/N)*r exceeds the margin (1 - rho)*r.  With rho = (1 + 2|alpha|)/2,
+    it holds when that is at most rho*r: then f maps the disk into the one
+    of radius rho*r, and by the Earle-Hamilton fixed-point theorem (1970)
+    every orbit that enters it tends to p.  The true sup divided by r grows
+    with r from 2|alpha| (the maximum modulus principle for
+    (f(p + e) - p)/e), so r_trap is the kind's cap when the certificate
+    holds there and otherwise the radius at which bisection finds the bound
+    crossing rho*r; the certificate is checked again at the radius
+    returned.  r_trap is 0 when 2|alpha| >= 1, and when
     (1 - rho)*r_trap < 1e-12, so that per-step rounding (~1e-15) can never
     carry a floating-point orbit out.
     """
     if spec.kind not in _FIXED_POINTS:
         return None
-    point, bound = _FIXED_POINTS[spec.kind]
+    point, cap, bound, slope = _FIXED_POINTS[spec.kind]
     a = abs(spec.params[0])
     rho = 0.5 + a
     if rho >= 1.0:
         return point, 0.0
+    turns = np.exp(2j * math.pi * np.arange(_TRAP_SAMPLES) / _TRAP_SAMPLES)
 
     def excess(r):
-        return bound(a, r) - rho * r
+        sampled = np.abs(evaluate_many(spec, point + r * turns) - point).max()
+        gap = math.pi * r / _TRAP_SAMPLES * slope(a, r)
+        return min(float(sampled) + gap, bound(a, r)) + _TRAP_ROUNDING - rho * r
 
-    big = 1.0 if excess(1.0) <= 0.0 else bisect(excess, 2.0 ** -52, 1.0, 1e-15)
-    trap = big / 2.0
-    return point, trap if (1.0 - rho) * trap >= 1e-12 else 0.0
+    low = 1e-12 / (1.0 - rho)
+    if not (low < cap and excess(low) < 0.0):
+        return point, 0.0
+    # bisect returns the midpoint of its last bracket; a tolerance below it
+    # lies under the bracket's certified end
+    trap = cap if excess(cap) <= 0.0 else bisect(excess, low, cap, _TRAP_TOL) - _TRAP_TOL
+    return point, trap if trap >= low and excess(trap) <= 0.0 else 0.0
 
 
 # ---------------------------------------------------------------------------

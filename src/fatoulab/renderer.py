@@ -309,7 +309,8 @@ def _attraction_test(spec: map_zoo.MapSpec, tol, escape_radius, target) -> tuple
     the map's attracting fixed point p, tested at max(tol, r_trap), the
     radius of its trapping disk (``map_zoo.trapping_disk``), from escape
     radius 2 up: there no escape test fires in the disk, whose exp_baker
-    exponents stay below log 2 and sine_model points within 1/2 of 0."""
+    points lie in 1/2 <= |z| <= 3/2 (exponents' real parts within log 2 of
+    0) and whose sine_model points lie within 1 of 0."""
     if target != "default":
         return target, tol
     disk = map_zoo.trapping_disk(spec)

@@ -406,6 +406,16 @@ def test_validation_rejects_before_compute(tmp_path, capsys):
                               "--out-dir", str(tmp_path)], capsys)
         assert code == 1, (kind, config)
         assert out == "" and "must be a finite real number" in err, (kind, config)
+    # the same rule for the blaschke circle kind's alpha and for bubble numbers
+    for argv in (["circle-stats", "--map", '{"kind": "blaschke", "alpha": "0.4"}',
+                  "--n", "10", "--seed", "1"],
+                 ["harmonic", "--domain", "champagne", "--method", "wos", "--walks", "10",
+                  "--seed", "1", "--bubbles", '[[0.4, 0.0, "0.1"]]'],
+                 ["harmonic", "--domain", "champagne", "--method", "wos", "--walks", "10",
+                  "--seed", "1", "--bubbles", '[[0.4, true, 0.1]]']):
+        code, out, err = run(argv + ["--out-dir", str(tmp_path)], capsys)
+        assert code == 1, argv
+        assert out == "" and "must be a finite real number" in err, argv
     assert not list(tmp_path.glob("*-summary.json"))
 
 
@@ -679,8 +689,8 @@ GOLDEN_DIGESTS = {
     "spread-mobius": "038ff8c389d001a5",
     "spread-finite-blaschke": "b6240864c799924f",
     "spread-blaschke": "cba94aee3f85d1c0",
-    "render-exp_baker": "93b6427c02fc3263",
-    "render-sine_model": "c6821fac89fc9ae9",
+    "render-exp_baker": "f101d05c524c4098",
+    "render-sine_model": "adbc0bfb0985cc6d",
     "render-mcmullen": "715a597d593e0a00",
 }
 

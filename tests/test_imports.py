@@ -2,10 +2,12 @@
 and every module-level private name is used somewhere in the package.
 
 Checked with the standard library's ``ast``, so no linter is needed.  The
-last test checks which modules ``import fatoulab.cli`` executes.
+last test checks which modules ``import fatoulab.cli`` and three of its
+commands execute.
 """
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -126,20 +128,57 @@ def test_every_default_is_overridden_somewhere():
     assert unset == []
 
 
-def test_cli_does_not_execute_the_renderer():
-    # start-up: a process without cached bytecode compiles every module it
-    # executes, and only render needs the renderer.  The module is in
-    # sys.modules from the start (so that wrappers installed after import
-    # find it) but runs on first use, and the package resolves it on demand
-    probe = """
-import sys, types
+_LAZY = ("blaschke", "circle_dynamics", "covering", "harmonic", "map_zoo", "renderer")
+
+# the probe prints, as its last line, which of _LAZY have been executed: after
+# ``import fatoulab.cli``, and then after running the command in its argv
+_PROBE = f"""
+import json, sys, types
 import fatoulab.cli
-lazy = sys.modules.get("fatoulab.renderer")
-print(lazy is None or type(lazy) is not types.ModuleType)
-import fatoulab
-print(fatoulab.renderer.GridSpec.__name__, type(fatoulab.renderer) is types.ModuleType)
+def executed():
+    return [name for name in {_LAZY!r}
+            if type(sys.modules[f"fatoulab.{{name}}"]) is types.ModuleType]
+if len(sys.argv) > 1:
+    assert fatoulab.cli.main(sys.argv[1:]) == 0
+else:
+    print(json.dumps(executed()))
+    import fatoulab
+    assert fatoulab.renderer.GridSpec.__name__ == "GridSpec"
+    assert type(fatoulab.renderer) is types.ModuleType
+print(json.dumps(executed()))
 """
+
+# command: (argv, modules it executes, modules it must not execute)
+_COMMAND_MODULES = {
+    "render": (["render", "--map", '{"kind": "exp_baker", "alpha": 0.4}',
+                "--config", "grid.json"],
+               {"map_zoo", "renderer"}, {"blaschke", "circle_dynamics", "covering", "harmonic"}),
+    "harmonic": (["harmonic", "--domain", "annulus", "--method", "wos", "--walks", "100",
+                  "--seed", "1"],
+                 {"harmonic"}, {"blaschke", "circle_dynamics", "renderer"}),
+    "circle-stats": (["circle-stats", "--map", '{"kind": "blaschke", "alpha": 0.4}',
+                      "--n", "100", "--seed", "1"],
+                     {"circle_dynamics"}, {"covering", "harmonic", "renderer"}),
+}
+
+
+def _executed(argv, cwd):
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                         text=True, check=True).stdout.split()
-    assert out == ["True", "GridSpec", "True"]
+    out = subprocess.run([sys.executable, "-c", _PROBE, *argv], env=env, cwd=cwd,
+                         capture_output=True, text=True, check=True).stdout
+    return out.splitlines()
+
+
+def test_cli_does_not_execute_the_renderer(tmp_path):
+    # start-up: a process without cached bytecode compiles every module it
+    # executes.  ``import fatoulab.cli`` places the modules of _LAZY in
+    # sys.modules (so that wrappers installed after import find them) but
+    # executes none of them: each runs on first use, and the package
+    # resolves it on demand.  So each command executes only what it uses
+    lines = _executed([], tmp_path)
+    assert json.loads(lines[0]) == [] and json.loads(lines[-1]) == ["map_zoo", "renderer"]
+    (tmp_path / "grid.json").write_text(json.dumps(
+        {"center": [0.0, 0.0], "width": 4.0, "height": 4.0, "nx": 8, "ny": 8, "max_iter": 8}))
+    for command, (argv, runs, skips) in _COMMAND_MODULES.items():
+        executed = set(json.loads(_executed(argv + ["--out-dir", "out"], tmp_path)[-1]))
+        assert runs <= executed and not skips & executed, (command, executed)

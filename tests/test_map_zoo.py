@@ -161,15 +161,17 @@ def test_orbit_constant_at_fixed_point():
 
 def test_orbit_circle_attracts_to_one():
     # 1-D oracle: the circle dynamics is theta -> 2 alpha sin theta
+    # from an angle whose point lies outside the trapping disk
     alpha = 0.4
-    theta = 0.3
+    theta = 2.0
     for _ in range(200):
         theta = 2.0 * alpha * math.sin(theta)
     assert abs(theta) < 1e-9  # oracle confirms attraction to angle 0
 
     f = mz.exp_baker(alpha)
-    steps = _steps_to_attraction(f, cmath.exp(0.3j), 1e6)
-    assert _classify_one(f, cmath.exp(0.3j), 200, 1e6) == (rd.ATTRACTED, steps)
+    steps = _steps_to_attraction(f, cmath.exp(2.0j), 1e6)
+    assert steps > 0
+    assert _classify_one(f, cmath.exp(2.0j), 200, 1e6) == (rd.ATTRACTED, steps)
 
 
 def test_orbit_mcmullen_escapes():
@@ -189,7 +191,7 @@ def test_orbit_points_reproduce_successors():
     # each successor from the scalar evaluator is one step closer to the
     # verdict of the point it came from
     f = mz.exp_baker(0.35)
-    z = 0.5 + 0.2j
+    z = 4.0 + 0.5j
     steps = _steps_to_attraction(f, z, 1e6)
     assert steps >= 6
     for k in range(6):
@@ -198,10 +200,11 @@ def test_orbit_points_reproduce_successors():
 
 
 def test_orbit_completed():
-    # the budget runs out before the orbit reaches the attraction disk
+    # the budget runs out before the orbit reaches the attraction disk:
+    # 3 lies just inside the repelling fixed point of f on the positive axis
     f = mz.exp_baker(0.4)
-    assert _steps_to_attraction(f, cmath.exp(0.3j), 1e6) > 7
-    assert _classify_one(f, cmath.exp(0.3j), 7, 1e6) == (rd.UNDECIDED, 0)
+    assert _steps_to_attraction(f, 3.0, 1e6) > 7
+    assert _classify_one(f, 3.0, 7, 1e6) == (rd.UNDECIDED, 0)
 
 
 # Critical points with their closed-form values: f' vanishes there.

@@ -367,11 +367,11 @@ def test_render_memory_bounded_by_block(monkeypatch):
 # differently in the last bit moves them too.
 _GOLDEN_RENDERS = [
     (mz.exp_baker(0.4), 8.0,
-     "404524cb97915edc628d9246c5193a6b389f68a91d85793abe57189a7f13f330",
-     "4731169b7c67b0276f85869ed00f75ba6679d115b084b0f803c623cc65c1c6d9"),
+     "6e79725603e35b16e3cf690b0480aca8a5d842037fb7bf8abb8acc7a3b7722a7",
+     "0f11620f075e039961c0ef5b914fcf3bca87c45ed16def196ea82ce81150d6d1"),
     (mz.sine_model(0.4), 8.0,
-     "fb33a36d490558495211713867abf6f88702016736ff4e690fafdeef9febf570",
-     "69b93e59b663d15f340fea782da39a1cdde7e789062413e688c59a73ab675ffc"),
+     "03bd4a2037301548ef63d54d8c34896af7d3478627eebcd39397ab54e2fa361b",
+     "61c58c7ae27f8502d6f35e227f59e7fb44a3f010cd604c33676c9be2cac000b0"),
     (mz.mcmullen(2, 2, 1e-4), 4.0,
      "fdb8015623d00c098cd76eaf17484aaafca8d8ba0d0ab5a1a2033f67e66afbc5",
      "4ba8f47dcfdac4dc3144d47f80cdd3df6cad626ba9346dc3b7317b5c0bf8a806"),
@@ -502,7 +502,10 @@ def test_classify_points_validation():
 
 # alphas of the trapping-disk tests; a negative or complex alpha builds the
 # spec directly, as the factories take a real alpha in (0, 1/2)
-_TRAP_ALPHAS = [0.05, 0.1, 0.25, 0.4, 0.49, -0.3, 0.4 + 0.05j]
+_TRAP_ALPHAS = [0.05, 0.1, 0.25, 0.4, 0.49, 0.4999, -0.3, 0.4 + 0.05j]
+# the largest trapping radius of each kind: exp_baker's disk stays inside
+# 1/2 <= |z| <= 3/2 and sine_model's within 1 of 0, where no escape test fires
+_TRAP_CAPS = {mz.EXP_BAKER: 0.5, mz.SINE_MODEL: 1.0}
 
 
 def _one_step(spec, z, radius, target):
@@ -524,13 +527,35 @@ def test_trapping_disk_maps_into_a_smaller_disk(kind, alpha):
     # the hypothesis of the Earle-Hamilton theorem
     spec = mz.MapSpec(kind, (alpha,))
     target, radius = mz.trapping_disk(spec)
-    assert 1e-12 < radius <= 0.5
+    assert 1e-12 < radius <= _TRAP_CAPS[kind]
     n = 5_000
     k = np.arange(n)
     turns = np.exp(2j * math.pi * ((k * 0.6180339887498949) % 1.0))
     z = target + radius * np.concatenate([turns, np.sqrt((k + 0.5) / n) * turns[::-1]])
     stepped = _one_step(spec, z, radius, target)
     assert np.abs(stepped - target).max() <= (0.5 + abs(alpha)) * radius + 1e-12
+
+
+@pytest.mark.parametrize("kind", [mz.EXP_BAKER, mz.SINE_MODEL])
+def test_trapping_radius_reaches_its_cap(kind):
+    # small multipliers certify the whole capped disk, whatever alpha's sign
+    # or phase; the cap holds for every alpha
+    cap = _TRAP_CAPS[kind]
+    for alpha in (0.05, 0.1, -0.1, 0.1j, 0.25):
+        assert mz.trapping_disk(mz.MapSpec(kind, (alpha,)))[1] == cap
+    assert all(mz.trapping_disk(mz.MapSpec(kind, (alpha,)))[1] < cap
+               for alpha in (0.4, 0.49, 0.4 + 0.05j))
+
+
+def test_trapping_radius_is_sharp():
+    # no bound halved: at alpha 0.4 the radius is ~0.46 (exp_baker, from
+    # the sampled bound) and ~0.85 (sine_model), where half the closed-form
+    # radius gave 0.030 and 0.425; near 2|alpha| = 1, where the sampled
+    # bound cannot hold, the closed-form one still gives a disk
+    assert mz.trapping_disk(mz.exp_baker(0.4))[1] > 0.4
+    assert mz.trapping_disk(mz.sine_model(0.4))[1] > 0.8
+    assert mz.trapping_disk(mz.exp_baker(0.4999))[1] > 4e-5
+    assert mz.trapping_disk(mz.sine_model(0.4999))[1] > 0.02
 
 
 @pytest.mark.parametrize("kind", [mz.EXP_BAKER, mz.SINE_MODEL])
@@ -547,7 +572,7 @@ def test_attraction_radius_is_tol_without_a_trap(kind):
     assert rd._attraction_test(spec, tol, rd.DEFAULT_ESCAPE_RADIUS, point) == (point, tol)
     assert rd._attraction_test(spec, tol, 1.5, "default") == (point, tol)
     # a tol beyond the trap radius is kept
-    assert rd._attraction_test(spec, 0.6, rd.DEFAULT_ESCAPE_RADIUS, "default") == (point, 0.6)
+    assert rd._attraction_test(spec, 0.9, rd.DEFAULT_ESCAPE_RADIUS, "default") == (point, 0.9)
     grid = rd.classify_grid(spec, _grid(0.3 + 0.2j, 1.0, 3, max_iter=5))
     assert grid.attraction_radius > tol
     assert rd.classify_grid(mz.mcmullen(2, 2, 1e-4), _grid(0.3j, 1.0, 3)).attraction_radius is None
