@@ -3,18 +3,20 @@
 The product is
 
     B(z) = z * prod_{n>=1} (a_n^2 - z^2) / (1 - a_n^2 z^2),
-    a_n = (tau^n - 1) / (tau^n + 1) = tanh(n s / 2),   s = log tau > 1,
+    a_n = (tau^n - 1) / (tau^n + 1) = tanh(n s / 2),   s = log tau > 0,
 
 an inner function fixing 0 whose only boundary singularities are +-1.
 The scale parameter tau is pinned to the attracting multiplier 2*alpha of the
 companion maps exp(alpha*(z - 1/z)) and 2*alpha*sin(z) through the defining
 equation
 
-    B'(0) = prod_{n>=1} a_n^2 = 2*alpha,
+    B'(0) = prod_{n>=1} a_n^2 = theta_4(e^-s)^2 = 2*alpha,
 
-which is forced by conjugacy invariance of fixed-point multipliers.  The left
-side is strictly increasing in s with limits 0 and 1, so the solution is
-unique for every alpha in (0, 1/2).
+which is forced by conjugacy invariance of fixed-point multipliers; the
+middle equality is Gauss's product for theta_4.  The left side is strictly
+increasing in s with limits 0 and 1, so the solution is unique for every
+alpha in (0, 1/2).  ``solve_tau`` finds it by Newton's method on the log of
+the theta series (``log_multiplier``).
 
 B is evaluated as a theta quotient in the Cayley coordinate.  With
 zeta = (1 + z)/(1 - z) the Jacobi triple product (DLMF 20.5) gives
@@ -45,50 +47,58 @@ from functools import cached_property
 
 import numpy as np
 
-from . import map_zoo
-from .errors import FatouLabError, NoSignChange, OutOfRange, TooCloseToSingularity
+from . import BLASCHKE
+from .errors import FatouLabError, OutOfRange, TooCloseToSingularity
 
 TWO_PI = 2.0 * math.pi
-
-BLASCHKE = "blaschke"  # JSON kind of the product's boundary map
 
 
 @dataclass(frozen=True)
 class TauSolution:
-    """Root of prod tanh^2(n s / 2) = 2 alpha."""
+    """Root of theta_4(e^-s)^2 = 2 alpha."""
 
     alpha: float
     tau: float
     s: float
     residual: float
-    product_terms_used: int
 
 
-def _product_terms(s: float) -> int:
-    # |2 log tanh(n s / 2)| ~ 4 exp(-n s); 42/s terms push the log-tail
-    # below ~1e-17.  Capped for brackets probing very small s, where only the
-    # sign of log P matters.
-    return min(int(math.ceil(42.0 / s)) + 8, 60_000)
+def log_multiplier(s: float) -> tuple:
+    """(L, dL/ds) for L(s) = log theta_4(e^-s)^2 = log B'(0) at scale s.
 
-
-def log_multiplier_product(s: float) -> float:
-    """log prod_{n=1..N} tanh^2(n s / 2), evaluated as a sum of logs.
-
-    Working in log space keeps small-s evaluations (where the raw product
-    underflows to 0) exact enough for sign tests during bisection.
+    theta_4(e^-s) is 1 + 2 sum_{n>=1} (-1)^n e^(-n^2 s) for s >= 1 and, by
+    Jacobi's imaginary transformation (DLMF 20.7), sqrt(pi/s) theta_2(p) =
+    2 sqrt(pi/s) p^(1/4) (1 + sum_{n>=1} p^(n(n+1))), p = e^(-pi^2/s), below,
+    whose log neither cancels nor underflows as s -> 0.  Seven terms of either
+    series leave a tail below 1e-18.
     """
-    if s <= 0:
-        raise OutOfRange(f"log_multiplier_product requires s > 0, got {s}")
-    k = np.arange(1, _product_terms(s) + 1, dtype=np.float64)
-    return float(2.0 * np.log(np.tanh(k * (s / 2.0))).sum())
+    if not s > 0:
+        raise OutOfRange(f"log_multiplier requires s > 0, got {s}")
+    x = dx = 0.0
+    if s >= 1.0:
+        for n in range(7, 0, -1):
+            term = math.exp(-n * n * s) * (-1.0) ** n
+            x += 2.0 * term
+            dx -= 2.0 * n * n * term
+        return 2.0 * math.log1p(x), 2.0 * dx / (1.0 + x)
+    c = math.pi ** 2 / s
+    for n in range(7, 0, -1):
+        term = math.exp(-n * (n + 1) * c)
+        x += term
+        dx += n * (n + 1) * term
+    return (math.log(4.0 * math.pi / s) - 0.5 * c + 2.0 * math.log1p(x),
+            (0.5 * c - 1.0 + 2.0 * c * dx / (1.0 + x)) / s)
 
 
-def solve_tau(alpha: float, tol: float = 1e-12,
-              bracket: tuple = (1e-6, 60.0)) -> TauSolution:
-    """Solve for s = log tau with prod tanh^2(n s/2) = 2 alpha, by bisection.
+def solve_tau(alpha: float, tol: float = 1e-12) -> TauSolution:
+    """Solve theta_4(e^-s)^2 = 2 alpha for s = log tau, by Newton's method on
+    L(s) = log(2 alpha).
 
-    The equation's left side is strictly increasing in s with limits 0 and 1,
-    so the root is unique; any bracket containing it gives the same answer.
+    L is concave and increases from -inf to 0, so the root is unique and
+    Newton's iterates left of it climb to it.  A step that leaves the bracket
+    that the signs of L - log(2 alpha) have set is replaced by its midpoint;
+    the iteration stops when an iterate repeats, within 3 ulps of the root
+    (tests/test_blaschke.py checks it against a 50-digit root).
     """
     alpha = float(alpha)
     if not 0.0 < alpha < 0.5:
@@ -96,24 +106,18 @@ def solve_tau(alpha: float, tol: float = 1e-12,
     if not tol > 0:
         raise OutOfRange(f"solve_tau requires tol > 0, got {tol}")
     target = math.log(2.0 * alpha)
-
-    def g(s):
-        return log_multiplier_product(s) - target
-
-    lo, hi = float(bracket[0]), float(bracket[1])
-    try:
-        s = map_zoo.bisect(g, lo, hi, tol=1e-15)
-    except NoSignChange as exc:
-        raise NoSignChange(
-            f"bracket {bracket} does not contain the root for alpha={alpha}"
-        ) from exc
-    residual = abs(math.exp(log_multiplier_product(s)) - 2.0 * alpha)
+    lo, hi, s = 0.0, math.inf, 1.0
+    seen = set()
+    while s not in seen:
+        seen.add(s)
+        value, slope = log_multiplier(s)
+        lo, hi = (s, hi) if value < target else (lo, s)
+        step = s - (value - target) / slope
+        s = step if lo <= step <= hi else 0.5 * (lo + hi)
+    residual = abs(math.exp(log_multiplier(s)[0]) - 2.0 * alpha)
     if residual > tol:
-        raise OutOfRange(
-            f"bisection residual {residual:.3g} exceeds requested tol {tol:.3g}"
-        )
-    return TauSolution(alpha=alpha, tau=math.exp(s), s=s,
-                       residual=residual, product_terms_used=_product_terms(s))
+        raise OutOfRange(f"Newton residual {residual:.3g} exceeds requested tol {tol:.3g}")
+    return TauSolution(alpha=alpha, tau=math.exp(s), s=s, residual=residual)
 
 
 def _saturation_horizon(s: float) -> int:
@@ -151,13 +155,10 @@ class BlaschkeProduct:
     zeros: np.ndarray
 
     @classmethod
-    def from_tau(cls, ts: TauSolution) -> "BlaschkeProduct":
+    def from_alpha(cls, alpha: float) -> "BlaschkeProduct":
+        ts = solve_tau(alpha)
         zeros = np.tanh(np.arange(1, _saturation_horizon(ts.s) + 1) * (ts.s / 2.0))
         return cls(alpha=ts.alpha, tau=ts.tau, s=ts.s, zeros=zeros)
-
-    @classmethod
-    def from_alpha(cls, alpha: float) -> "BlaschkeProduct":
-        return cls.from_tau(solve_tau(alpha))
 
     @property
     def horizon(self) -> int:
@@ -194,12 +195,9 @@ def required_terms(B: BlaschkeProduct, z, target_err: float):
 
 
 def derivative_at_zero(B: BlaschkeProduct) -> float:
-    """B'(0) = prod a_n^2 over every zero, accumulated in log space.
-
-    Equals 2*alpha up to the tau-solve residual, far below 1e-10: the
-    factors past the saturation horizon are exactly 1.
-    """
-    return float(math.exp(2.0 * np.log(B.zeros).sum()))
+    """B'(0) = prod a_n^2 = theta_4(e^-s)^2, from the theta series: 2*alpha
+    up to the tau-solve residual."""
+    return math.exp(log_multiplier(B.s)[0])
 
 
 # ---------------------------------------------------------------------------

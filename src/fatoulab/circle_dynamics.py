@@ -30,8 +30,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from . import blaschke as _bl
-from . import map_zoo
+from . import BLASCHKE, _lazy_import, map_zoo
 from .errors import (
     EmptyInput,
     OriginNotFixed,
@@ -44,8 +43,9 @@ TWO_PI = 2.0 * math.pi
 DEFAULT_GRID = 2 ** 14 + 1
 DEFAULT_CELLS = 2 ** 14  # reference-grid resolution for cover measurement
 
+_bl = _lazy_import(f"{__package__}.blaschke")  # executed by a Blaschke map alone
 # a circle map: a MapSpec of one of _CIRCLE_KINDS, or the infinite product
-BoundaryMap = Union[map_zoo.MapSpec, _bl.BlaschkeProduct]
+BoundaryMap = Union[map_zoo.MapSpec, "_bl.BlaschkeProduct"]
 
 
 def rotation_map(theta: float) -> map_zoo.MapSpec:
@@ -76,7 +76,7 @@ def circle_map_from_dict(obj: dict) -> BoundaryMap:
     ``map_zoo.spec_from_dict`` reads, or ``{"kind": "blaschke", "alpha": a}``."""
     with map_zoo.malformed_json("map JSON"):
         kind = obj["kind"]
-        if kind == _bl.BLASCHKE:
+        if kind == BLASCHKE:
             return _bl.BlaschkeProduct.from_alpha(
                 map_zoo.real(obj.get("params", obj)["alpha"], "alpha"))
         if kind not in _CIRCLE_KINDS:
@@ -91,7 +91,7 @@ def circle_map_from_dict(obj: dict) -> BoundaryMap:
 
 def fixes_origin(cmap: BoundaryMap) -> bool:
     """Whether the disk extension of the boundary map fixes 0."""
-    if cmap.kind == _bl.BLASCHKE:
+    if cmap.kind == BLASCHKE:
         return True
     origin = np.zeros(1, dtype=np.complex128)
     # a Mobius map with its pole at 0 gives inf or nan here, not 0
@@ -103,7 +103,7 @@ def derivative_at_zero_modulus(cmap: BoundaryMap) -> float:
     """|g'(0)| of the disk extension, for maps fixing the origin."""
     if not fixes_origin(cmap):
         raise OriginNotFixed(f"{cmap.kind} map does not fix the disk origin")
-    if cmap.kind == _bl.BLASCHKE:
+    if cmap.kind == BLASCHKE:
         return _bl.derivative_at_zero(cmap)
     return abs(map_zoo.derivative(cmap, 0j))
 
@@ -123,7 +123,7 @@ def apply_map(cmap: BoundaryMap, thetas):
     """
     th = np.atleast_1d(np.asarray(thetas, dtype=np.float64))
     k = cmap.kind
-    if k == _bl.BLASCHKE:
+    if k == BLASCHKE:
         # unreduced: reducing here too would take -1e-20 to 2 pi, which
         # circle_eval_many reduces to the singular angle 0
         out = _bl.circle_eval_many(cmap, th)
@@ -162,7 +162,7 @@ def iterate(cmap: BoundaryMap, theta0: float, n: int) -> np.ndarray:
     """
     if n < 1:
         raise OutOfRange(f"iterate requires n >= 1, got {n}")
-    if cmap.kind == _bl.BLASCHKE:
+    if cmap.kind == BLASCHKE:
         return _bl.circle_orbit(cmap, float(theta0), n)
     step = _step if cmap.kind in _SCALAR_KINDS else apply_map
     out = np.empty(n, dtype=np.float64)
@@ -248,7 +248,7 @@ def _uniform_image(cmap: BoundaryMap, n_samples: int, seed: int) -> np.ndarray:
         streams = np.arange(lo, hi, dtype=np.uint64)
         block = TWO_PI * uniform01(seed, streams, 0)
         step = 1
-        while cmap.kind == _bl.BLASCHKE and not block.all():
+        while cmap.kind == BLASCHKE and not block.all():
             # the product is singular at theta = 0 exactly, which a draw hits
             # with probability 2^-53 (and seed 0 at index 0): redraw those at
             # the next step of their streams
@@ -322,7 +322,7 @@ def arc_spread(maps: Union[BoundaryMap, Sequence[BoundaryMap]], arc: tuple,
         raise OutOfRange(f"grid must be >= 2^10, got {grid}")
     if n_max < 1:
         raise OutOfRange(f"n_max must be >= 1, got {n_max}")
-    single = isinstance(maps, (map_zoo.MapSpec, _bl.BlaschkeProduct))
+    single = hasattr(maps, "kind")  # a map, not a sequence of maps
     seq = None if single else list(maps)
     limit = n_max if single else min(n_max, len(seq))
 

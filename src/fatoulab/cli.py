@@ -11,7 +11,6 @@ Exit codes: 0 success, 1 argument/validation error, 2 runtime error.
 from __future__ import annotations
 
 import argparse
-import importlib.util
 import json
 import math
 import os
@@ -21,24 +20,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import BLASCHKE, __version__, _lazy_import
 from .errors import FatouLabError, OutOfRange
 from .histograms import ArcHistogram, bin_angles, count_arcs, csv_chunks, to_csv_text
 from .rng import chunks, uniform01
-
-
-def _lazy_import(name: str):
-    """The module ``name``: the one already imported, or else one placed in
-    sys.modules now and executed on first attribute access
-    (importlib.util.LazyLoader)."""
-    if name in sys.modules:
-        return sys.modules[name]
-    spec = importlib.util.find_spec(name)
-    spec.loader = importlib.util.LazyLoader(spec.loader)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    return module
 
 
 # each command executes only the modules it uses: a process without cached
@@ -295,7 +280,7 @@ def _cmd_circle_stats(args) -> int:
         raise OutOfRange(f"orbit length must be >= 1, got {args.n}")
     seed = _make_seed(args)
     cmap = _circle_map(args)
-    if cmap.kind == blaschke.BLASCHKE and blaschke.singular_angle(args.theta0):
+    if cmap.kind == BLASCHKE and blaschke.singular_angle(args.theta0):
         raise OutOfRange("the start angle is the Blaschke map's singularity at +1 "
                          "(0 mod 2 pi, or below ~1.1e-308 above it)")
     orbit = circle_dynamics.iterate(cmap, args.theta0, args.n)

@@ -8,7 +8,7 @@ from fatoulab import blaschke as bl
 from fatoulab.errors import FatouLabError, OutOfRange, TooCloseToSingularity
 
 # Golden s = log(tau) values from a 40-digit bisection oracle (mpmath,
-# 400-term log-space products); see test_solve_tau_against_mpmath_oracle
+# 400-term log-space products); see test_solve_tau_against_mpmath_theta_root
 # for the live recomputation.
 GOLDEN_S = {
     0.1: 1.2631017405342246,
@@ -26,32 +26,43 @@ def test_solve_tau_against_frozen_goldens(alpha, s_golden):
     assert abs(ts.tau - math.exp(s_golden)) < 1e-12 * math.exp(s_golden)
 
 
-def test_solve_tau_against_mpmath_oracle():
-    mp_mod = pytest.importorskip("mpmath")
-    mp = mp_mod.mp
-    mp.dps = 30
+def _mp_log_multiplier(s):
+    """log theta_4(e^-s)^2 at the working precision, through Jacobi's
+    imaginary transformation theta_4(e^-s) = sqrt(pi/s) theta_2(e^(-pi^2/s))
+    for s < 1, where the theta_4 series converges slowly."""
+    import mpmath
 
-    def log_p(s, terms=300):
-        return sum(2 * mp_mod.log(mp_mod.tanh(n * s / 2)) for n in range(1, terms + 1))
+    s = mpmath.mpf(s)
+    if s < 1:
+        p = mpmath.exp(-mpmath.pi ** 2 / s)
+        return 2 * mpmath.log(mpmath.sqrt(mpmath.pi / s) * mpmath.jtheta(2, 0, p))
+    return 2 * mpmath.log(mpmath.jtheta(4, 0, mpmath.exp(-s)))
 
-    for alpha in (0.17, 0.4):
-        target = mp_mod.log(2 * mp_mod.mpf(alpha))
-        lo, hi = mp_mod.mpf("0.1"), mp_mod.mpf("40")
-        for _ in range(120):
+
+def _ulps(a: float, b: float) -> int:
+    """Doubles from a to b, for a and b of one sign."""
+    return abs(int(np.float64(a).view(np.int64)) - int(np.float64(b).view(np.int64)))
+
+
+@pytest.mark.parametrize("alpha", [1e-300, 1e-8, 0.1, 0.25, 0.4, 0.49, 0.4999, 0.5 - 1e-12])
+def test_solve_tau_against_mpmath_theta_root(alpha):
+    # the root of theta_4(e^-s)^2 = 2 alpha to 50 digits, by bisection on
+    # [1e-3, 40]; the solver is within 3 ulps of it at every alpha, from
+    # 1e-300 (s = 0.0071) to 1e-12 below 1/2 (s = 28.3)
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        target = mpmath.log(2 * mpmath.mpf(alpha))
+        lo, hi = mpmath.mpf("1e-3"), mpmath.mpf(40)
+        for _ in range(190):
             mid = (lo + hi) / 2
-            if log_p(mid) < target:
+            if _mp_log_multiplier(mid) < target:
                 lo = mid
             else:
                 hi = mid
-        s_oracle = float((lo + hi) / 2)
-        ts = bl.solve_tau(alpha)
-        assert abs(ts.s - s_oracle) < 1e-12 * s_oracle
-
-
-def test_solve_tau_bracket_independence():
-    a = bl.solve_tau(0.25, bracket=(1e-6, 50.0))
-    b = bl.solve_tau(0.25, bracket=(1e-3, 10.0))
-    assert abs(a.s - b.s) < 1e-10
+        root = float((lo + hi) / 2)
+    ts = bl.solve_tau(alpha)
+    assert _ulps(ts.s, root) <= 3
+    assert ts.tau == math.exp(ts.s)
 
 
 def test_solve_tau_monotone_in_alpha():
@@ -68,11 +79,34 @@ def test_solve_tau_validation():
             bl.solve_tau(0.4, tol=tol)
 
 
-def test_log_product_small_s_no_underflow():
-    # raw product underflows at s this small; the log form must stay finite
-    val = bl.log_multiplier_product(0.01)
+def test_log_multiplier_small_s_no_underflow():
+    # the product theta_4(e^-s)^2 underflows at s this small; its log stays
+    # finite and meets the oracle
+    mpmath = pytest.importorskip("mpmath")
+    val, _slope = bl.log_multiplier(0.01)
     assert math.isfinite(val)
     assert val < -400.0
+    with mpmath.workdps(50):
+        assert abs(val - float(_mp_log_multiplier(0.01))) <= 2e-16 * abs(val)
+
+
+@pytest.mark.parametrize("s", [1e-3, 0.3, np.nextafter(1.0, 0.0), 1.0, 2.9, 12.0, 38.0])
+def test_log_multiplier_and_slope_against_mpmath(s):
+    # both series, on each side of their switch at s = 1, and the slope that
+    # Newton's method steps with
+    mpmath = pytest.importorskip("mpmath")
+    val, slope = bl.log_multiplier(s)
+    with mpmath.workdps(50):
+        want = _mp_log_multiplier(s)
+        want_slope = mpmath.diff(_mp_log_multiplier, mpmath.mpf(s))
+    assert abs(val - float(want)) <= 4e-16 * abs(float(want))
+    assert abs(slope - float(want_slope)) <= 4e-16 * abs(float(want_slope))
+
+
+def test_log_multiplier_validation():
+    for bad in (0.0, -1.0, math.nan):
+        with pytest.raises(OutOfRange, match="s > 0"):
+            bl.log_multiplier(bad)
 
 
 def test_zero_sequence_structure():
@@ -124,6 +158,15 @@ def test_eval_array_matches_scalar():
 def test_derivative_at_zero_multiplier(alpha):
     B = bl.BlaschkeProduct.from_alpha(alpha)
     assert abs(bl.derivative_at_zero(B) - 2.0 * alpha) < 1e-10
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.25, 0.4, 0.4999])
+def test_derivative_at_zero_is_the_product_of_the_zeros(alpha):
+    # Gauss's identity prod tanh^2(n s / 2) = theta_4(e^-s)^2: the product
+    # over the zeros, which the tables' first-use check evaluates, meets the
+    # theta series that derivative_at_zero sums
+    B = bl.BlaschkeProduct.from_alpha(alpha)
+    assert _ulps(math.exp(2.0 * np.log(B.zeros).sum()), bl.derivative_at_zero(B)) <= 4
 
 
 def test_derivative_at_zero_finite_difference():

@@ -667,7 +667,7 @@ GOLDEN_RUNS = {
                                                         height=2.0)),
 }
 GOLDEN_DIGESTS = {
-    "tau": "af4cc32d9ca5d71c",
+    "tau": "c57bae681053d8e9",
     "verify-semiconj": "cb2aa1e7574e3ae1",
     "blaschke-eval": "7381c014cab2810e",
     "blaschke-eval-excluded": "66a9578c8abf25c8",

@@ -2,7 +2,7 @@
 and every module-level private name is used somewhere in the package.
 
 Checked with the standard library's ``ast``, so no linter is needed.  The
-last test checks which modules ``import fatoulab.cli`` and three of its
+last test checks which modules ``import fatoulab.cli`` and five of its
 commands execute.
 """
 
@@ -158,7 +158,12 @@ _COMMAND_MODULES = {
                  {"harmonic"}, {"blaschke", "circle_dynamics", "renderer"}),
     "circle-stats": (["circle-stats", "--map", '{"kind": "blaschke", "alpha": 0.4}',
                       "--n", "100", "--seed", "1"],
-                     {"circle_dynamics"}, {"covering", "harmonic", "renderer"}),
+                     {"blaschke", "circle_dynamics"}, {"covering", "harmonic", "renderer"}),
+    "spread": (["spread", "--map", '{"kind": "rotation", "theta": 1.0}', "--arc", "1.0,0.01",
+                "--n-max", "3"],
+               {"circle_dynamics", "map_zoo"}, {"blaschke", "covering", "harmonic", "renderer"}),
+    "tau": (["tau", "--alpha", "0.4"],
+            {"blaschke"}, {"circle_dynamics", "covering", "harmonic", "map_zoo", "renderer"}),
 }
 
 
