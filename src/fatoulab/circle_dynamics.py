@@ -10,7 +10,7 @@ one of the circle kinds or a ``blaschke.BlaschkeProduct``; both carry a
 that land exactly on +-1 (``TooCloseToSingularity``).  ``apply_map`` maps
 an array of angles, a scalar as a one-element array; ``iterate`` steps a
 Blaschke orbit in ``blaschke.circle_orbit`` and a rotation or power orbit on
-Python floats (``_step``), with the bits of ``apply_map``.
+Python floats (``_angle_step``, which apply_map steps arrays with).
 
 Measure-theoretic notions (exactness, ergodicity) are not computable from
 finite data; this module provides the standard observable proxies instead:
@@ -108,10 +108,22 @@ def derivative_at_zero_modulus(cmap: BoundaryMap) -> float:
     return abs(map_zoo.derivative(cmap, 0j))
 
 
-# kinds whose orbits iterate advances with _step, on Python floats with the
-# bits of the array path; Mobius and finite Blaschke maps would need
+# kinds whose orbits iterate advances with _angle_step, on Python floats
+# with the bits of the array path; Mobius and finite Blaschke maps would need
 # CPython's complex division, which rounds differently from numpy's
 _SCALAR_KINDS = frozenset((map_zoo.ROTATION, map_zoo.POWER))
+
+
+def _angle_step(cmap: BoundaryMap, th):
+    """The image of th, a float or an array, under a rotation or a power
+    map: iterate's step on floats, apply_map's on arrays.  With the angle
+    of rotation_map, in [0, 2 pi), every % after the first has non-negative
+    operands, where it is the exact C fmod in CPython and numpy alike;
+    d*theta is exact for d = 2, so doubling orbits agree bit-for-bit with
+    fmod(2^n theta, 2 pi)."""
+    if cmap.kind == map_zoo.ROTATION:
+        return (th % TWO_PI + cmap.params[0]) % TWO_PI
+    return cmap.params[0] * (th % TWO_PI) % TWO_PI
 
 
 def apply_map(cmap: BoundaryMap, thetas):
@@ -127,28 +139,11 @@ def apply_map(cmap: BoundaryMap, thetas):
         # unreduced: reducing here too would take -1e-20 to 2 pi, which
         # circle_eval_many reduces to the singular angle 0
         out = _bl.circle_eval_many(cmap, th)
-    elif k == map_zoo.ROTATION:
-        out = np.fmod(th % TWO_PI + cmap.params[0], TWO_PI)
-    elif k == map_zoo.POWER:
-        # d*theta is exact for d = 2 and fmod is exact, so doubling orbits
-        # agree bit-for-bit with fmod(2^n theta, 2 pi)
-        out = np.fmod(cmap.params[0] * (th % TWO_PI), TWO_PI)
+    elif k in _SCALAR_KINDS:
+        out = _angle_step(cmap, th)
     else:
         out = np.angle(map_zoo.evaluate_many(cmap, np.exp(1j * (th % TWO_PI)))) % TWO_PI
     return float(out[0]) if np.ndim(thetas) == 0 else out
-
-
-def _step(cmap: BoundaryMap, th: float) -> float:
-    """apply_map of one float angle for a rotation or a power map, with the
-    array path's bits, minus numpy's per-call overhead: iterate's step.
-
-    math.fmod is the C fmod that np.fmod calls, and float % follows numpy's
-    sign rule.
-    """
-    th %= TWO_PI
-    if cmap.kind == map_zoo.ROTATION:
-        return math.fmod(th + cmap.params[0], TWO_PI)
-    return math.fmod(cmap.params[0] * th, TWO_PI)
 
 
 def iterate(cmap: BoundaryMap, theta0: float, n: int) -> np.ndarray:
@@ -164,7 +159,7 @@ def iterate(cmap: BoundaryMap, theta0: float, n: int) -> np.ndarray:
         raise OutOfRange(f"iterate requires n >= 1, got {n}")
     if cmap.kind == BLASCHKE:
         return _bl.circle_orbit(cmap, float(theta0), n)
-    step = _step if cmap.kind in _SCALAR_KINDS else apply_map
+    step = _angle_step if cmap.kind in _SCALAR_KINDS else apply_map
     out = np.empty(n, dtype=np.float64)
     th = float(theta0)
     for i in range(n):

@@ -305,7 +305,6 @@ def _cmd_circle_stats(args) -> int:
 def _cmd_spread(args) -> int:
     _module_defaults(args, circle_dynamics, "grid")
     start, length = (float(x) for x in args.arc.split(","))
-    _require_finite(arc_start=start, arc_length=length)
     cmap = _circle_map(args)
     report = circle_dynamics.arc_spread(cmap, (start, length), args.n_max,
                                         grid=args.grid)

@@ -103,7 +103,7 @@ def _check_orbit_contract(max_iter, tol, escape_radius, target) -> None:
     if not (0 < tol < math.inf and 1 < escape_radius < math.inf):
         raise OutOfRange(f"orbits need finite tol > 0 and escape_radius > 1, "
                          f"got {tol}, {escape_radius}")
-    if target not in (None, "default") and not cmath.isfinite(target):
+    if target is not None and not cmath.isfinite(target):
         raise OutOfRange(f"orbits need a finite target, got {target}")
 
 
@@ -117,9 +117,9 @@ def _steps_dtype(max_iter: int) -> np.dtype:
 class GridSpec:
     """Pixel grid over a rectangle of the plane, with orbit parameters.
 
-    ``tol`` is the attraction radius around an explicit ``target``; the map
-    kind's default target (``target`` None) is tested at max(tol, its
-    certified trapping radius), see the module docstring."""
+    ``tol`` is the attraction radius around an explicit ``target``; None
+    is the map kind's default target, tested at max(tol, its certified
+    trapping radius), see the module docstring."""
 
     center: complex
     width: float
@@ -129,7 +129,7 @@ class GridSpec:
     max_iter: int
     tol: float = DEFAULT_TOL
     escape_radius: float = DEFAULT_ESCAPE_RADIUS
-    target: Optional[complex] = None  # default chosen per map kind
+    target: Optional[complex] = None  # None: the kind's default target
 
     def __post_init__(self):
         if self.nx < 1 or self.ny < 1:
@@ -305,13 +305,14 @@ def _escape_time(orbits: _Orbits, max_iter: int) -> tuple:
 
 def _attraction_test(spec: map_zoo.MapSpec, tol, escape_radius, target) -> tuple:
     """(target, radius) of the kind's attraction test, or (None, None) for
-    none.  An explicit target is tested at radius tol.  ``"default"`` picks
-    the map's attracting fixed point p, tested at max(tol, r_trap), the
-    radius of its trapping disk (``map_zoo.trapping_disk``), from escape
-    radius 2 up: there no escape test fires in the disk, whose exp_baker
-    points lie in 1/2 <= |z| <= 3/2 (exponents' real parts within log 2 of
-    0) and whose sine_model points lie within 1 of 0."""
-    if target != "default":
+    none.  An explicit target is tested at radius tol.  None, the kind's
+    default, picks the map's attracting fixed point p, tested at max(tol,
+    r_trap), the radius of its trapping disk (``map_zoo.trapping_disk``),
+    from escape radius 2 up: there no escape test fires in the disk, whose
+    exp_baker points lie in 1/2 <= |z| <= 3/2 (exponents' real parts within
+    log 2 of 0) and whose sine_model points lie within 1 of 0; a map
+    without a disk gets no test."""
+    if target is not None:
         return target, tol
     disk = map_zoo.trapping_disk(spec)
     if disk is None:
@@ -412,8 +413,9 @@ _KINDS = {map_zoo.EXP_BAKER: _exp_baker, map_zoo.SINE_MODEL: _sine,
 def classify_points(spec: map_zoo.MapSpec, points, max_iter: int,
                     tol: float = DEFAULT_TOL,
                     escape_radius: float = DEFAULT_ESCAPE_RADIUS,
-                    target: Optional[complex] = "default", reciprocals=None):
-    """Classify arbitrary start points under the grid orbit contract.
+                    target: Optional[complex] = None, reciprocals=None):
+    """Classify arbitrary start points under the grid orbit contract;
+    ``target`` None is the kind's default target (see _attraction_test).
 
     For exp_baker, ``reciprocals`` optionally supplies the second member of
     each iteration pair; by default it is 1/points.  Passing a swapped pair
@@ -519,42 +521,39 @@ def classify_grid(spec: map_zoo.MapSpec, grid: GridSpec,
     exp_baker, whose orbits then classify z0 and -z0 together, and for
     sine_model and mcmullen with m and l of equal parity, whose -z0 gets
     the verdict and step of z0, when the target is the default or 0.
-    Each block's results are written with their images under both
-    symmetries as the block finishes.
+    A block writes its results at its own pixels, and exp_baker's -z0 at
+    theirs, so no two workers write one pixel; after the pool, slice copies
+    fill the other kinds' reflections, then the top right rows and the rows
+    below the axis from their conjugates.
     """
-    target = grid.target if grid.target is not None else "default"
     ny, nx = grid.ny, grid.nx
     verdict = np.empty((ny, nx), dtype=np.uint8)
     steps = np.empty((ny, nx), dtype=_steps_dtype(grid.max_iter))
     mirrored, reflected = _symmetries(spec, grid)
     top = ny - ny // 2 if mirrored else ny
     left = nx - nx // 2 if reflected else nx
-    # the iterated rows whose conjugates, and columns whose reflections,
-    # are not iterated: the first ny - top and nx - left
-    conj, twins = ny - top, nx - left
+    twins = nx - left  # the first twins columns reflect onto columns not iterated
+    paired = spec.kind == map_zoo.EXP_BAKER and twins > 0
 
     def store(start, stop, v, s):
         for r0, r1, c0, c1 in _rectangles(start, stop, left):
             o, shape = r0 * left + c0 - start, (r1 - r0, c1 - c0)
-            m, t = max(0, min(r1, conj) - r0), max(0, min(c1, twins) - c0)
-            conj_rows, cols = slice(ny - r0 - m, ny - r0), slice(nx - c0 - t, nx - c0)
+            t = max(0, min(c1, twins) - c0)
             for out, got in ((verdict, v), (steps, s)):
                 got = got[:, o:o + shape[0] * shape[1]].reshape(len(got), *shape)
-                # the last slot is -z0's, here flipped to run left to right
-                mine, twin = got[0], got[-1, :, :t][:, ::-1]
-                out[r0:r1, c0:c1] = mine
-                if mirrored:
-                    out[r0:r1, cols] = twin
-                else:
-                    out[ny - r1:ny - r0, cols] = twin[::-1]
-                out[conj_rows, c0:c1] = mine[:m][::-1]
-                out[conj_rows, cols] = twin[:m][::-1]
+                out[r0:r1, c0:c1] = got[0]
+                if paired:  # -z0's slot, for the columns < twins
+                    out[ny - r1:ny - r0, nx - c0 - t:nx - c0] = got[1, ::-1, :t][:, ::-1]
 
     radius = _classify_blocks(
         spec, top * left,
         lambda start, stop, scratch: _centers(grid, left, start, stop, scratch),
-        store, grid.max_iter, grid.tol, grid.escape_radius, target, None,
-        spec.kind == map_zoo.EXP_BAKER and twins > 0, threads)
+        store, grid.max_iter, grid.tol, grid.escape_radius, grid.target, None, paired, threads)
+    for out in (verdict, steps):
+        if reflected and not paired:  # -z0 has the verdict and step of z0
+            out[::-1, ::-1][:top, :twins] = out[:top, :twins]
+        out[:ny - top, left:] = out[top:, left:][::-1]  # top right from the conjugates
+        out[top:] = out[:ny - top][::-1]  # the rows below the axis
     return ClassifiedGrid(grid, verdict, steps, radius)
 
 

@@ -148,7 +148,7 @@ def _classify_one(spec, z0, max_iter, escape_radius):
 def _steps_to_attraction(spec, z0, escape_radius):
     """The first k at which the orbit of z0, iterated with the scalar
     evaluator, lies inside the radius of the kind's attraction test."""
-    target, radius = rd._attraction_test(spec, rd.DEFAULT_TOL, escape_radius, "default")
+    target, radius = rd._attraction_test(spec, rd.DEFAULT_TOL, escape_radius, None)
     z, k = complex(z0), 0
     while abs(z - target) >= radius:
         z, k = mz.evaluate(spec, z), k + 1

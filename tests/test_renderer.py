@@ -161,6 +161,10 @@ _KERNEL_GRIDS = [
     # centered at 0 with odd nx and ny: the top-left 41 x 48 pixels are
     # iterated, in blocks that straddle the rows of that quadrant
     (mz.exp_baker(0.4), rd.GridSpec(0.0j, 6.0, 5.0, 95, 81, 120), (0.0j, 1.0)),
+    # centered at 0 and not paired, with even and with odd sides: the
+    # reflection and both mirror copies fill the pixels not iterated
+    (mz.sine_model(0.4), _grid(0.0j, 8.0, 96, max_iter=120), (0.0j, 0.5)),
+    (mz.mcmullen(3, 3, 0.1), _grid(0.0j, 2.0, 95, max_iter=120), (0.0j, 0.5)),
 ]
 
 
@@ -259,10 +263,9 @@ def test_pixel_alone_matches_the_grid(spec, grid):
     # mirrored row that differs from its pixels iterated alone shows too
     ref = rd.classify_grid(spec, grid)
     assert len(np.unique(ref.verdict)) > 1
-    target = "default" if grid.target is None else grid.target
     for j, z0 in enumerate(grid.points().ravel()):
         v, s = rd.classify_points(spec, [z0], grid.max_iter, tol=grid.tol,
-                                  escape_radius=grid.escape_radius, target=target)
+                                  escape_radius=grid.escape_radius, target=grid.target)
         assert (v[0], s[0]) == (ref.verdict.flat[j], ref.steps.flat[j]), (j, z0)
 
 
@@ -285,9 +288,8 @@ def test_unsymmetric_zero_grids_are_not_reflected(spec, grid):
     ref = rd.classify_grid(spec, grid)
     left = grid.nx - grid.nx // 2
     z0 = grid.points()[::-1, ::-1][:, left:]
-    target = "default" if grid.target is None else grid.target
     v, s = rd.classify_points(spec, -z0 if spec.kind == mz.EXP_BAKER else z0, grid.max_iter,
-                              tol=grid.tol, target=target)
+                              tol=grid.tol, target=grid.target)
     assert not (np.array_equal(v, ref.verdict[:, left:].ravel())
                 and np.array_equal(s, ref.steps[:, left:].ravel()))
     if spec.kind != mz.EXP_BAKER:
@@ -566,13 +568,13 @@ def test_attraction_radius_is_tol_without_a_trap(kind):
     for alpha in (0.5, 0.6, -0.5, 0.45 + 0.3j):
         spec = mz.MapSpec(kind, (alpha,))
         assert mz.trapping_disk(spec)[1] == 0.0
-        assert rd._attraction_test(spec, tol, rd.DEFAULT_ESCAPE_RADIUS, "default")[1] == tol
+        assert rd._attraction_test(spec, tol, rd.DEFAULT_ESCAPE_RADIUS, None)[1] == tol
     spec = mz.MapSpec(kind, (0.4,))
     point = mz.trapping_disk(spec)[0]
     assert rd._attraction_test(spec, tol, rd.DEFAULT_ESCAPE_RADIUS, point) == (point, tol)
-    assert rd._attraction_test(spec, tol, 1.5, "default") == (point, tol)
+    assert rd._attraction_test(spec, tol, 1.5, None) == (point, tol)
     # a tol beyond the trap radius is kept
-    assert rd._attraction_test(spec, 0.9, rd.DEFAULT_ESCAPE_RADIUS, "default") == (point, 0.9)
+    assert rd._attraction_test(spec, 0.9, rd.DEFAULT_ESCAPE_RADIUS, None) == (point, 0.9)
     grid = rd.classify_grid(spec, _grid(0.3 + 0.2j, 1.0, 3, max_iter=5))
     assert grid.attraction_radius > tol
     assert rd.classify_grid(mz.mcmullen(2, 2, 1e-4), _grid(0.3j, 1.0, 3)).attraction_radius is None
