@@ -27,10 +27,12 @@ refilled with the next walk as soon as its walk exits or stalls.
 A jump of radius d in direction 2πu is added as d·cos 2πu to the real part
 and d·sin 2πu to the imaginary part of the position.  ``_cos_sin_2pi``
 computes the pair in real IEEE arithmetic alone, with no libm call and no
-complex product: u is reduced by quarter turns exactly and a polynomial
-does the rest.  numpy's real ufuncs never fuse multiply-adds, so a walk run
+complex product: 256u is split exactly into a table cell and a remainder,
+and the cell's correctly rounded cos and sin are rotated by two short
+polynomials.  numpy's real ufuncs never fuse multiply-adds, so a walk run
 in a pool of one lane takes the same steps, bit for bit, as in a pool of
-``rng.CHUNK`` lanes.
+``rng.CHUNK`` lanes, at any SIMD level numpy dispatches.  Exits are binned
+in batches of up to ``EXIT_BATCH`` points, gathered over several steps.
 """
 
 from __future__ import annotations
@@ -54,15 +56,41 @@ from .rng import derive_seed, stream_keys, uniform01
 
 TWO_PI = 2.0 * math.pi
 
-# Taylor coefficients of sin(πs/2)/s and of cos(πs/2) in powers of s², for
-# |s| <= 1/2: the first term left out is below 1e-17
-_SIN_HALF_PI = tuple((-1) ** k * (math.pi / 2) ** (2 * k + 1) / math.factorial(2 * k + 1)
-                     for k in range(9))
-_COS_HALF_PI = tuple((-1) ** k * (math.pi / 2) ** (2 * k) / math.factorial(2 * k)
-                     for k in range(9))
-# cos and sin of q quarter turns, q = 0..4
-_COS_QUARTER = np.array([1.0, 0.0, -1.0, 0.0, 1.0])
-_SIN_QUARTER = np.array([0.0, 1.0, 0.0, -1.0, 0.0])
+# the jump splits a turn into _CELLS cells
+_CELLS = 256
+
+
+def _cell_table():
+    """cos and sin of 2πk/_CELLS for k = 0.._CELLS, each correctly rounded.
+
+    In 2^-128 fixed point: one cell's cos and sin from their Taylor series,
+    the first quarter turn by repeated rotation through one cell, and the
+    others by exact quarter-turn rotations, so the quarter turns are exactly
+    0 and ±1.  Python's int / int division rounds correctly.
+    """
+    one = 1 << 128
+    h = 0x3_243F6A88_85A308D3_13198A2E_03707344 // (_CELLS // 2)  # π·one, hex digits
+    term, n, acc = one, 0, [0, 0, 0, 0]
+    while term:  # h^n / n! goes to acc[n % 4]
+        acc[n % 4] += term
+        n += 1
+        term = term * h // (n * one)
+    (ch, sh), series = (acc[0] - acc[2], acc[1] - acc[3]), [(one, 0)]
+    while len(series) < _CELLS // 4:
+        c, s = series[-1]
+        series.append(((c * ch - s * sh) // one, (s * ch + c * sh) // one))
+    for _ in range(3):
+        series += [(-s, c) for c, s in series[-(_CELLS // 4):]]
+    series.append(series[0])
+    return np.array([c / one for c, _ in series]), np.array([s / one for _, s in series])
+
+
+_COS_CELL, _SIN_CELL = _cell_table()
+# Taylor coefficients in r of sin(hr) and of cos(hr) - 1, h = 2π/_CELLS,
+# lowest first: at |r| <= 1/2 the first terms left out are below 1e-17
+_H = TWO_PI / _CELLS
+_SIN_POLY = (_H, -_H ** 3 / 6, _H ** 5 / 120)
+_COS_POLY = (-_H ** 2 / 2, _H ** 4 / 24, -_H ** 6 / 720)
 
 ANNULUS = "annulus"
 CHAMPAGNE_DISK = "champagne_disk"
@@ -70,6 +98,8 @@ CHAMPAGNE_DISK = "champagne_disk"
 DEFAULT_STEP_CAP = 100_000
 DEFAULT_N_BINS = 64
 STALL_GATE = 1e-3
+# exits binned at once, at most: a narrower pool bins one pool's worth
+EXIT_BATCH = 4096
 
 
 @dataclass(frozen=True)
@@ -103,14 +133,16 @@ class DomainOracle:
     def diameter(self) -> float:
         return 2.0 * self.r_out if self.kind == ANNULUS else 2.0
 
-    def distance(self, z):
+    def distance(self, z, out=None):
         """Distance from each point of the complex array ``z`` to the
-        boundary; negative outside the domain."""
+        boundary, written into the float64 array ``out`` if given; negative
+        outside the domain."""
         z = np.asarray(z, dtype=np.complex128)
+        d = np.abs(z, out=out)
         if self.kind == ANNULUS:
-            r = np.abs(z)
-            return np.minimum(self.r_out - r, r - self.r_in)
-        d = 1.0 - np.abs(z)
+            inner = d - self.r_in
+            return np.minimum(np.subtract(self.r_out, d, out=d), inner, out=d)
+        np.subtract(1.0, d, out=d)
         for c, r in self.bubbles:
             d_bub = np.abs(z - c)
             d_bub -= r
@@ -201,40 +233,41 @@ class WalkResult:
         }
 
 
-def _cos_sin_2pi(u, work, quadrant):
+def _cos_sin_2pi(u, work):
     """cos 2πu and sin 2πu for the float64 array ``u`` of values in [0, 1).
 
-    Returns views of rows 0 and 1 of ``work``, a (4, u.size) float64 array;
-    its other rows, the intp array ``quadrant`` and ``u`` itself are
-    overwritten.  With 4u = q + s, q = rint(4u) in 0..4 and |s| <= 1/2 (both
-    exact), the angle is (π/2)(q + s): the polynomials give the cos and sin
-    of (π/2)s, and q quarter turns rotate them by exact swaps and sign flips.
-    Within one unit in the last place of 1 of the exact cos and sin of 2πu.
+    Returns views of rows 0 and 3 of ``work``, a (5, u.size) float64 array
+    whose other rows and ``u`` are overwritten.  With _CELLS·u = k + r, k =
+    rint(_CELLS·u) in 0.._CELLS and |r| <= 1/2 (both exact), the tables give
+    ct, st = cos, sin 2πk/_CELLS and the polynomials p = sin 2πr/_CELLS and
+    q = cos 2πr/_CELLS - 1, so that cos = ct + (ct q - st p) and sin = st +
+    (st q + ct p), each within one unit in the last place of 1 of the exact
+    cos and sin of 2πu.
     """
-    cos, sin, t, tmp = work
-    s = np.multiply(u, 4.0, out=u)
-    np.rint(s, out=cos)
-    quadrant[...] = cos
-    s -= cos
-    np.multiply(s, s, out=t)
-    for coefficients, out in ((_SIN_HALF_PI, sin), (_COS_HALF_PI, cos)):
-        np.multiply(t, coefficients[-1], out=out)
-        for c in coefficients[-2:0:-1]:
-            out += c
-            out *= t
+    k, t, p, q, tmp = work
+    cell = tmp.view(np.intp)  # row 4 holds the cell numbers until the lookups
+    s = np.multiply(u, _CELLS, out=u)
+    np.rint(s, out=k)
+    cell[...] = k
+    r = np.subtract(s, k, out=u)
+    np.multiply(r, r, out=t)
+    for coefficients, out, last in ((_SIN_POLY, p, r), (_COS_POLY, q, t)):
+        np.multiply(t, coefficients[2], out=out)
+        out += coefficients[1]
+        out *= t
         out += coefficients[0]
-    sin *= s
-    # (cos, sin) <- (cq cos - sq sin, sq cos + cq sin); one of cq, sq is 0 and
-    # the other ±1, so every product and sum here is exact
-    cq = np.take(_COS_QUARTER, quadrant, out=s)
-    sq = np.take(_SIN_QUARTER, quadrant, out=t)
-    np.multiply(sq, cos, out=tmp)
-    sq *= sin
-    cos *= cq
-    sin *= cq
-    cos -= sq
-    sin += tmp
-    return cos, sin
+        out *= last
+    # cell is in 0.._CELLS, so "clip" only spares take a buffered copy
+    ct = np.take(_COS_CELL, cell, out=k, mode="clip")
+    st = np.take(_SIN_CELL, cell, out=t, mode="clip")
+    np.multiply(st, p, out=tmp)
+    np.multiply(ct, q, out=u)
+    u -= tmp
+    p *= ct
+    q *= st
+    q += p
+    q += st
+    return np.add(ct, u, out=ct), q
 
 
 def walk_on_spheres(domain: DomainOracle, base: complex, walks: int,
@@ -280,18 +313,20 @@ def walk_on_spheres(domain: DomainOracle, base: complex, walks: int,
     d = np.full(z.size, d0)
     key = stream_keys(seed, np.arange(walk_offset, next_walk, dtype=np.uint64))
     step = np.ones(z.size, dtype=np.uint64)
-    # the jump's scratch, allocated once and sliced as the drain tail shrinks
-    work, quadrant = np.empty((4, z.size)), np.empty(z.size, dtype=np.intp)
+    # the jump's scratch, sliced as the drain tail shrinks, and the exits not
+    # yet binned: fewer than a batch, plus one step's
+    work, pending, held = np.empty((5, z.size)), [], 0
+    batch = min(EXIT_BATCH, z.size)
     jumps = 0  # steps taken by the pool: no lane has made more jumps
     while z.size:
-        cos, sin = _cos_sin_2pi(uniform01(None, key, step), work, quadrant)
+        cos, sin = _cos_sin_2pi(uniform01(None, key, step), work)
         cos *= d
         sin *= d
         z.real += cos
         z.imag += sin
         step += 1
         jumps += 1
-        d = domain.distance(z)
+        domain.distance(z, out=d)
         done = exited = d < epsilon_shell
         if jumps >= step_cap:
             # a walk stalls after its step_cap-th jump, unchecked
@@ -301,10 +336,8 @@ def walk_on_spheres(domain: DomainOracle, base: complex, walks: int,
             stalled += int(np.count_nonzero(stall))
         if not done.any():
             continue
-        exits = z[exited]
-        cids = domain.component(exits)
-        ang = np.angle(exits - centers[cids]) % TWO_PI
-        counts += count_arcs(cids, bin_angles(ang, n_bins), shape)
+        pending.append(z[exited])
+        held += pending[-1].size
         # the freed lanes take the next walks; once every walk has started,
         # the lanes left free are dropped
         free = np.flatnonzero(done)
@@ -318,7 +351,15 @@ def walk_on_spheres(domain: DomainOracle, base: complex, walks: int,
             keep = np.ones(z.size, dtype=bool)
             keep[free[new:]] = False
             z, d, key, step = z[keep], d[keep], key[keep], step[keep]
-            work, quadrant = work[:, :z.size], quadrant[:z.size]
+            work = work[:, :z.size]
+        if held >= batch or not z.size:
+            exits = np.concatenate(pending)
+            cids = domain.component(exits)
+            counts += count_arcs(cids, bin_angles(np.angle(exits - centers[cids]), n_bins),
+                                 shape)
+            # a batch's arrays freed now do not add to the next steps' peak
+            del pending[:], exits, cids
+            held = 0
 
     if stalled / walks >= STALL_GATE:
         raise StallRateExceeded(

@@ -220,6 +220,26 @@ def test_wos_chunk_invariance(monkeypatch, domain, base):
         monkeypatch.setattr(rng, "CHUNK", pool)
 
 
+@pytest.mark.parametrize("domain, base", [
+    (hm.annulus(0.5, 2.0), 1.0 + 0.0j),
+    (hm.champagne_disk(FOUR), 0.05 + 0.02j),
+], ids=["annulus", "champagne"])
+def test_wos_exit_batches_do_not_change_counts(monkeypatch, domain, base):
+    # a batch of 3 exits is overflowed by a single step's exits in a pool of
+    # 37 lanes; in a pool of one lane every exit is its own batch.  Under
+    # step cap 40 some steps free lanes by stalls alone
+    monkeypatch.setattr(hm, "STALL_GATE", 1.0)
+    runs = {cap: hm.walk_on_spheres(domain, base, 1_001, seed=21, step_cap=cap)
+            for cap in (hm.DEFAULT_STEP_CAP, 40)}
+    monkeypatch.setattr(hm, "EXIT_BATCH", 3)
+    for width in (37, 1):
+        monkeypatch.setattr(rng, "CHUNK", width)
+        for cap, ref in runs.items():
+            res = hm.walk_on_spheres(domain, base, 1_001, seed=21, step_cap=cap)
+            assert np.array_equal(res.hist.counts, ref.hist.counts)
+            assert res.stalled == ref.stalled
+
+
 def test_wos_matches_walks_run_one_at_a_time(monkeypatch):
     # walk i jumps with draws 1, 2, ... of stream i and is checked after
     # each jump but its step_cap-th, after which it stalls unchecked
@@ -228,13 +248,13 @@ def test_wos_matches_walks_run_one_at_a_time(monkeypatch):
     eps = 1e-6 * domain.diameter
     centers = domain.component_centers()
     counts, stalled = np.zeros((domain.n_components, 16), dtype=np.int64), 0
-    work, quadrant = np.empty((4, 1)), np.empty(1, dtype=np.intp)
+    work = np.empty((5, 1))
     for i in range(walks):
         key = rng.stream_keys(seed, np.array([i], dtype=np.uint64))
         z = np.array([base])
         d = domain.distance(z)
         for k in range(1, cap + 1):
-            cos, sin = hm._cos_sin_2pi(rng.uniform01(None, key, k), work, quadrant)
+            cos, sin = hm._cos_sin_2pi(rng.uniform01(None, key, k), work)
             z.real += d * cos
             z.imag += d * sin
             d = domain.distance(z)
@@ -255,25 +275,41 @@ def test_wos_matches_walks_run_one_at_a_time(monkeypatch):
 
 def _jump_direction(u):
     u = np.array(u, dtype=np.float64)  # a copy: the helper overwrites it
-    work, quadrant = np.empty((4, u.size)), np.empty(u.size, dtype=np.intp)
-    cos, sin = hm._cos_sin_2pi(u, work, quadrant)
+    cos, sin = hm._cos_sin_2pi(u, np.empty((5, u.size)))
     return cos.copy(), sin.copy()
 
 
 def test_jump_direction_against_mpmath():
     # within one unit in the last place of 1 of cos and sin of the exact
     # angle 2 pi u, at random u, at the octants and one ulp to each side of
-    # them, and at the largest u below 1
+    # them, at every table-cell edge (k + 1/2)/256, where rint's ties go to
+    # even, and one ulp to each side, and at the largest u below 1
     mp = pytest.importorskip("mpmath")
     eighths = [k / 8 + e for k in range(9) for e in (-2.0 ** -53, 0.0, 2.0 ** -53)]
+    edges = [np.nextafter(x, x + e) for x in (np.arange(256) + 0.5) / 256
+             for e in (-1.0, 0.0, 1.0)]
     u = np.concatenate([rng.uniform01(17, np.arange(500, dtype=np.uint64), 1),
-                        [x for x in eighths if 0.0 <= x < 1.0], [1.0 - 2.0 ** -53]])
+                        [x for x in eighths if 0.0 <= x < 1.0], edges, [1.0 - 2.0 ** -53]])
     cos, sin = _jump_direction(u)
     with mp.workdps(40):
         for x, c, s in zip(u.tolist(), cos.tolist(), sin.tolist()):
             angle = 2 * mp.pi * mp.mpf(x)
             assert abs(c - mp.cos(angle)) <= 2.0 ** -52, x
             assert abs(s - mp.sin(angle)) <= 2.0 ** -52, x
+
+
+def test_jump_table_is_correctly_rounded():
+    # every entry is the double nearest cos and sin of 2 pi k/256, so the
+    # quarter turns are exactly 0 and +-1
+    mp = pytest.importorskip("mpmath")
+    assert hm._COS_CELL.shape == hm._SIN_CELL.shape == (257,)
+    with mp.workdps(40):
+        for k in range(257):
+            turn = mp.mpf(k) / 128  # cospi and sinpi are exact at quarter turns
+            assert hm._COS_CELL[k] == float(mp.cospi(turn)), k
+            assert hm._SIN_CELL[k] == float(mp.sinpi(turn)), k
+    assert hm._COS_CELL[::64].tolist() == [1.0, 0.0, -1.0, 0.0, 1.0]
+    assert hm._SIN_CELL[::64].tolist() == [0.0, 1.0, 0.0, -1.0, 0.0]
 
 
 def test_jump_direction_exact_at_quarter_turns():
