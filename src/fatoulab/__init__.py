@@ -7,8 +7,8 @@ __version__ = "0.1.0"
 
 BLASCHKE = "blaschke"  # the product's JSON kind, here so that a kind test executes no module
 
-_SUBMODULES = frozenset(("blaschke", "circle_dynamics", "cli", "covering", "errors",
-                         "harmonic", "histograms", "map_zoo", "renderer", "rng"))
+_SUBMODULES = frozenset(("blaschke", "circle_dynamics", "cli", "covering", "csv_bytes",
+                         "errors", "harmonic", "histograms", "map_zoo", "renderer", "rng"))
 
 
 def __getattr__(name):

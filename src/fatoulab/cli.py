@@ -22,7 +22,6 @@ import numpy as np
 
 from . import BLASCHKE, __version__, _lazy_import
 from .errors import FatouLabError, OutOfRange
-from .histograms import ArcHistogram, bin_angles, count_arcs, csv_chunks, to_csv_text
 from .rng import chunks, uniform01
 
 
@@ -33,6 +32,7 @@ blaschke = _lazy_import(f"{__package__}.blaschke")
 circle_dynamics = _lazy_import(f"{__package__}.circle_dynamics")
 covering = _lazy_import(f"{__package__}.covering")
 harmonic = _lazy_import(f"{__package__}.harmonic")
+histograms = _lazy_import(f"{__package__}.histograms")
 map_zoo = _lazy_import(f"{__package__}.map_zoo")
 renderer = _lazy_import(f"{__package__}.renderer")
 
@@ -225,7 +225,7 @@ def _cmd_harmonic(args) -> int:
             "component_masses": hist.component_masses(),
         }
         return _finish(args, "harmonic", seed, summary,
-                       {"histogram.csv": to_csv_text(hist)})
+                       {"histogram.csv": histograms.to_csv_text(hist)})
 
     if args.method == "cross-validate":
         if args.domain != "annulus":
@@ -248,7 +248,7 @@ def _cmd_harmonic(args) -> int:
     if args.min_bin_mass is not None:
         summary["support_test"] = asdict(harmonic.support_test(result, args.min_bin_mass))
     return _finish(args, "harmonic", seed, summary,
-                   {"histogram.csv": to_csv_text(result.hist)})
+                   {"histogram.csv": histograms.to_csv_text(result.hist)})
 
 
 def _cmd_classify_radial(args) -> int:
@@ -289,16 +289,18 @@ def _cmd_circle_stats(args) -> int:
         "map": json.loads(args.map), "theta0": args.theta0, "n": args.n,
         "orbit_points": orbit.size, "seed": seed, "orbit_discrepancy": disc,
     }
-    files = {"orbit.csv": csv_chunks("iteration,angle", "%d,%r",
-                                     range(1, orbit.size + 1), orbit)}
+    files = {"orbit.csv": histograms.csv_chunks("iteration,angle", "%d,%r",
+                                                range(1, orbit.size + 1), orbit)}
     if circle_dynamics.fixes_origin(cmap):
         ks = circle_dynamics.invariance_test(cmap, args.n, seed)
         summary["invariance_ks"] = ks
         summary["ks_critical_1pct"] = circle_dynamics.ks_critical(args.n)
         # one-step pushforward of the orbit as an arc histogram
-        counts = sum(count_arcs(0, bin_angles(orbit[lo:hi], 64), (1, 64))
+        counts = sum(histograms.count_arcs(0, histograms.bin_angles(orbit[lo:hi], 64),
+                                           (1, 64))
                      for lo, hi in chunks(0, orbit.size))
-        files["pushforward.csv"] = to_csv_text(ArcHistogram(counts, orbit.size))
+        files["pushforward.csv"] = histograms.to_csv_text(
+            histograms.ArcHistogram(counts, orbit.size))
     return _finish(args, "circle-stats", seed, summary, files)
 
 
@@ -316,7 +318,8 @@ def _cmd_spread(args) -> int:
         "final_covered_fraction": report.covered_fraction[-1],
     }
     fractions = report.covered_fraction
-    csv = csv_chunks("iteration,covered_fraction", "%d,%r", range(len(fractions)), fractions)
+    csv = histograms.csv_chunks("iteration,covered_fraction", "%d,%r",
+                                range(len(fractions)), fractions)
     return _finish(args, "spread", None, summary, {"spread.csv": csv})
 
 

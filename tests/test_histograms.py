@@ -1,8 +1,13 @@
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fatoulab import circle_dynamics, cli, csv_bytes
 from fatoulab import histograms as hg
 from fatoulab.errors import EmptyInput
 from fatoulab.histograms import ArcHistogram, bin_angles, count_arcs, tv_distance
@@ -107,3 +112,64 @@ def test_csv_writer_matches_the_old_builders(monkeypatch, rows):
     for c in (counts, counts[:, :5], counts[:0], np.zeros((1, 3), dtype=np.int64)):
         hist = ArcHistogram(c, 1_000)
         assert hg.to_csv_text(hist) == _histogram_csv_reference(hist)
+
+
+# the float kernel of csv_chunks against % on doubles, and the orbit CSV
+# read back
+
+# biased exponents that the kernel covers
+_WINDOW = range(csv_bytes._LOWEST, csv_bytes._LOWEST + csv_bytes._EXPONENTS["k"].size)
+
+
+def _double(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+def _assert_formats(values):
+    x = np.asarray(values, dtype=np.float64)
+    for fmt in ("%r", "%.17g"):
+        got = "".join(hg.csv_chunks("x", fmt, x)).split("\n")[1:-1]
+        assert got == [fmt % v for v in x.tolist()], fmt
+
+
+_FINITE = st.integers(0, 2 ** 64 - 1).map(_double).filter(math.isfinite)
+_IN_WINDOW = st.builds(lambda sign, e, m: _double(sign << 63 | e << 52 | m),
+                       st.integers(0, 1), st.integers(_WINDOW.start, _WINDOW.stop - 1),
+                       st.integers(0, 2 ** 52 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(_FINITE, _IN_WINDOW), min_size=1, max_size=64))
+def test_float_kernel_matches_percent_formatting(values):
+    _assert_formats(values)
+
+
+def test_float_kernel_fixed_inputs():
+    powers = np.ldexp(1.0, np.arange(_WINDOW.start, _WINDOW.stop) - 1023)
+    switches = np.array([1e-4, 1e16, 1e17])
+    # x +- 2 at 2**54 + 4j, whose rounding bounds are multiples of 10 when
+    # j = 1 or 2 (mod 5): an even significand accepts them, an odd one does not
+    bounds = 2.0 ** 54 + 4.0 * np.arange(40)
+    # exact short decimals, and exact values with a tie at the 17th digit
+    short = np.array([0.5, 0.25, 0.125, 1.0, 1.5, 2.0, 10.0, 123.0, 2.5e-3, 1e15, 4.5e16])
+    ties = 1.0 + np.arange(1, 64, 2) * 2.0 ** -17
+    values = np.concatenate([powers, switches, bounds, short, ties])
+    values = np.concatenate([values, np.nextafter(values, 0.0), np.nextafter(values, np.inf)])
+    edges = [0.0, -0.0, 5e-324, np.nextafter(2.2250738585072014e-308, 0.0)]
+    _assert_formats(np.concatenate([values, -values, edges]))
+
+
+@pytest.mark.parametrize("cmap", ['{"kind": "blaschke", "alpha": 0.4}',
+                                  '{"kind": "power", "d": 2}'], ids=["blaschke", "power"])
+def test_orbit_csv_reads_back_bit_for_bit(tmp_path, capsys, cmap):
+    n = 20_000
+    assert cli.main(["circle-stats", "--map", cmap, "--n", str(n), "--theta0", "0.7",
+                     "--seed", "5", "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    rows = (tmp_path / "circle-stats-orbit.csv").read_text().splitlines()
+    assert rows[0] == "iteration,angle"
+    iteration, angle = zip(*(row.split(",") for row in rows[1:]))
+    assert [int(i) for i in iteration] == list(range(1, n + 1))
+    orbit = circle_dynamics.iterate(circle_dynamics.circle_map_from_dict(json.loads(cmap)), 0.7, n)
+    assert np.array_equal(np.array([float(a) for a in angle]).view(np.uint64),
+                          orbit.view(np.uint64))

@@ -128,7 +128,8 @@ def test_every_default_is_overridden_somewhere():
     assert unset == []
 
 
-_LAZY = ("blaschke", "circle_dynamics", "covering", "harmonic", "map_zoo", "renderer")
+_LAZY = ("blaschke", "circle_dynamics", "covering", "harmonic", "histograms", "map_zoo",
+         "renderer")
 
 # the probe prints, as its last line, which of _LAZY have been executed: after
 # ``import fatoulab.cli``, and then after running the command in its argv
@@ -152,18 +153,22 @@ print(json.dumps(executed()))
 _COMMAND_MODULES = {
     "render": (["render", "--map", '{"kind": "exp_baker", "alpha": 0.4}',
                 "--config", "grid.json"],
-               {"map_zoo", "renderer"}, {"blaschke", "circle_dynamics", "covering", "harmonic"}),
+               {"map_zoo", "renderer"},
+               {"blaschke", "circle_dynamics", "covering", "harmonic", "histograms"}),
     "harmonic": (["harmonic", "--domain", "annulus", "--method", "wos", "--walks", "100",
                   "--seed", "1"],
-                 {"harmonic"}, {"blaschke", "circle_dynamics", "renderer"}),
+                 {"harmonic", "histograms"}, {"blaschke", "circle_dynamics", "renderer"}),
     "circle-stats": (["circle-stats", "--map", '{"kind": "blaschke", "alpha": 0.4}',
                       "--n", "100", "--seed", "1"],
-                     {"blaschke", "circle_dynamics"}, {"covering", "harmonic", "renderer"}),
+                     {"blaschke", "circle_dynamics", "histograms"},
+                     {"covering", "harmonic", "renderer"}),
     "spread": (["spread", "--map", '{"kind": "rotation", "theta": 1.0}', "--arc", "1.0,0.01",
                 "--n-max", "3"],
-               {"circle_dynamics", "map_zoo"}, {"blaschke", "covering", "harmonic", "renderer"}),
+               {"circle_dynamics", "histograms", "map_zoo"},
+               {"blaschke", "covering", "harmonic", "renderer"}),
     "tau": (["tau", "--alpha", "0.4"],
-            {"blaschke"}, {"circle_dynamics", "covering", "harmonic", "map_zoo", "renderer"}),
+            {"blaschke"},
+            {"circle_dynamics", "covering", "harmonic", "histograms", "map_zoo", "renderer"}),
 }
 
 
