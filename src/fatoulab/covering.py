@@ -25,12 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import map_zoo
+from . import _lazy_import, map_zoo
 from .errors import OutOfRange, OutsideDisk, UnsupportedMap
-from .histograms import ArcHistogram, bin_angles, count_arcs, wrap_angles
 from .rng import chunks, uniform01
 
 TWO_PI = 2.0 * math.pi
+_hg = _lazy_import(f"{__package__}.histograms")  # executed by the radial limit and the pushforward
 
 ANNULUS = "annulus"
 PUNCTURED_DISK = "punctured_disk"
@@ -294,7 +294,7 @@ def radial_limit_annulus(model: CoveringModel, phi):
     (upper semicircle).  The limit does not exist at phi = 0 or pi; no float
     angle is pi, and phi = 0 is read as phi = 1e-12.
     """
-    half = wrap_angles(np.asarray(phi, dtype=np.float64)) / 2.0
+    half = _hg.wrap_angles(np.asarray(phi, dtype=np.float64)) / 2.0
     # phi/2 rounds to 0 only at phi = 0 and at the least subnormal
     half = np.where(half == 0.0, 0.5e-12, half)
     # tan(phi/2) is finite and nonzero for phi in (0, 2 pi), tan(pi/2) being
@@ -330,7 +330,7 @@ def pushforward_measure(model: CoveringModel, n_samples: int, n_bins: int,
     counts = np.zeros(shape, dtype=np.int64)
     for lo, hi in chunks(sample_offset, sample_offset + n_samples):
         counts += _pushforward_chunk(model, shape, seed, lo, hi)
-    return ArcHistogram(counts, n_samples)
+    return _hg.ArcHistogram(counts, n_samples)
 
 
 def _pushforward_chunk(model: CoveringModel, shape, seed: int, first: int, end: int):
@@ -338,10 +338,10 @@ def _pushforward_chunk(model: CoveringModel, shape, seed: int, first: int, end: 
     phi = TWO_PI * uniform01(seed, np.arange(first, end, dtype=np.uint64), 0)
     if model.domain == ANNULUS:
         comp, psi = radial_limit_annulus(model, phi)
-        return count_arcs(comp, bin_angles(psi, shape[1]), shape)
+        return _hg.count_arcs(comp, _hg.bin_angles(psi, shape[1]), shape)
     if model.domain == PUNCTURED_DISK:
         # all mass lands on the unit circle; the puncture has zero capacity.
         # phi = 0, which seed 0 draws at index 0, is read as 1e-12
         half = np.where(phi == 0.0, 0.5e-12, phi / 2.0)
         phi = (-np.cos(half) / np.sin(half)) % TWO_PI
-    return count_arcs(0, bin_angles(phi, shape[1]), shape)
+    return _hg.count_arcs(0, _hg.bin_angles(phi, shape[1]), shape)

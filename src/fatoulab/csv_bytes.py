@@ -3,22 +3,23 @@
 
 - ``%d``: integers cut into groups of four digits, each spelled by a
   10,000-entry table of 4-byte groups;
-- ``%r`` and ``%.17g``: one exact digit kernel.  A double m * 2**e, with m
-  its 53-bit significand, times 10**k is a number of 18 or 19 digits: the
-  128-bit product of m and 5**k in 32-bit limbs, shifted right.  The bits
-  shifted out say whether it and the bounds of the double's rounding
-  interval are whole.  Digits are then removed as in Ryu (Adams, "Ryu:
-  fast float-to-string conversion", PLDI 2018): down to the shortest
-  string that reads back to the double for ``%r``, accepting the bounds of
-  an even significand and taking the narrower lower interval at a power of
-  two; down to 17 significant digits, rounded half to even, for ``%.17g``;
+- ``%r`` of positive doubles that it writes without an exponent, 1e-4 <= x
+  < 1e16: an exact digit kernel.  A double m * 2**e, with m its 53-bit
+  significand, times 10**k is a number of 18 or 19 digits: the 128-bit
+  product of m and 5**k in 32-bit limbs, shifted right.  The bits shifted
+  out say whether it and the bounds of the double's rounding interval are
+  whole.  Digits are then removed as in Ryu (Adams, "Ryu: fast
+  float-to-string conversion", PLDI 2018), down to the shortest string that
+  reads back to the double, accepting the bounds of an even significand and
+  taking the narrower lower interval at a power of two;
 - each row is laid out in a fixed-width byte block.  A layout row per value,
   taken from a small table, zeroes the bytes that the value does not use,
   and the zeros are deleted.
 
-The kernel covers magnitudes from ~1e-9 to ~2e18, where the products fit
-the limbs.  Zeros, subnormals, infinities, NaNs and other exponents take
-their bytes from ``%`` into the same block.  The kernel uses integer
+Every other ``%r`` value (zeros, negatives, the exponent form, subnormals,
+infinities, NaNs) and every ``%.17g`` field take their bytes from ``%`` into
+the same block: the orbit and spread CSVs hold almost none of them, and the
+``%.17g`` histogram CSVs have a few hundred rows.  The kernel uses integer
 operations only, so its bytes do not depend on numpy's SIMD dispatch.
 
 A module of its own, executed by the first CSV chunk: a process that writes
@@ -171,33 +172,15 @@ def _shortest(vr, vr_zeros, vp, vm, vm_zeros):
     return out + (at_low | up), removed
 
 
-def _nearest17(value, inexact):
-    """The first 17 of the 18 or 19 digits of ``value``, rounded half to
-    even (``inexact``: something nonzero lies below value), and how many
-    were dropped."""
-    big = value >= _POW10[18]
-    q = value // _U64(10)
-    rest = value - q * _U64(10)
-    q2 = q // _U64(10)
-    rest = np.where(big, (q - q2 * _U64(10)) * _U64(10) + rest, rest)
-    q = np.where(big, q2, q)
-    half = np.where(big, _U64(50), _U64(5))
-    return q + ((rest > half) | ((rest == half) & (inexact | (q & _U64(1) == 1)))), 1 + big
-
-
-def _decimal(bits, at, shortest):
+def _decimal(bits, at):
     """Digits of positive doubles that the kernel covers, given their bits
-    and their places in the rows of _EXPONENTS: the shortest that read back
-    for ``%r``, else 17 rounded half to even.
+    and their places in the rows of _EXPONENTS: the shortest that read back.
 
     Returns (digits, n, point): the first n of the 17 digits of ``digits``
     (zeros pad the right) are significant, and the value is
     0.d1...dn * 10**point."""
     value, frac, s, mask = _scaled(bits, at)
-    if shortest:
-        out, removed = _shortest(value, frac == 0, *_bounds(bits, at, value, frac, s, mask))
-    else:
-        out, removed = _nearest17(value, frac != 0)
+    out, removed = _shortest(value, frac == 0, *_bounds(bits, at, value, frac, s, mask))
     n = (value >= _POW10[18]) + 18 - removed
     n += out >= _POW10[n]  # 99..9 rounded up to 10..0
     point = n + removed - _EXPONENTS["k"].take(at)
@@ -241,86 +224,68 @@ def _int_field(v):
     return bytes(width), fill
 
 
-def _layout(limit):
+def _layout():
     """Kept bytes (1) of the "0.000" prefix, the integer part, the point and
-    the fraction (5 + 17 + 1 + 17 slots), row (p + 8) * 17 + n - 1 for the
-    point p in -8..19 and n significant digits: the exponent form unless
-    -4 < p <= limit, and ".0" after a whole number if limit is 16 (repr)."""
-    p = np.arange(-8, 20)[:, None, None]
+    the fraction (5 + 17 + 1 + 17 slots), row (p + 3) * 17 + n - 1 for the
+    point p in -3..16 and n significant digits, with ".0" after a whole
+    number."""
+    p = np.arange(-3, 17)[:, None, None]
     n = np.arange(1, 18)[None, :, None]
-    exp = (p <= -4) | (p > limit)
-    dot0 = (limit == 16) & ~exp
-    p = np.where(exp, 1, p)
     j = np.arange(17)
     below_one = p <= 0  # "0." and -p zeros, then the digits from the fraction slots
     prefix = below_one & (np.arange(5) < 2 - p)
     whole = ~below_one & (j < p)
-    point = ~below_one & ((n > p) | dot0)
-    fraction = np.where(below_one, j < n, ((j >= p) & (j < n)) | (dot0 & (n <= p) & (j == p)))
-    return np.concatenate([np.broadcast_to(a, (28, 17, a.shape[-1]))
+    point = ~below_one
+    fraction = np.where(below_one, j < n, (j >= p) & ((j < n) | (j == p)))
+    return np.concatenate([np.broadcast_to(a, (20, 17, a.shape[-1]))
                            for a in (prefix, whole, point, fraction)],
                           axis=-1).reshape(-1, 40).astype(np.uint8)
 
 
-_LAYOUT = {True: _layout(16), False: _layout(17)}
+_LAYOUT = _layout()
 
 
-def _float_field(x, shortest):
-    """``%r`` (shortest) or ``%.17g`` of an array of floats as (template,
-    fill), as for ``_int_field``.
+def _float_field(x, conversion):
+    """``%r`` or ``%.17g`` of an array of floats as (template, fill), as for
+    ``_int_field``.
 
-    Slots: sign, "0.000", integer part, point, 17 fraction slots and, if a
-    row needs it, "e+dd".  The digits go both to the integer part (as many
-    slots as the chunk's longest needs) and to the fraction slots, and the
-    layout row keeps the integer part from the first and the rest from the
-    second, so that no byte moves."""
+    Slots: "0.000", integer part, point and 17 fraction slots.  The kernel's
+    digits go both to the integer part (as many slots as the chunk's longest
+    needs) and to the fraction slots, and the layout row keeps the integer
+    part from the first and the rest from the second, so that no byte moves.
+    Each value that the kernel does not spell is written over its row from
+    ``%``, the block widened to the longest of them."""
     if x.dtype.kind != "f":
         raise ValueError(f"%r and %.17g take floats, got {x.dtype}")
     x = np.ascontiguousarray(x, dtype=np.float64)
-    bits = x.view(_U64)
-    neg = bits >= _U64(1 << 63)
-    bits = bits & _U64((1 << 63) - 1)
-    at = (bits >> _U64(52)) - _U64(_LOWEST)  # wraps below the lowest
-    outside = np.flatnonzero(at >= _U64(_EXPONENTS["k"].size))
-    if outside.size:  # zeros, subnormals, inf, nan, other exponents: from %, below
-        bits[outside], at[outside] = 0x3FF0000000000000, 1023 - _LOWEST  # 1.0
-    digits, n, point = _decimal(bits, at.view(np.intp), shortest)
-    limit = 16 if shortest else 17
-    pattern = (point + 8) * 17 + n - 1
-    low, high = int(point.min()), int(point.max())
-    exp = low <= -4 or high > limit
-    if high > limit:
-        high = int(point[point <= limit].max(initial=0))
-    whole = max(high, int(exp))  # integer part slots
-    end = 24 + whole  # after the fraction slots
+    kernel = (x >= 1e-4) & (x < 1e16) if conversion == "r" else np.zeros(x.size, bool)
+    outside = np.flatnonzero(~kernel)
+    fmt = f"%{conversion}".encode("ascii")
+    texts = np.array([fmt % v for v in x[outside].tolist()], dtype="S")
+    percent = texts.view(np.uint8).reshape(outside.size, texts.itemsize)
+    if outside.size == x.size:  # every %.17g field: nothing for the kernel
+        return bytes(texts.itemsize), lambda out: np.copyto(out, percent)
+    bits = np.where(kernel, x, 1.0).view(_U64)
+    digits, n, point = _decimal(bits, ((bits >> _U64(52)) - _U64(_LOWEST)).view(np.intp))
+    whole = max(int(point.max()), 0)  # integer part slots
+    end = 23 + whole  # after the fraction slots
 
     def fill(out):
-        if neg.any():
-            out[:, 0] = neg * np.uint8(ord("-"))
         ascii_digits = _groups(digits, 5)[:, 3:]
-        out[:, 6:6 + whole] = ascii_digits[:, :whole]
-        out[:, 7 + whole:end] = ascii_digits
-        out[:, 1:end] *= _LAYOUT[shortest][:, np.r_[:5 + whole, 22:40]].take(pattern, axis=0)
-        if exp:  # |point - 1| < 100 for every double the kernel covers
-            e = point - 1
-            tail = np.empty((e.size, 4), np.uint8)
-            tail[:, 0] = ord("e")
-            tail[:, 1] = np.where(e < 0, ord("-"), ord("+"))
-            tail[:, 2:] = _groups(np.abs(e).astype(_U64), 1)[:, 2:]
-            out[:, end:] = tail * ((point <= -4) | (point > limit))[:, None]
-        fmt = "%r" if shortest else "%.17g"
-        for i, v in zip(outside.tolist(), x[outside].tolist()):
-            text = (fmt % v).encode("ascii")
-            out[i] = 0
-            out[i, :len(text)] = np.frombuffer(text, np.uint8)
+        out[:, 5:5 + whole] = ascii_digits[:, :whole]
+        out[:, 6 + whole:end] = ascii_digits
+        out[:, :end] *= _LAYOUT[:, np.r_[:5 + whole, 22:40]].take((point + 3) * 17 + n - 1,
+                                                                  axis=0)
+        out[outside] = 0
+        out[outside, :texts.itemsize] = percent
 
-    return b"\0" + b"0.000" + bytes(whole) + b"." + bytes(17 + 4 * exp), fill
+    return b"0.000" + bytes(whole) + b"." + bytes(max(17, texts.itemsize - 6 - whole)), fill
 
 
 def rows(literals, conversions, values):
     """One chunk of CSV text: the byte strings ``literals`` around the fields
     of ``values``, converted by ``conversions`` ("d", "r" or ".17g")."""
-    fields = [_int_field(v) if conversion == "d" else _float_field(v, conversion == "r")
+    fields = [_int_field(v) if conversion == "d" else _float_field(v, conversion)
               for conversion, v in zip(conversions, values)]
     template = literals[0] + b"".join(t + lit for (t, _), lit in zip(fields, literals[1:]))
     block = np.empty((values[0].size, len(template)), np.uint8)

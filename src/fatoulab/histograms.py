@@ -103,7 +103,9 @@ def csv_chunks(header: str, row: str, *columns):
     the i-th entry of ``columns[k]``: a sequence, a range or a 1-d array,
     all of one length.  ``row`` holds ``%d`` conversions of integers >= 0
     and ``%r`` or ``%.17g`` conversions of floats between literal text, and
-    each chunk is rendered as bytes (see ``csv_bytes``).
+    each chunk is rendered as bytes (see ``csv_bytes``): ``%d`` and the
+    ``%r`` of positive floats without an exponent (1e-4 <= x < 1e16) by a
+    digit kernel, every other value and every ``%.17g`` field by ``%``.
     """
     parts = _CONVERSION.split(row + "\n")  # literal, conversion, ..., literal
     literals = [text.encode("ascii") for text in parts[::2]]

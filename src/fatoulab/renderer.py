@@ -53,7 +53,6 @@ import cmath
 import json
 import math
 import numbers
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -83,13 +82,13 @@ DEFAULT_TOL = 1e-6
 DEFAULT_ESCAPE_RADIUS = 1e10
 
 # fixed palette per verdict; steps modulate brightness
-_PALETTE = {
-    UNDECIDED: (0, 0, 0),
-    ATTRACTED: (70, 110, 235),
-    ESCAPED_ZERO: (60, 210, 190),
-    ESCAPED_INFINITY: (250, 180, 60),
-    SINGULAR: (230, 40, 180),
-}
+_PALETTE = np.array([  # RGB per verdict code, stored one row per channel
+    (0, 0, 0),  # UNDECIDED
+    (70, 110, 235),  # ATTRACTED
+    (60, 210, 190),  # ESCAPED_ZERO
+    (250, 180, 60),  # ESCAPED_INFINITY
+    (230, 40, 180),  # SINGULAR
+], dtype=np.float64).T.copy()
 
 
 def _check_orbit_contract(max_iter, tol, escape_radius, target) -> None:
@@ -470,6 +469,8 @@ def _classify_blocks(spec, n, points_of, store, max_iter, tol, escape_radius,
     if workers == 1:
         work(0)
     else:
+        from concurrent.futures import ThreadPoolExecutor  # not loaded by one thread
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(work, range(workers)))
     return radius
@@ -578,16 +579,10 @@ def render_rgb(verdict: np.ndarray, steps: np.ndarray, out: np.ndarray) -> np.nd
     brightness decaying with the step count.  Every pixel is written.
     """
     shade = 0.25 + 0.75 / (1.0 + steps / 48.0)  # float64 for any step type
-    for code, base in _PALETTE.items():
-        mask = verdict == code
-        if not mask.any():
-            continue
-        if code in (UNDECIDED, SINGULAR):
-            out[mask] = base
-        else:
-            lit = shade[mask]
-            for ch in range(3):
-                out[:, ch][mask] = (base[ch] * lit).astype(np.uint8)
+    shade[(verdict == UNDECIDED) | (verdict == SINGULAR)] = 1.0
+    for channel, palette in enumerate(_PALETTE):
+        # the unsafe cast truncates, as .astype(np.uint8) does
+        np.multiply(palette.take(verdict), shade, out=out[:, channel], casting="unsafe")
     return out
 
 

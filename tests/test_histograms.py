@@ -144,7 +144,7 @@ def test_float_kernel_matches_percent_formatting(values):
     _assert_formats(values)
 
 
-def test_float_kernel_fixed_inputs():
+def test_float_kernel_fixed_inputs(monkeypatch):
     powers = np.ldexp(1.0, np.arange(_WINDOW.start, _WINDOW.stop) - 1023)
     switches = np.array([1e-4, 1e16, 1e17])
     # x +- 2 at 2**54 + 4j, whose rounding bounds are multiples of 10 when
@@ -157,6 +157,16 @@ def test_float_kernel_fixed_inputs():
     values = np.concatenate([values, np.nextafter(values, 0.0), np.nextafter(values, np.inf)])
     edges = [0.0, -0.0, 5e-324, np.nextafter(2.2250738585072014e-308, 0.0)]
     _assert_formats(np.concatenate([values, -values, edges]))
+    # chunks with no value for the kernel (%r's negatives, zeros and exponent
+    # form), chunks of positional values below 1 alone, and both mixed with
+    # larger positional values: one value a chunk, and all in one chunk
+    percent = [-1.5, -0.0, 0.0, np.nextafter(1e-4, 0.0), 5e-5, 1e16, 3.5e20, -2.5e-7, -1e300,
+               math.inf, -math.inf, math.nan]
+    below_one = [1e-4, 1e-3, 2.5e-3, 0.5, np.nextafter(1.0, 0.0)]
+    for rows in (1, hg.CSV_ROWS):
+        monkeypatch.setattr(hg, "CSV_ROWS", rows)
+        for chunk in (percent, below_one, percent + below_one + [3.25, 1e15, 9999999999999998.0]):
+            _assert_formats(chunk)
 
 
 @pytest.mark.parametrize("cmap", ['{"kind": "blaschke", "alpha": 0.4}',

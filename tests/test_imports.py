@@ -2,7 +2,7 @@
 and every module-level private name is used somewhere in the package.
 
 Checked with the standard library's ``ast``, so no linter is needed.  The
-last test checks which modules ``import fatoulab.cli`` and five of its
+last test checks which modules ``import fatoulab.cli`` and six of its
 commands execute.
 """
 
@@ -132,7 +132,8 @@ _LAZY = ("blaschke", "circle_dynamics", "covering", "harmonic", "histograms", "m
          "renderer")
 
 # the probe prints, as its last line, which of _LAZY have been executed: after
-# ``import fatoulab.cli``, and then after running the command in its argv
+# ``import fatoulab.cli``, and then after running the command in its argv.  A
+# render on one thread does not import the thread pool
 _PROBE = f"""
 import json, sys, types
 import fatoulab.cli
@@ -141,6 +142,7 @@ def executed():
             if type(sys.modules[f"fatoulab.{{name}}"]) is types.ModuleType]
 if len(sys.argv) > 1:
     assert fatoulab.cli.main(sys.argv[1:]) == 0
+    assert sys.argv[1] != "render" or "concurrent.futures" not in sys.modules
 else:
     print(json.dumps(executed()))
     import fatoulab
@@ -166,6 +168,9 @@ _COMMAND_MODULES = {
                 "--n-max", "3"],
                {"circle_dynamics", "histograms", "map_zoo"},
                {"blaschke", "covering", "harmonic", "renderer"}),
+    "classify-radial": (["classify-radial", "--R", "2", "--xi", "0.3"],
+                        {"covering", "map_zoo"},
+                        {"blaschke", "circle_dynamics", "harmonic", "histograms", "renderer"}),
     "tau": (["tau", "--alpha", "0.4"],
             {"blaschke"},
             {"circle_dynamics", "covering", "harmonic", "histograms", "map_zoo", "renderer"}),
