@@ -57,13 +57,9 @@ def _json_text(obj) -> str:
 
 
 def _write(path: Path, content):
-    """Write str or bytes content, or an iterable of str/bytes chunks as they
-    arrive; str is ASCII."""
-    if isinstance(content, (str, bytes, bytearray)):
-        content = (content,)
+    """Write bytes, or an iterable of bytes chunks as they arrive."""
     with open(path, "wb") as fh:
-        for chunk in content:
-            fh.write(chunk.encode("ascii") if isinstance(chunk, str) else chunk)
+        fh.writelines((content,) if isinstance(content, bytes) else content)
 
 
 def _require_finite(**numbers):
@@ -125,11 +121,12 @@ def _finish(args, subcommand: str, seed, summary: dict, files: dict) -> int:
         _write(path, content)
         written.append(path.name)
     summary_path = out / f"{prefix}-summary.json"
-    _write(summary_path, _json_text(summary))
+    text = _json_text(summary)
+    _write(summary_path, text.encode("ascii"))
     written.append(summary_path.name)
     man = _manifest(args, subcommand, seed, written + [f"{prefix}-manifest.json"])
-    _write(out / f"{prefix}-manifest.json", _json_text(man))
-    sys.stdout.write(_json_text(summary))
+    _write(out / f"{prefix}-manifest.json", _json_text(man).encode("ascii"))
+    sys.stdout.write(text)
     return EXIT_OK
 
 
@@ -289,8 +286,7 @@ def _cmd_circle_stats(args) -> int:
         "map": json.loads(args.map), "theta0": args.theta0, "n": args.n,
         "orbit_points": orbit.size, "seed": seed, "orbit_discrepancy": disc,
     }
-    files = {"orbit.csv": histograms.csv_chunks("iteration,angle", "%d,%r",
-                                                range(1, orbit.size + 1), orbit)}
+    files = {"orbit.csv": histograms.csv_chunks("iteration,angle", 1, orbit)}
     if circle_dynamics.fixes_origin(cmap):
         ks = circle_dynamics.invariance_test(cmap, args.n, seed)
         summary["invariance_ks"] = ks
@@ -317,9 +313,7 @@ def _cmd_spread(args) -> int:
         "first_full_cover": report.first_full_cover,
         "final_covered_fraction": report.covered_fraction[-1],
     }
-    fractions = report.covered_fraction
-    csv = histograms.csv_chunks("iteration,covered_fraction", "%d,%r",
-                                range(len(fractions)), fractions)
+    csv = histograms.csv_chunks("iteration,covered_fraction", 0, report.covered_fraction)
     return _finish(args, "spread", None, summary, {"spread.csv": csv})
 
 
@@ -340,7 +334,7 @@ def _cmd_render(args) -> int:
         cx, cy, r = (float(x) for x in args.loop.split(","))
         cert = asdict(renderer.loop_probe(grid, complex(cx, cy), r))
         summary["certificate"] = cert
-        files["certificate.json"] = _json_text(cert)
+        files["certificate.json"] = _json_text(cert).encode("ascii")
     return _finish(args, "render", None, summary, files)
 
 

@@ -1,8 +1,9 @@
-"""Rows of CSV text as bytes: the digit kernel and the byte layout behind
-``histograms.csv_chunks``, byte for byte what ``row % values`` gives.
+"""CSV rows as bytes: the digit kernel and the byte layout behind
+``histograms.csv_chunks``, whose rows are ``b"%d,%r\\n" % (i, x)``, an index
+and a double, byte for byte.
 
-- ``%d``: integers cut into groups of four digits, each spelled by a
-  10,000-entry table of 4-byte groups;
+- the index: digits cut into groups of four, each spelled by a 10,000-entry
+  table of 4-byte groups;
 - ``%r`` of positive doubles that it writes without an exponent, 1e-4 <= x
   < 1e16: an exact digit kernel.  A double m * 2**e, with m its 53-bit
   significand, times 10**k is a number of 18 or 19 digits: the 128-bit
@@ -16,10 +17,9 @@
   taken from a small table, zeroes the bytes that the value does not use,
   and the zeros are deleted.
 
-Every other ``%r`` value (zeros, negatives, the exponent form, subnormals,
-infinities, NaNs) and every ``%.17g`` field take their bytes from ``%`` into
-the same block: the orbit and spread CSVs hold almost none of them, and the
-``%.17g`` histogram CSVs have a few hundred rows.  The kernel uses integer
+Every other double (zeros, negatives, the exponent form, subnormals,
+infinities, NaNs) takes its bytes from ``%`` into the same block: the orbit
+and spread CSVs hold almost none of them.  The kernel uses integer
 operations only, so its bytes do not depend on numpy's SIMD dispatch.
 
 A module of its own, executed by the first CSV chunk: a process that writes
@@ -42,6 +42,7 @@ _POW10 = _U64(10) ** np.arange(20, dtype=_U64)  # 10**0 .. 10**19
 _DIGITS4 = np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing="ij"),
                     axis=-1).view(np.uint32).ravel()
 _SHIFT = 7  # bits the significand moves left, so that no shift is negative
+_LOW, _HIGH = 1e-4, 1e16  # %r spells 1e-4 <= x < 1e16 without an exponent
 
 
 def _exponent_table():
@@ -52,17 +53,17 @@ def _exponent_table():
 
     A double m * 2**(E - 1075), with m its 53-bit significand, times 10**k
     is (m << _SHIFT) * 5**k / 2**s, and k gives 18 or 19 digits before the
-    point.  k <= 26 keeps 5**k in 61 bits and s <= 63 keeps the fraction in
-    the low word of the product: E from 994 to 1082, doubles from ~1e-9
-    to ~2e18."""
-    e = np.arange(2048)
+    point.  The kernel reads E from 1009 to 1076, those of _LOW <= x <
+    _HIGH, where k runs from 22 down to 2 and s from 51 down to 4: 5**k
+    fits in 61 bits, and s <= 63 keeps the fraction in the low word of the
+    product."""
+    low, high = (np.array([_LOW, np.nextafter(_HIGH, 0.0)]).view(_U64) >> _U64(52)).tolist()
+    e = np.arange(low, high + 1)
     # 10**t <= 2**(e - 1023) < 10**(t + 1): no product here is within 1e-4
     # of a whole number but 0, so the float64 rounding cannot move the floor
     t = np.floor((e - 1023) * math.log10(2.0)).astype(np.int64)
     k = 17 - t
     s = _SHIFT + 1075 - e - k
-    e = np.flatnonzero((k >= 0) & (k <= 26) & (s >= 0) & (s <= 63))
-    k, s = k[e], s[e]
     p5 = _U64(5) ** k.astype(_U64)
 
     def gap(bits):  # 5**k * 2**bits / 2**s: whole part, numerator over 2**s
@@ -71,7 +72,7 @@ def _exponent_table():
 
     (half, half_frac), (quarter, quarter_frac) = gap(_SHIFT - 1), gap(_SHIFT - 2)
     s = s.astype(_U64)
-    return int(e[0]), dict(
+    return low, dict(
         p5_low=p5 & _U64(0xFFFFFFFF), p5_high=p5 >> _U64(32), s=s, mask=(_U64(1) << s) - _U64(1),
         half=half, half_frac=half_frac, quarter=quarter, quarter_frac=quarter_frac, k=k)
 
@@ -154,7 +155,8 @@ def _shortest(vr, vr_zeros, vp, vm, vm_zeros):
     if whole.size:
         vr_zeros &= vr == t * below  # zeros below the last digit removed
         # a whole, accepted lower bound may lose further zeros
-        vm_zeros[whole] &= vm[whole] % scale[whole] == 0
+        vm_w, scale_w = vm[whole], scale[whole]
+        vm_zeros[whole] &= vm_w // scale_w * scale_w == vm_w
         rows = np.flatnonzero(vm_zeros)
         low = vm[rows] // scale[rows]
         while rows.size:
@@ -184,11 +186,12 @@ def _decimal(bits, at):
     n = (value >= _POW10[18]) + 18 - removed
     n += out >= _POW10[n]  # 99..9 rounded up to 10..0
     point = n + removed - _EXPONENTS["k"].take(at)
-    rows = np.flatnonzero(out % _U64(10) == 0)  # trailing zeros: not significant
+    rows = np.flatnonzero(out // _U64(10) * _U64(10) == out)  # trailing zeros: not significant
     while rows.size:
         out[rows] //= _U64(10)
         n[rows] -= 1
-        rows = rows[out[rows] % _U64(10) == 0]
+        kept = out[rows]
+        rows = rows[kept // _U64(10) * _U64(10) == kept]
     return out * _POW10[17 - n], n, point
 
 
@@ -204,24 +207,16 @@ def _groups(v, count):
     return _DIGITS4.take(index).view(np.uint8)
 
 
-def _int_field(v):
-    """``%d`` of an array of integers >= 0 as (template, fill): the field's
-    constant bytes, and a function that writes its rows into a (rows,
-    width) view, 0 for each byte dropped.  Right-aligned digits, as many
-    slots as the largest has."""
-    if v.dtype.kind not in "iu" or v.min() < 0:
-        raise ValueError(f"%d takes integers >= 0, got {v.dtype} from {v.min()}")
-    v = v.astype(_U64)
-    width = len(str(int(v.max())))
+def _index_digits(first, out):
+    """``%d`` of first, first + 1, ... into the rows of the (rows, width)
+    view ``out``: right-aligned digits, 0 for each slot a shorter index
+    leaves empty."""
+    v = np.arange(first, first + out.shape[0], dtype=_U64)
+    width = out.shape[1]
     # slot j keeps a digit worth 10**(width - 1 - j) or more; the last, always
     least = _POW10[width - 1::-1].copy()
     least[-1] = 0
-
-    def fill(out):
-        ascii_digits = _groups(v, -(-width // 4))[:, -width:]
-        np.multiply(ascii_digits, v[:, None] >= least, out=out)
-
-    return bytes(width), fill
+    np.multiply(_groups(v, -(-width // 4))[:, -width:], v[:, None] >= least, out=out)
 
 
 def _layout():
@@ -245,9 +240,10 @@ def _layout():
 _LAYOUT = _layout()
 
 
-def _float_field(x, conversion):
-    """``%r`` or ``%.17g`` of an array of floats as (template, fill), as for
-    ``_int_field``.
+def _float_field(x):
+    """``%r`` of an array of floats as (template, fill): the field's constant
+    bytes, and a function that writes its rows into a (rows, width) view, 0
+    for each byte dropped.
 
     Slots: "0.000", integer part, point and 17 fraction slots.  The kernel's
     digits go both to the integer part (as many slots as the chunk's longest
@@ -256,15 +252,12 @@ def _float_field(x, conversion):
     Each value that the kernel does not spell is written over its row from
     ``%``, the block widened to the longest of them."""
     if x.dtype.kind != "f":
-        raise ValueError(f"%r and %.17g take floats, got {x.dtype}")
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    kernel = (x >= 1e-4) & (x < 1e16) if conversion == "r" else np.zeros(x.size, bool)
+        raise ValueError(f"%r takes floats, got {x.dtype}")
+    x = np.asarray(x, dtype=np.float64)
+    kernel = (x >= _LOW) & (x < _HIGH)
     outside = np.flatnonzero(~kernel)
-    fmt = f"%{conversion}".encode("ascii")
-    texts = np.array([fmt % v for v in x[outside].tolist()], dtype="S")
+    texts = np.array([b"%r" % v for v in x[outside].tolist()], dtype="S")
     percent = texts.view(np.uint8).reshape(outside.size, texts.itemsize)
-    if outside.size == x.size:  # every %.17g field: nothing for the kernel
-        return bytes(texts.itemsize), lambda out: np.copyto(out, percent)
     bits = np.where(kernel, x, 1.0).view(_U64)
     digits, n, point = _decimal(bits, ((bits >> _U64(52)) - _U64(_LOWEST)).view(np.intp))
     whole = max(int(point.max()), 0)  # integer part slots
@@ -282,16 +275,13 @@ def _float_field(x, conversion):
     return b"0.000" + bytes(whole) + b"." + bytes(max(17, texts.itemsize - 6 - whole)), fill
 
 
-def rows(literals, conversions, values):
-    """One chunk of CSV text: the byte strings ``literals`` around the fields
-    of ``values``, converted by ``conversions`` ("d", "r" or ".17g")."""
-    fields = [_int_field(v) if conversion == "d" else _float_field(v, conversion)
-              for conversion, v in zip(conversions, values)]
-    template = literals[0] + b"".join(t + lit for (t, _), lit in zip(fields, literals[1:]))
-    block = np.empty((values[0].size, len(template)), np.uint8)
-    block[:] = np.frombuffer(template, np.uint8)
-    at = len(literals[0])
-    for (t, fill), lit in zip(fields, literals[1:]):
-        fill(block[:, at:at + len(t)])
-        at += len(t) + len(lit)
-    return block.tobytes().translate(None, b"\0").decode("ascii")  # every byte dropped is 0
+def rows(first, values):
+    """The CSV rows ``b"%d,%r\\n" % (first + i, values[i])`` of a non-empty
+    chunk of floats, as one bytes object."""
+    template, fill = _float_field(np.asarray(values))
+    width = len(str(first + len(values) - 1))
+    block = np.empty((len(values), width + 2 + len(template)), np.uint8)
+    block[:] = np.frombuffer(bytes(width) + b"," + template + b"\n", np.uint8)
+    _index_digits(first, block[:, :width])
+    fill(block[:, width + 1:-1])
+    return block.tobytes().translate(None, b"\0")  # every byte dropped is 0

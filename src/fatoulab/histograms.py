@@ -1,14 +1,14 @@
 """Empirical measures on boundary circles: equal-arc bin counts per component.
 
-Also the one CSV writer of the command-line outputs, ``csv_chunks``, which
-renders each chunk of rows as bytes with numpy (``csv_bytes``), byte for
-byte what ``row % values`` gives.
+Also the CSV text of the command-line outputs, as bytes: ``csv_chunks``
+writes the index rows of an orbit or a spread, ``"%d,%r" % (i, x)``, each
+chunk rendered with numpy (``csv_bytes``), and ``to_csv_text`` writes the
+few hundred rows of a histogram with ``%``.
 """
 
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,40 +88,25 @@ def tv_distance(a: ArcHistogram, b: ArcHistogram) -> float:
     return 0.5 * acc
 
 
-_CONVERSION = re.compile(r"%(d|r|\.17g)")
+def csv_chunks(header: str, first: int, values):
+    """A CSV file as bytes chunks of at most CSV_ROWS rows, made as they are read.
 
-
-def _column(part):
-    return np.arange(part.start, part.stop, part.step) if isinstance(part, range) \
-        else np.asarray(part)
-
-
-def csv_chunks(header: str, row: str, *columns):
-    """A CSV file as str chunks of at most CSV_ROWS rows, made as they are read.
-
-    ``header`` is the first line.  Row i is ``row % values``, with values[k]
-    the i-th entry of ``columns[k]``: a sequence, a range or a 1-d array,
-    all of one length.  ``row`` holds ``%d`` conversions of integers >= 0
-    and ``%r`` or ``%.17g`` conversions of floats between literal text, and
-    each chunk is rendered as bytes (see ``csv_bytes``): ``%d`` and the
-    ``%r`` of positive floats without an exponent (1e-4 <= x < 1e16) by a
-    digit kernel, every other value and every ``%.17g`` field by ``%``.
+    ``header`` is the first line, and row i is ``"%d,%r" % (first + i,
+    values[i])`` for the floats ``values``, a sequence or a 1-d array.  Each
+    chunk is rendered as bytes (see ``csv_bytes``): the index and the ``%r``
+    of positive floats without an exponent (1e-4 <= x < 1e16) by a digit
+    kernel, every other value by ``%``.
     """
-    parts = _CONVERSION.split(row + "\n")  # literal, conversion, ..., literal
-    literals = [text.encode("ascii") for text in parts[::2]]
-    if any(b"%" in lit or b"\0" in lit for lit in literals) or len(parts) // 2 != len(columns):
-        raise ValueError(f"row format {row!r} does not match {len(columns)} columns")
-    yield header + "\n"
-    for lo in range(0, len(columns[0]), CSV_ROWS):
-        yield _bytes.rows(literals, parts[1::2],
-                         [_column(c[lo:lo + CSV_ROWS]) for c in columns])
+    yield header.encode("ascii") + b"\n"
+    for lo in range(0, len(values), CSV_ROWS):
+        yield _bytes.rows(first + lo, values[lo:lo + CSV_ROWS])
 
 
-def to_csv_text(hist: ArcHistogram) -> str:
-    """The histogram as CSV text, one row per (component, bin) cell."""
-    n_components, n_bins = hist.counts.shape
-    starts = TWO_PI * np.arange(n_bins) / n_bins
-    return "".join(csv_chunks(
-        CSV_HEADER, "%d,%d,%.17g,%d",
-        np.repeat(np.arange(n_components), n_bins), np.tile(np.arange(n_bins), n_components),
-        np.tile(starts, n_components), hist.counts.ravel()))
+def to_csv_text(hist: ArcHistogram) -> bytes:
+    """The histogram as CSV bytes, one row per (component, bin) cell."""
+    n_bins = hist.counts.shape[1]
+    starts = (TWO_PI * np.arange(n_bins) / n_bins).tolist()
+    text = "".join(["%d,%d,%.17g,%d\n" % (c, j, starts[j], count)
+                    for c, row in enumerate(hist.counts.tolist())
+                    for j, count in enumerate(row)])
+    return (CSV_HEADER + "\n" + text).encode("ascii")

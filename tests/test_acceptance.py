@@ -109,8 +109,18 @@ def test_criterion_02_semiconjugacy():
     details.append(f"a=0.4 scaled: {worst_scaled:.2e}")
     elapsed = time.perf_counter() - t0
     ok &= elapsed < 1.0
-    report(2, "semiconjugacy residual on |Im z| <= 3", ok,
-           "; ".join(details) + f"; {elapsed:.2f}s")
+    details.append(f"{elapsed:.2f}s")
+    # render level, outside the timed residual: z is attracted under F
+    # exactly when e^{iz} is attracted under f
+    rng = np.random.default_rng(104)
+    zs = rng.uniform(-math.pi, math.pi, 50_000) + 1j * rng.uniform(-3.0, 3.0, 50_000)
+    for alpha in (0.25, 0.4, 0.49):
+        v_F, _ = rd.classify_points(mz.sine_model(alpha), zs, 500)
+        v_f, _ = rd.classify_points(mz.exp_baker(alpha), np.exp(1j * zs), 500)
+        differ = int(np.count_nonzero((v_F == rd.ATTRACTED) != (v_f == rd.ATTRACTED)))
+        ok &= differ == 0
+        details.append(f"a={alpha}: {differ} of {zs.size} attracted verdicts differ")
+    report(2, "semiconjugacy residual on |Im z| <= 3", ok, "; ".join(details))
 
 
 def test_criterion_03_boundary_modulus_and_truncation(products):

@@ -99,25 +99,26 @@ def test_csv_writer_matches_the_old_builders(monkeypatch, rows):
               np.array([below])]
     assert any(len(repr(float(a))) >= 19 for a in orbits[0])  # 17 significant digits
     for orbit in orbits:
-        got = "".join(hg.csv_chunks("iteration,angle", "%d,%r",
-                                    range(1, orbit.size + 1), orbit))
-        assert got == _orbit_csv_reference(orbit)
+        chunks = list(hg.csv_chunks("iteration,angle", 1, orbit))
+        assert all(type(chunk) is bytes for chunk in chunks)
+        assert b"".join(chunks) == _orbit_csv_reference(orbit).encode("ascii")
     for fractions in ((rng.random(40) / 3.0).tolist() + [1.0], (0.0,), ()):
         fractions = tuple(fractions)
-        got = "".join(hg.csv_chunks("iteration,covered_fraction", "%d,%r",
-                                    range(len(fractions)), fractions))
-        assert got == _spread_csv_reference(fractions)
+        got = b"".join(hg.csv_chunks("iteration,covered_fraction", 0, fractions))
+        assert got == _spread_csv_reference(fractions).encode("ascii")
     counts = rng.integers(0, 10 ** 12, (4, 64))
     counts[2] = 0  # a component no sample reached
     for c in (counts, counts[:, :5], counts[:0], np.zeros((1, 3), dtype=np.int64)):
         hist = ArcHistogram(c, 1_000)
-        assert hg.to_csv_text(hist) == _histogram_csv_reference(hist)
+        got = hg.to_csv_text(hist)
+        assert type(got) is bytes
+        assert got == _histogram_csv_reference(hist).encode("ascii")
 
 
 # the float kernel of csv_chunks against % on doubles, and the orbit CSV
 # read back
 
-# biased exponents that the kernel covers
+# biased exponents that the kernel covers: those of 1e-4 <= x < 1e16
 _WINDOW = range(csv_bytes._LOWEST, csv_bytes._LOWEST + csv_bytes._EXPONENTS["k"].size)
 
 
@@ -126,16 +127,15 @@ def _double(bits):
 
 
 def _assert_formats(values):
+    first = 9_998  # the indices cross a group of four digits
     x = np.asarray(values, dtype=np.float64)
-    for fmt in ("%r", "%.17g"):
-        got = "".join(hg.csv_chunks("x", fmt, x)).split("\n")[1:-1]
-        assert got == [fmt % v for v in x.tolist()], fmt
+    got = b"".join(hg.csv_chunks("x", first, x)).split(b"\n")[1:-1]
+    assert got == [b"%d,%r" % (first + i, v) for i, v in enumerate(x.tolist())]
 
 
 _FINITE = st.integers(0, 2 ** 64 - 1).map(_double).filter(math.isfinite)
-_IN_WINDOW = st.builds(lambda sign, e, m: _double(sign << 63 | e << 52 | m),
-                       st.integers(0, 1), st.integers(_WINDOW.start, _WINDOW.stop - 1),
-                       st.integers(0, 2 ** 52 - 1))
+_IN_WINDOW = st.builds(lambda e, m: _double(e << 52 | m),
+                       st.integers(_WINDOW.start, _WINDOW.stop - 1), st.integers(0, 2 ** 52 - 1))
 
 
 @settings(max_examples=300, deadline=None)
@@ -147,9 +147,9 @@ def test_float_kernel_matches_percent_formatting(values):
 def test_float_kernel_fixed_inputs(monkeypatch):
     powers = np.ldexp(1.0, np.arange(_WINDOW.start, _WINDOW.stop) - 1023)
     switches = np.array([1e-4, 1e16, 1e17])
-    # x +- 2 at 2**54 + 4j, whose rounding bounds are multiples of 10 when
-    # j = 1 or 2 (mod 5): an even significand accepts them, an odd one does not
-    bounds = 2.0 ** 54 + 4.0 * np.arange(40)
+    # x +- 1 at 2**53 + 2j, whole rounding bounds: an even significand
+    # accepts them, an odd one does not
+    bounds = 2.0 ** 53 + 2.0 * np.arange(40)
     # exact short decimals, and exact values with a tie at the 17th digit
     short = np.array([0.5, 0.25, 0.125, 1.0, 1.5, 2.0, 10.0, 123.0, 2.5e-3, 1e15, 4.5e16])
     ties = 1.0 + np.arange(1, 64, 2) * 2.0 ** -17
